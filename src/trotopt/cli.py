@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .circuit import Circuit, ParseError, UnsupportedGateError, parse_qc, write_qc
@@ -35,8 +35,16 @@ EXIT_INPUT_ERROR = 1
 EXIT_VERIFY_FAILED = 2
 
 
-def _load_circuit(path: str) -> Circuit:
-    return parse_qc(Path(path).read_text(encoding="utf-8"))
+_INPUT_ERRORS = (ParseError, UnsupportedGateError, OSError)  # main exits 1 on these
+
+
+def _load_circuit(path: str | Path) -> Circuit:
+    """Parse a ``.qc`` file; bytes that are not UTF-8 raise ParseError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_qc(text)
 
 
 def _emit(record: dict) -> None:
@@ -55,47 +63,36 @@ class BenchRow:
     status: str = "ok"
 
 
-BENCH_COLUMNS = [
-    "name",
-    "cnot_before",
-    "t_before",
-    "cnot_after",
-    "t_after",
-    "reduction_percent",
-    "wall_time_s",
-    "status",
-]
+BENCH_COLUMNS = [f.name for f in fields(BenchRow)]
 
 
-def _optimize_circuit(circuit: Circuit, mode: str) -> Circuit:
-    expanded = circuit.expand()
-    form = to_rotation_form(expanded)
-    result = optimize(form)
-    if mode == "resynth":
-        return from_rotation_form_resynth(result.form)
-    return apply_edit_plan(expanded, result.plan)
-
-
-def cmd_optimize(args: argparse.Namespace) -> int:
-    try:
-        circuit = _load_circuit(args.input)
-    except (ParseError, UnsupportedGateError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
+def _optimize_circuit(circuit: Circuit, mode: str):
+    """Expand, extract, fold, edit or resynthesize: (expanded, out, stats, seconds)."""
     started = time.perf_counter()
     expanded = circuit.expand()
     result = optimize(to_rotation_form(expanded))
-    if args.mode == "resynth":
+    if mode == "resynth":
         out = from_rotation_form_resynth(result.form)
     else:
         out = apply_edit_plan(expanded, result.plan)
-    elapsed = time.perf_counter() - started
+    return expanded, out, result.stats, time.perf_counter() - started
+
+
+def cmd_optimize(args: argparse.Namespace) -> int:
+    circuit = _load_circuit(args.input)
+    expanded, out, stats, elapsed = _optimize_circuit(circuit, args.mode)
 
     cap = args.max_verify_qubits if args.max_verify_qubits is not None else verification_cap()
-    want_verify = args.verify if args.verify is not None else circuit.n <= 6
     verified: bool | None = None
-    if want_verify and circuit.n <= cap:
+    skipped: str | None = None
+    if args.verify is False:
+        skipped = "disabled by --no-verify"
+    elif args.verify is None and circuit.n > 6:
+        skipped = f"not requested: {circuit.n} qubits, the default verifies up to 6"
+    elif circuit.n > cap:
+        skipped = f"{circuit.n} qubits exceeds the verification cap of {cap}"
+        print(f"note: verification skipped: {skipped}", file=sys.stderr)
+    else:
         verified = equivalent_up_to_phase(
             unitary_of(out, max_qubits=cap), unitary_of(expanded, max_qubits=cap)
         )
@@ -115,8 +112,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "h_after": after.h_count,
         "reduction_percent": round(reduction.percent, 2),
         "verified": verified,
+        "verify_skipped": skipped,
         "wall_time_s": round(elapsed, 6),
-        **result.stats.as_dict(),
+        **stats.as_dict(),
     }
     _emit(record)
 
@@ -129,11 +127,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        circuit = _load_circuit(args.input)
-    except (ParseError, UnsupportedGateError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    circuit = _load_circuit(args.input)
     expanded = circuit.expand()
     record = {
         "file": args.input,
@@ -155,18 +149,13 @@ def _layered_circuit(form, schedule, names) -> Circuit:
         extended = extend_with_ancillas(members, t)
         block = synthesize_layer(extended)
         gate_list.extend(block.gates)
-    for gate in synthesize(form.tail_clifford).gates:
-        gate_list.append(gate)
+    gate_list.extend(synthesize(form.tail_clifford).gates)
     qubit_names = tuple(names) + tuple(f"anc{i}" for i in range(t))
     return Circuit(qubit_names, tuple(gate_list))
 
 
 def cmd_tdepth(args: argparse.Namespace) -> int:
-    try:
-        circuit = _load_circuit(args.input)
-    except (ParseError, UnsupportedGateError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    circuit = _load_circuit(args.input)
     expanded = circuit.expand()
     form = to_rotation_form(expanded)
     if not args.no_optimize:
@@ -197,12 +186,8 @@ def cmd_tdepth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        a = _load_circuit(args.a).expand()
-        b = _load_circuit(args.b).expand()
-    except (ParseError, UnsupportedGateError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    a = _load_circuit(args.a).expand()
+    b = _load_circuit(args.b).expand()
     if a.n != b.n:
         print("error: circuits have different qubit counts", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -220,13 +205,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _bench_one(path: Path, mode: str) -> BenchRow:
     try:
-        circuit = parse_qc(path.read_text(encoding="utf-8"))
-    except (ParseError, UnsupportedGateError) as exc:
+        circuit = _load_circuit(path)
+    except _INPUT_ERRORS as exc:
         return BenchRow(name=path.name, status=f"skip: {exc}")
-    started = time.perf_counter()
-    expanded = circuit.expand()
-    out = _optimize_circuit(circuit, mode)
-    elapsed = time.perf_counter() - started
+    expanded, out, _, elapsed = _optimize_circuit(circuit, mode)
     before = expanded.counts()
     after = out.counts()
     reduction = t_count_reduction(expanded, out)
@@ -256,7 +238,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: getattr(row, k) for k in BENCH_COLUMNS})
+        writer.writerow(asdict(row))
     if scored:
         average = sum(r.reduction_percent for r in scored) / len(scored)
         best = max(r.reduction_percent for r in scored)
@@ -317,7 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

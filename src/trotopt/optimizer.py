@@ -9,7 +9,9 @@ the leftover square of the rotation (an S-like Clifford) into the frame.
 Every hit lowers the T-count by exactly 2.
 
 Total scan work is at most one commutation/equality check per ordered
-rotation pair, each O(n) bit operations: O(n k^2) overall.
+rotation pair, each O(n) bit operations: O(n k^2) overall.  A merge rewrites
+only the frame rows that anticommute with its axis (O(n) rows); the output
+tail, the input tail after the inverse frame, is built only when read.
 """
 
 from __future__ import annotations
@@ -56,14 +58,14 @@ def optimize(form: RotationForm) -> OptimizeResult:
     """Run one folding pass; returns the surviving form, edits, and stats.
 
     The returned plan applies against ``form.source`` and is None when any
-    rotation lacks an origin.  The surviving form folds the accumulated
-    frame Clifford into the tail.
+    rotation lacks an origin.  The surviving form's tail is ``form``'s tail
+    after the inverse of the accumulated frame Clifford; it is built, with
+    one ``invert()`` of the frame, only when first read.
     """
     started = time.perf_counter()
     stats = OptimizeStats(t_before=len(form.rotations))
 
     frame = CliffordTableau.identity(form.n)  # maps raw axes into the analysis frame
-    frame_is_identity = True
     processed: list[tuple[PauliProduct, int | None]] = []
 
     deletions: set[int] = set()
@@ -71,7 +73,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
     plan_complete = True
 
     for rotation in form.rotations:
-        axis = rotation.pauli if frame_is_identity else frame.conjugate(rotation.pauli)
+        axis = frame.conjugate(rotation.pauli) if stats.merges else rotation.pauli
         origin = rotation.origin
 
         match = -1
@@ -98,8 +100,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
             # The pair leaves the square of the rotation behind; absorb its
             # inverse into the frame so later raw axes map correctly, and
             # square the earlier physical gate in place (T**2 == S).
-            frame = CliffordTableau.s_rotation(-axis).compose(frame)
-            frame_is_identity = False
+            frame = frame.apply_s_rotation(-axis)
             if plan_complete:
                 replacements.add(partner_origin)
                 deletions.add(origin)
@@ -109,10 +110,10 @@ def optimize(form: RotationForm) -> OptimizeResult:
                 deletions.add(partner_origin)
                 deletions.add(origin)
 
+    def tail() -> CliffordTableau:
+        return form.tail_clifford.compose(frame.invert()) if stats.merges else form.tail_clifford
+
     surviving = tuple(Rotation(axis, origin=orig) for axis, orig in processed)
-    tail = form.tail_clifford
-    if not frame_is_identity:
-        tail = tail.compose(frame.invert())
     out_form = RotationForm(form.n, surviving, tail, source=None)
 
     plan = EditPlan(frozenset(deletions), frozenset(replacements)) if plan_complete else None

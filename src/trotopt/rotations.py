@@ -3,13 +3,17 @@
 A circuit over {Clifford, T, Tdg} is rewritten as an ordered list of pi/4
 rotations about signed Pauli axes followed by one trailing Clifford: every
 T contributes one rotation whose axis is the prefix-conjugated Z of its
-target qubit, and all Clifford gates accumulate into the tail.  Global
-phase is dropped throughout; equivalence is always modulo phase.
+target qubit, and all Clifford gates accumulate into the tail.  Extraction
+rewrites at most four rows of one tableau per Clifford gate and inverts it
+once, only when the tail is read.  Global phase is dropped throughout;
+equivalence is always modulo phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from .circuit import Circuit, Gate, UnsupportedGateError
 from .pauli import PauliProduct
@@ -58,20 +62,31 @@ class EditPlan:
 
 @dataclass(frozen=True)
 class RotationForm:
-    """Ordered rotations (index 0 acts first) plus the absorbed tail Clifford."""
+    """Ordered rotations (index 0 acts first) plus the absorbed tail Clifford.
+
+    ``tail`` is the tableau or a no-argument function that builds it, called
+    once, on the first read of :attr:`tail_clifford`: an unread tail is free.
+    """
 
     n: int
     rotations: tuple[Rotation, ...]
-    tail_clifford: CliffordTableau
+    tail: CliffordTableau | Callable[[], CliffordTableau]
     source: Circuit | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rotations", tuple(self.rotations))
-        if self.tail_clifford.n != self.n:
-            raise ValueError("tail Clifford width does not match qubit count")
         for r in self.rotations:
             if r.pauli.n != self.n:
                 raise ValueError("rotation width does not match qubit count")
+        if not callable(self.tail):
+            self.tail_clifford  # a given tableau is checked at once
+
+    @cached_property
+    def tail_clifford(self) -> CliffordTableau:
+        tail = self.tail() if callable(self.tail) else self.tail
+        if tail.n != self.n:
+            raise ValueError("tail Clifford width does not match qubit count")
+        return tail
 
     def t_count(self) -> int:
         return len(self.rotations)
@@ -82,13 +97,12 @@ class RotationForm:
 
 
 def to_rotation_form(circuit: Circuit) -> RotationForm:
-    """Single left-to-right pass; O(n) tableau work per gate.
+    """Single left-to-right pass over one tableau, the inverse Clifford prefix.
 
-    Maintains the inverse of the accumulated Clifford prefix: a T on qubit q
-    then reads its axis straight off that tableau's Z row for q, and a Tdg
-    emits the same axis with flipped sign.
+    A Clifford gate rewrites only its qubits' rows; a T on qubit q reads its
+    axis straight off the tableau's Z row for q (a Tdg flips its sign).  The
+    tail, the prefix itself, is that tableau's inverse, built on first read.
     """
-    prefix = CliffordTableau.identity(circuit.n)
     inverse_prefix = CliffordTableau.identity(circuit.n)
     rotations: list[Rotation] = []
     for index, gate in enumerate(circuit.gates):
@@ -98,13 +112,12 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
                 axis = -axis
             rotations.append(Rotation(axis, origin=index))
         elif gate.is_clifford:
-            prefix = prefix.apply_gate(gate)
             inverse_prefix = inverse_prefix.precompose_inverse(gate)
         else:
             raise UnsupportedGateError(
                 f"{gate.kind} at index {index}: expand() the circuit first"
             )
-    return RotationForm(circuit.n, tuple(rotations), prefix, source=circuit)
+    return RotationForm(circuit.n, tuple(rotations), inverse_prefix.invert, source=circuit)
 
 
 def from_rotation_form_resynth(form: RotationForm) -> Circuit:

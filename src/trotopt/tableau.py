@@ -10,6 +10,7 @@ commuting sets, and synthesis back to gates all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -122,6 +123,15 @@ def inverse_gate(gate: Gate) -> Gate:
         raise UnsupportedGateError(f"{gate.kind} has no Clifford inverse") from None
 
 
+def _transpose_bits(masks: list[int], width: int) -> list[int]:
+    """Transpose a width x width bit matrix: bit j of out[i] is bit i of masks[j]."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(width, nbytes), axis=1, bitorder="little")[:, :width]
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 # ----------------------------------------------------------------------
 
 
@@ -160,13 +170,27 @@ class CliffordTableau:
 
     @classmethod
     def s_rotation(cls, axis: PauliProduct) -> CliffordTableau:
-        """Tableau of the square of the quarter-rotation about ``axis``.
+        """Tableau of the square of the quarter-rotation about ``axis``."""
+        return cls.identity(axis.n).apply_s_rotation(axis)
 
-        This is the Clifford (1+i)/2 (1 - i*axis): it fixes every Pauli that
-        commutes with the axis and maps an anticommuting S to the Hermitian
-        product i*S*axis.
+    # ------------------------------------------------------------------
+    # core operations
+
+    def apply_gate(self, gate: Gate) -> CliffordTableau:
+        """Tableau of (gate applied after self); rows off the gate are reused."""
+        mask = sum(1 << q for q in gate.qubits)
+
+        def image(row: PauliProduct) -> PauliProduct:
+            return conjugate_by_gate(gate, row) if (row.x | row.z) & mask else row
+
+        return self._map_rows(image)
+
+    def apply_s_rotation(self, axis: PauliProduct) -> CliffordTableau:
+        """Tableau of (the square of the quarter-rotation about ``axis``) after self.
+
+        That Clifford, (1+i)/2 (1 - i*axis), fixes every Pauli that commutes
+        with the axis and maps an anticommuting P to i*P*axis: O(n) row work.
         """
-        n = axis.n
         if axis.is_identity:
             raise ValueError("rotation axis must not be the identity")
 
@@ -179,29 +203,13 @@ class CliffordTableau:
                 raise InvariantError("anti-Hermitian image in s_rotation")
             return prod if k == 0 else -prod
 
-        base = cls.identity(n)
-        return cls(
-            n,
-            tuple(image(r) for r in base.x_images),
-            tuple(image(r) for r in base.z_images),
-        )
-
-    # ------------------------------------------------------------------
-    # core operations
-
-    def apply_gate(self, gate: Gate) -> CliffordTableau:
-        """Tableau of (gate applied after self); O(n) row updates."""
-        return CliffordTableau(
-            self.n,
-            tuple(conjugate_by_gate(gate, r) for r in self.x_images),
-            tuple(conjugate_by_gate(gate, r) for r in self.z_images),
-        )
+        return self._map_rows(image)
 
     def precompose_inverse(self, gate: Gate) -> CliffordTableau:
-        """Tableau of (self composed with gate^-1 applied first); O(n).
+        """Tableau of (self composed with gate^-1 applied first).
 
-        Only the rows of the qubits the gate touches change, so this keeps a
-        running inverse-prefix tableau cheap to maintain.
+        Only the X and Z rows of the gate's qubits change (at most four), so a
+        running inverse-prefix tableau is cheap to maintain.
         """
         inv = inverse_gate(gate)
         xs = list(self.x_images)
@@ -245,36 +253,28 @@ class CliffordTableau:
         """Tableau of (self after other): ``other`` acts first."""
         if self.n != other.n:
             raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
+        return other._map_rows(self.conjugate)
+
+    def _map_rows(self, image: Callable[[PauliProduct], PauliProduct]) -> CliffordTableau:
+        """The tableau whose every row is ``image`` of the matching row here."""
         return CliffordTableau(
-            self.n,
-            tuple(self.conjugate(r) for r in other.x_images),
-            tuple(self.conjugate(r) for r in other.z_images),
+            self.n, tuple(map(image, self.x_images)), tuple(map(image, self.z_images))
         )
 
     def invert(self) -> CliffordTableau:
-        """The inverse Clifford: conjugating by it undoes self exactly."""
+        """The inverse Clifford: conjugating by it undoes self exactly.
+
+        The symplectic bit matrix M (rows x|z) inverts as L M^T L, L the
+        off-diagonal form: inverse row X_i (Z_i) is column n+i (i) of M with
+        its halves swapped.  Each sign comes from a forward round trip.
+        """
         n = self.n
-        # Bit action as a 2n x 2n GF(2) matrix in (x|z) coordinates; a
-        # symplectic matrix inverts as L M^T L with L the off-diagonal form.
-        m = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = (self.x_images[i].x >> j) & 1
-                m[i, n + j] = (self.x_images[i].z >> j) & 1
-                m[n + i, j] = (self.z_images[i].x >> j) & 1
-                m[n + i, n + j] = (self.z_images[i].z >> j) & 1
-        swap = np.roll(np.eye(2 * n, dtype=np.uint8), n, axis=1)
-        minv = (swap @ m.T @ swap) % 2
-
-        def row_pauli(bits: np.ndarray) -> PauliProduct:
-            x = int(sum(int(bits[j]) << j for j in range(n)))
-            z = int(sum(int(bits[n + j]) << j for j in range(n)))
-            return PauliProduct(n, x, z, 1)
-
+        cols = _transpose_bits([r.x | r.z << n for r in self.x_images + self.z_images], 2 * n)
+        low = (1 << n) - 1
         xs, zs = [], []
         for i in range(n):
-            for rows, basis_letter, out in ((minv[i], "X", xs), (minv[n + i], "Z", zs)):
-                candidate = row_pauli(rows)
+            for col, basis_letter, out in ((cols[n + i], "X", xs), (cols[i], "Z", zs)):
+                candidate = PauliProduct(n, col >> n, col & low, 1)
                 forward = self.conjugate(candidate)
                 expected = PauliProduct.single(n, i, basis_letter)
                 if not forward.equal_up_to_sign(expected):
@@ -471,9 +471,7 @@ def synthesize_gates(t: CliffordTableau) -> list[Gate]:
                     raise InvariantError("asymmetric phase coupling")
                 phase_gates.append(Gate("CZ", (i, j)))
 
-    layer = CliffordTableau.identity(n)
-    for g in phase_gates:
-        layer = layer.apply_gate(g)
+    layer = CliffordTableau.from_circuit(Circuit.on_qubits(n, phase_gates))
     for i in range(n):
         if layer.x_images[i].sign != d.x_images[i].sign:
             phase_gates.append(Gate("Z", (i,)))

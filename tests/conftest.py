@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from trotopt import CliffordTableau
+
 from _helpers import MOD5_4
 
 
@@ -13,3 +15,13 @@ def rng():
 @pytest.fixture(scope="session")
 def mod5_4_text():
     return MOD5_4.read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def no_invert(monkeypatch):
+    """Make any invert() call, such as the read of a deferred tail, fail."""
+
+    def forbidden(self):
+        raise AssertionError("invert() called")
+
+    monkeypatch.setattr(CliffordTableau, "invert", forbidden)

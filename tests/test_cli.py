@@ -4,6 +4,8 @@ import json
 import shutil
 from contextlib import redirect_stdout
 
+import pytest
+
 from trotopt import equivalent_up_to_phase, parse_qc, unitary_of
 from trotopt.cli import main
 
@@ -15,6 +17,28 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+NOT_UTF8 = b".v a\nBEGIN\nT a  # caf\xe9\nEND\n"
+
+
+def wide_qc(n):
+    """n qubits, T on each, so nothing folds and the width is the point."""
+    names = [f"q{i}" for i in range(n)]
+    body = "".join(f"T {q}\n" for q in names)
+    return f".v {' '.join(names)}\nBEGIN\n{body}END\n"
+
+
+@pytest.mark.parametrize("command", ["optimize", "stats", "tdepth", "verify"])
+def test_undecodable_file_is_an_input_error(command, tmp_path, capsys):
+    bad = tmp_path / "bad.qc"
+    bad.write_bytes(NOT_UTF8)
+    inputs = [str(MOD5_4), str(bad)] if command == "verify" else [str(bad)]
+    code, stdout = run_cli(command, *inputs)
+    assert code == 1 and stdout == ""
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (invalid continuation byte at byte 21)\n"
+    )
 
 
 CHAIN_QC = """.v a
@@ -75,6 +99,53 @@ class TestOptimize:
         code, stdout = run_cli("optimize", str(MOD5_4), "--no-verify")
         assert code == 0
         assert json.loads(stdout)["verified"] is None
+        assert json.loads(stdout)["verify_skipped"] == "disabled by --no-verify"
+
+    def test_verified_record_has_no_skip_reason(self):
+        code, stdout = run_cli("optimize", str(MOD5_4), "--verify")
+        assert code == 0
+        assert json.loads(stdout)["verify_skipped"] is None
+
+    def test_verify_above_cap_gives_reason_and_note(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("T_ROT_OPT_VERIFY_CAP", raising=False)
+        path = tmp_path / "wide.qc"
+        path.write_text(wide_qc(19))
+        code, stdout = run_cli("optimize", str(path), "--verify")
+        assert code == 0
+        record = json.loads(stdout)
+        assert record["verified"] is None
+        assert record["verify_skipped"] == "19 qubits exceeds the verification cap of 10"
+        assert "verification skipped: 19 qubits exceeds" in capsys.readouterr().err
+
+    def test_verify_above_explicit_cap(self, capsys):
+        code, stdout = run_cli("optimize", str(MOD5_4), "--max-verify-qubits", "4")
+        assert code == 0
+        assert json.loads(stdout)["verify_skipped"] == (
+            "5 qubits exceeds the verification cap of 4"
+        )
+        assert "verification skipped" in capsys.readouterr().err
+
+    def test_default_skip_above_six_qubits_is_quiet(self, tmp_path, capsys):
+        path = tmp_path / "seven.qc"
+        path.write_text(wide_qc(7))
+        code, stdout = run_cli("optimize", str(path))
+        assert code == 0
+        assert json.loads(stdout)["verify_skipped"] == (
+            "not requested: 7 qubits, the default verifies up to 6"
+        )
+        assert capsys.readouterr().err == ""
+
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        code, _ = run_cli("optimize", str(MOD5_4), "-o", str(tmp_path / "no" / "out.qc"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_inplace_never_inverts(self, no_invert):
+        code, stdout = run_cli("optimize", str(MOD5_4), "--verify")
+        assert code == 0
+        assert json.loads(stdout)["merges"] > 0
+        with pytest.raises(AssertionError, match="invert"):
+            run_cli("optimize", str(MOD5_4), "--mode", "resynth")
 
 
 class TestStats:
@@ -131,6 +202,12 @@ class TestTdepth:
         assert code == 0
         assert json.loads(stdout)["t_count"] == 28
 
+    def test_plain_tdepth_never_inverts(self, no_invert, tmp_path):
+        assert run_cli("tdepth", str(MOD5_4))[0] == 0
+        assert run_cli("tdepth", str(MOD5_4), "--no-optimize")[0] == 0
+        with pytest.raises(AssertionError, match="invert"):
+            run_cli("tdepth", str(MOD5_4), "--ancilla", "-o", str(tmp_path / "l.qc"))
+
 
 class TestVerify:
     def test_file_against_itself(self):
@@ -178,6 +255,21 @@ class TestBench:
         rows = list(csv.DictReader(stdout.splitlines()))
         by_name = {r["name"]: r for r in rows}
         assert by_name["broken.qc"]["status"].startswith("skip")
+        assert by_name["AVERAGE"]["reduction_percent"] == "71.43"
+
+    def test_undecodable_and_unreadable_files_become_skip_rows(self, tmp_path):
+        bench_dir = tmp_path / "suite"
+        bench_dir.mkdir()
+        shutil.copy(MOD5_4, bench_dir / "mod5_4.qc")
+        (bench_dir / "latin1.qc").write_bytes(NOT_UTF8)
+        (bench_dir / "folder.qc").mkdir()
+        code, stdout = run_cli("bench", str(bench_dir))
+        assert code == 0
+        by_name = {r["name"]: r for r in csv.DictReader(stdout.splitlines())}
+        assert by_name["latin1.qc"]["status"].startswith("skip: ")
+        assert "not UTF-8 text" in by_name["latin1.qc"]["status"]
+        assert by_name["folder.qc"]["status"].startswith("skip: ")
+        assert by_name["mod5_4.qc"]["status"] == "ok"
         assert by_name["AVERAGE"]["reduction_percent"] == "71.43"
 
     def test_empty_directory(self, tmp_path):

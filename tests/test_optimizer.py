@@ -128,6 +128,46 @@ class TestFrame:
         assert form.tail_clifford == CliffordTableau.s_rotation(P("Z"))
 
 
+def eager_fold(form):
+    """Reference fold: rebuilds the whole frame tableau on every merge and
+    the tail eagerly, as ``tail.compose(frame.invert())``."""
+    frame = CliffordTableau.identity(form.n)
+    processed = []
+    for rotation in form.rotations:
+        axis = frame.conjugate(rotation.pauli)
+        i = len(processed) - 1
+        while i >= 0 and processed[i].commutes(axis) and not processed[i].equal_up_to_sign(axis):
+            i -= 1
+        if i >= 0 and processed[i].equal_up_to_sign(axis):
+            if processed.pop(i).sign == axis.sign:
+                frame = CliffordTableau.s_rotation(-axis).compose(frame)
+        else:
+            processed.append(axis)
+    return processed, form.tail_clifford.compose(frame.invert())
+
+
+class TestLazyFrameTail:
+    def test_matches_eager_frame_and_tail(self):
+        rng = random.Random(0xFA11)
+        merges = 0
+        for _ in range(80):
+            n = rng.randint(1, 8)
+            c = random_clifford_t_circuit(n, rng.randint(0, 80), rng, t_weight=0.5)
+            result = optimize(to_rotation_form(c))
+            axes, tail = eager_fold(to_rotation_form(c))
+            assert [r.pauli for r in result.form.rotations] == axes
+            assert result.form.tail_clifford == tail
+            merges += result.stats.merges
+        assert merges > 50
+
+    def test_fold_reads_no_tail(self, no_invert):
+        c = random_clifford_t_circuit(6, 120, random.Random(0xB0), t_weight=0.5)
+        result = optimize(to_rotation_form(c))
+        assert result.stats.merges > 0
+        with pytest.raises(AssertionError, match="invert"):
+            result.form.tail_clifford
+
+
 class TestSoundness:
     N_CASES = 120
 

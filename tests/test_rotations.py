@@ -92,6 +92,29 @@ class TestToRotationForm:
             r.pauli for r in b.rotations
         )
 
+    def test_tail_is_the_tableau_of_the_clifford_gates(self):
+        rng = random.Random(0x7A1)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            c = random_clifford_t_circuit(n, rng.randint(0, 80), rng)
+            cliffords = [g for g in c.gates if g.kind not in ("T", "Tdg")]
+            expected = CliffordTableau.from_circuit(Circuit.on_qubits(n, cliffords))
+            assert to_rotation_form(c).tail_clifford == expected
+
+    def test_tail_is_built_once_on_first_read(self):
+        calls = []
+
+        def build():
+            calls.append(1)
+            return CliffordTableau.identity(2)
+
+        rf = RotationForm(2, (), build)
+        assert calls == []
+        assert rf.tail_clifford is rf.tail_clifford
+        assert calls == [1]
+        with pytest.raises(ValueError):
+            RotationForm(2, (), lambda: CliffordTableau.identity(3)).tail_clifford
+
     def test_dump_format(self):
         c = Circuit.on_qubits(2, [Gate("Tdg", (1,)), Gate("T", (0,))])
         assert to_rotation_form(c).dump() == "-IZ @0\n+ZI @1"

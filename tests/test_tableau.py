@@ -16,7 +16,9 @@ from trotopt import (
     unitary_of,
 )
 
-from _helpers import random_pauli, random_tableau
+from trotopt.tableau import conjugate_by_gate, inverse_gate
+
+from _helpers import random_clifford_circuit, random_pauli, random_tableau
 
 P = PauliProduct.from_label
 
@@ -47,6 +49,18 @@ class TestApplyGate:
     def test_non_clifford_rejected(self):
         with pytest.raises(UnsupportedGateError):
             CliffordTableau.identity(1).apply_gate(Gate("T", (0,)))
+
+    def test_recomputes_only_rows_meeting_the_gate(self, rng):
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            t, _ = random_tableau(n, rng, depth=rng.randint(0, 3 * n))
+            g = random_clifford_circuit(n, 1, rng).gates[0]
+            out = t.apply_gate(g)
+            mask = sum(1 << q for q in g.qubits)
+            for row, new in zip(t.x_images + t.z_images, out.x_images + out.z_images):
+                assert new == conjugate_by_gate(g, row)
+                if not (row.x | row.z) & mask:
+                    assert new is row
 
     def test_preserves_symplectic_validity(self, rng):
         for _ in range(50):
@@ -106,6 +120,12 @@ class TestComposeInvert:
             t, _ = random_tableau(n, rng)
             assert t.compose(t.invert()) == CliffordTableau.identity(n)
             assert t.invert().compose(t) == CliffordTableau.identity(n)
+
+    def test_invert_matches_adjoint_circuit_across_byte_widths(self, rng):
+        for n in (4, 5, 8, 9, 17, 33):
+            t, circuit = random_tableau(n, rng)
+            adjoint = [inverse_gate(g) for g in reversed(circuit.gates)]
+            assert t.invert() == CliffordTableau.from_circuit(Circuit.on_qubits(n, adjoint))
 
     def test_invert_identity(self):
         assert CliffordTableau.identity(3).invert() == CliffordTableau.identity(3)
@@ -186,6 +206,19 @@ class TestSRotation:
     def test_identity_axis_rejected(self):
         with pytest.raises(ValueError):
             CliffordTableau.s_rotation(PauliProduct.identity(2))
+        with pytest.raises(ValueError):
+            CliffordTableau.identity(2).apply_s_rotation(PauliProduct.identity(2))
+
+    def test_row_update_matches_compose(self, rng):
+        for _ in range(120):
+            n = rng.randint(1, 7)
+            t, _ = random_tableau(n, rng)
+            axis = random_pauli(n, rng)
+            out = t.apply_s_rotation(axis)
+            assert out == CliffordTableau.s_rotation(axis).compose(t)
+            for row, new in zip(t.x_images + t.z_images, out.x_images + out.z_images):
+                if row.commutes(axis):
+                    assert new is row
 
 
 class TestDiagonalize:
