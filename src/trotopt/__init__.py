@@ -58,7 +58,6 @@ from .tgraph import (
     to_dot,
 )
 from .verify import (
-    brute_force_min_layers,
     equivalent_up_to_phase,
     gate_matrix,
     pauli_matrix,
@@ -91,7 +90,6 @@ __all__ = [
     "UnsupportedGateError",
     "ancilla_safe",
     "apply_edit_plan",
-    "brute_force_min_layers",
     "build_tgraph",
     "diagonalize_commuting_set",
     "equivalent_up_to_phase",

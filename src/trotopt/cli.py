@@ -28,14 +28,20 @@ from .tgraph import (
     t_depth_bound,
     to_dot,
 )
-from .verify import equivalent_up_to_phase, unitary_of, verification_cap
+from .verify import (
+    VerificationCapError,
+    equivalent_up_to_phase,
+    unitary_of,
+    verification_cap,
+)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VERIFY_FAILED = 2
 
 
-_INPUT_ERRORS = (ParseError, UnsupportedGateError, OSError)  # main exits 1 on these
+# main exits 1 on these
+_INPUT_ERRORS = (ParseError, UnsupportedGateError, OSError, VerificationCapError)
 
 
 def _load_circuit(path: str | Path) -> Circuit:

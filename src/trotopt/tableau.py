@@ -359,8 +359,10 @@ def _diagonalize_with_gates(
     def emit(kind: str, *qubits: int) -> None:
         g = Gate(kind, qubits)
         gates.append(g)
+        mask = sum(1 << q for q in qubits)
         for idx, w in enumerate(work):
-            work[idx] = conjugate_by_gate(g, w)
+            if (w.x | w.z) & mask:  # a gate fixes every Pauli off its qubits
+                work[idx] = conjugate_by_gate(g, w)
 
     for j in range(len(work)):
         p = work[j]

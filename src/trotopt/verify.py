@@ -1,9 +1,17 @@
-"""Ground-truth dense-matrix oracle for small registers.
+"""Ground-truth dense-unitary oracle for small registers.
 
-Everything here is built directly from 2x2 matrix definitions and Kronecker
-products, independent of the tableau machinery, so it can arbitrate sign
-and phase conventions.  Qubit 0 is the leftmost Kronecker factor (most
-significant bit of the basis index).
+Everything here is built directly from 2x2 matrix definitions, independent
+of the tableau machinery, so it can arbitrate sign and phase conventions.
+Qubit 0 is the most significant bit of the basis index (the leftmost
+Kronecker factor).
+
+:func:`unitary_of` holds the unitary as a tensor of shape ``(2,)*n + (2^n,)``
+and applies each gate to its own qubit axes only: a 2x2 contraction for H
+and Y, a block phase for diagonal gates, a block swap for X/CNOT/Toffoli and
+an axis swap for SWAP.  That is O(4^n) work per gate and never forms a
+2^n x 2^n gate matrix.  :func:`gate_matrix`, :func:`pauli_matrix` and
+:func:`rotation_matrix` build full matrices from Kronecker products; they are
+the references the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -38,6 +46,10 @@ _ONE_QUBIT = {
     "T": _T,
     "Tdg": _T.conj().T,
 }
+
+# Diagonal gates: the phase on the block where all of their qubits are 1.
+_PHASE = {kind: _ONE_QUBIT[kind][1, 1] for kind in ("Z", "S", "Sdg", "T", "Tdg")}
+_PHASE.update(CZ=-1, CCZ=-1)
 
 _PROJ0 = np.diag([1, 0]).astype(complex)
 _PROJ1 = np.diag([0, 1]).astype(complex)
@@ -99,6 +111,10 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
+class VerificationCapError(ValueError):
+    """T_ROT_OPT_VERIFY_CAP is set to something that is not an integer."""
+
+
 def verification_cap() -> int:
     """Qubit cap for dense verification; T_ROT_OPT_VERIFY_CAP overrides."""
     raw = os.environ.get("T_ROT_OPT_VERIFY_CAP")
@@ -107,26 +123,69 @@ def verification_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"T_ROT_OPT_VERIFY_CAP must be an integer, got {raw!r}")
+        raise VerificationCapError(
+            f"T_ROT_OPT_VERIFY_CAP must be an integer, got {raw!r}"
+        ) from None
+
+
+def _ones(n: int, qubits) -> tuple:
+    """Index of the block where every qubit in ``qubits`` is 1, keeping all axes."""
+    idx = [slice(None)] * (n + 1)
+    for q in qubits:
+        idx[q] = slice(1, 2)
+    return tuple(idx)
+
+
+def _apply(u: np.ndarray, gate: Gate) -> np.ndarray:
+    """Left-multiply the (2,)*n + (dim,) tensor ``u`` by one gate, on its axes only.
+
+    Works in place where it can (``u`` must not be shared); returns the result.
+    """
+    n = u.ndim - 1
+    kind, qubits = gate.kind, gate.qubits
+    if kind in _PHASE:  # scale the block where all the gate's qubits are 1
+        u[_ones(n, qubits)] *= _PHASE[kind]
+    elif kind in ("X", "CNOT", "TOFFOLI"):  # flip the target where all controls are 1
+        block = _ones(n, qubits[:-1])
+        u[block] = np.flip(u[block], axis=qubits[-1])
+    elif kind == "SWAP":
+        u = np.swapaxes(u, *qubits)
+    elif kind in _ONE_QUBIT:
+        q = qubits[0]
+        u = np.moveaxis(np.tensordot(_ONE_QUBIT[kind], u, axes=([1], [q])), 0, q)
+    else:
+        raise ValueError(f"no dense matrix for gate kind {kind!r}")
+    return u
 
 
 def unitary_of(obj: Circuit | RotationForm, max_qubits: int | None = None) -> np.ndarray:
-    """Exact gate-by-gate (or rotation-by-rotation) dense unitary."""
+    """Exact gate-by-gate (or rotation-by-rotation) dense unitary.
+
+    Each gate touches only its own tensor axes, so it costs O(4^n) rather
+    than the O(8^n) of a full matrix product.
+    """
     if not isinstance(obj, (Circuit, RotationForm)):
         raise TypeError(f"cannot build a unitary from {type(obj).__name__}")
     cap = DEFAULT_QUBIT_CAP if max_qubits is None else max_qubits
     if obj.n > cap:
         raise ValueError(f"{obj.n} qubits exceeds the verification cap of {cap}")
-    dim = 1 << obj.n
-    u = np.eye(dim, dtype=complex)
+    n, dim = obj.n, 1 << obj.n
+    u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     if isinstance(obj, Circuit):
-        for gate in obj.gates:
-            u = gate_matrix(gate, obj.n) @ u
+        gates = obj.gates
     else:
+        w = np.exp(1j * math.pi / 4)
         for rotation in obj.rotations:
-            u = rotation_matrix(rotation.pauli) @ u
-        u = unitary_of(synthesize(obj.tail_clifford), max_qubits=cap) @ u
-    return _check_unitary(u)
+            # R(P) U = (1+w)/2 U + (1-w)/2 P U, with P applied letter by letter.
+            p = rotation.pauli
+            pu = u.copy()
+            for q in p.support():
+                pu = _apply(pu, Gate(p.letter(q), (q,)))
+            u = (1 + w) / 2 * u + (1 - w) / 2 * p.sign * pu
+        gates = synthesize(obj.tail_clifford).gates
+    for gate in gates:
+        u = _apply(u, gate)
+    return _check_unitary(u.reshape(dim, dim))
 
 
 def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
@@ -145,24 +204,3 @@ def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> b
     if abs(abs(lam) - 1) > tol:
         return False
     return bool(np.max(np.abs(a - lam * b)) <= tol)
-
-
-def brute_force_min_layers(paulis: list[PauliProduct], max_m: int = 12) -> int:
-    """Exhaustive longest anticommuting chain; oracle for the DP bound."""
-    m = len(paulis)
-    if m > max_m:
-        raise ValueError(f"{m} rotations exceeds the brute-force cap of {max_m}")
-    if m == 0:
-        return 0
-    anti = [
-        [not paulis[i].commutes(paulis[j]) for j in range(m)] for i in range(m)
-    ]
-
-    def extend(last: int, length: int) -> int:
-        best = length
-        for nxt in range(last + 1, m):
-            if anti[last][nxt]:
-                best = max(best, extend(nxt, length + 1))
-        return best
-
-    return max(extend(v, 1) for v in range(m))

@@ -109,3 +109,24 @@ def data_block_on_zero_ancillas(u: np.ndarray, n_data: int, t: int) -> np.ndarra
 
 def non_phase_gates(circuit: Circuit) -> list[Gate]:
     return [g for g in circuit.gates if g.kind not in ("T", "Tdg", "S", "Sdg")]
+
+
+def brute_force_min_layers(paulis: list[PauliProduct], max_m: int = 12) -> int:
+    """Exhaustive longest anticommuting chain; oracle for the DP bound."""
+    m = len(paulis)
+    if m > max_m:
+        raise ValueError(f"{m} rotations exceeds the brute-force cap of {max_m}")
+    if m == 0:
+        return 0
+    anti = [
+        [not paulis[i].commutes(paulis[j]) for j in range(m)] for i in range(m)
+    ]
+
+    def extend(last: int, length: int) -> int:
+        best = length
+        for nxt in range(last + 1, m):
+            if anti[last][nxt]:
+                best = max(best, extend(nxt, length + 1))
+        return best
+
+    return max(extend(v, 1) for v in range(m))

@@ -21,7 +21,6 @@ from trotopt import (
     Rotation,
     RotationForm,
     apply_edit_plan,
-    brute_force_min_layers,
     build_tgraph,
     equivalent_up_to_phase,
     extend_with_ancillas,
@@ -40,6 +39,7 @@ from trotopt.tableau import check_independent
 
 from _helpers import (
     MOD5_4,
+    brute_force_min_layers,
     data_block_on_zero_ancillas,
     non_phase_gates,
     random_clifford_t_circuit,

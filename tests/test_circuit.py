@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotopt import (
+    ARITY,
     Circuit,
     Gate,
     ParseError,
@@ -209,3 +212,33 @@ class TestWriteQc:
                     list(c.gates) + [Gate("CCZ", tuple(rng.sample(range(n), 3)))]
                 )
             assert parse_qc(write_qc(c)) == Circuit(c.qubit_names, c.gates)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_round_trip_fuzz(self, data):
+        c = data.draw(qc_circuits())
+        assert parse_qc(write_qc(c)) == c
+
+
+# Identifiers: no whitespace and no '#', the two characters the format reserves.
+QUBIT_NAME = st.text(
+    st.characters(codec="ascii", categories=("L", "N", "P", "S"), exclude_characters="#"),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def qc_circuits(draw):
+    """Any circuit ``write_qc`` can express: every gate kind, .i/.o subsets."""
+    names = draw(st.lists(QUBIT_NAME, min_size=1, max_size=6, unique=True))
+    n = len(names)
+    gate = st.sampled_from([k for k, a in ARITY.items() if a <= n]).flatmap(
+        lambda kind: st.permutations(range(n)).map(
+            lambda order: Gate(kind, tuple(order[: ARITY[kind]]))
+        )
+    )
+    subset = st.none() | st.lists(st.sampled_from(names), unique=True).map(tuple)
+    return Circuit(
+        tuple(names), tuple(draw(st.lists(gate, max_size=40))), draw(subset), draw(subset)
+    )

@@ -41,6 +41,17 @@ def test_undecodable_file_is_an_input_error(command, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_non_integer_verify_cap_is_an_input_error(command, capsys, monkeypatch):
+    monkeypatch.setenv("T_ROT_OPT_VERIFY_CAP", "abc")
+    inputs = [str(MOD5_4)] * (2 if command == "verify" else 1)
+    code, stdout = run_cli(command, *inputs)
+    assert code == 1 and stdout == ""
+    assert capsys.readouterr().err == (
+        "error: T_ROT_OPT_VERIFY_CAP must be an integer, got 'abc'\n"
+    )
+
+
 CHAIN_QC = """.v a
 BEGIN
 T a

@@ -16,9 +16,14 @@ from trotopt import (
     unitary_of,
 )
 
-from trotopt.tableau import conjugate_by_gate, inverse_gate
+from trotopt.tableau import _diagonalize_with_gates, conjugate_by_gate, inverse_gate
 
-from _helpers import random_clifford_circuit, random_pauli, random_tableau
+from _helpers import (
+    random_clifford_circuit,
+    random_commuting_independent_rotations,
+    random_pauli,
+    random_tableau,
+)
 
 P = PauliProduct.from_label
 
@@ -239,8 +244,6 @@ class TestDiagonalize:
         assert c.conjugate(P("-Z")) == P("Z")
 
     def test_random_sets(self, rng):
-        from _helpers import random_commuting_independent_rotations
-
         for _ in range(60):
             n = rng.randint(1, 5)
             m = rng.randint(1, n)
@@ -261,6 +264,58 @@ class TestDiagonalize:
     def test_identity_input_rejected(self):
         with pytest.raises(ValueError):
             diagonalize_commuting_set([PauliProduct.identity(2)])
+
+
+def unmasked_diagonalize(paulis):
+    """Reference elimination for valid inputs: every emitted gate conjugates
+    every Pauli, whether or not it touches the gate's qubits."""
+    n = paulis[0].n
+    work = list(paulis)
+    gates = []
+
+    def emit(kind, *qubits):
+        g = Gate(kind, qubits)
+        gates.append(g)
+        work[:] = [conjugate_by_gate(g, w) for w in work]
+
+    for j in range(len(work)):
+        p = work[j]
+        if p.x == 0 and p.z == 1 << j:
+            if p.sign < 0:
+                emit("X", j)
+            continue
+        hi = ~((1 << j) - 1)
+        if p.x & hi == 0:
+            zs = p.z & hi
+            emit("H", (zs & -zs).bit_length() - 1)
+            p = work[j]
+        for q in range(j, n):
+            if p.z & (1 << q):
+                emit("Sdg" if p.x & (1 << q) else "H", q)
+                p = work[j]
+        pivot = (p.x & hi & -(p.x & hi)).bit_length() - 1
+        for q in range(pivot + 1, n):
+            if p.x & (1 << q):
+                emit("CNOT", pivot, q)
+        p = work[j]
+        for q in range(j):
+            if p.z & (1 << q):
+                emit("CZ", q, pivot)
+        emit("H", pivot)
+        if pivot != j:
+            emit("SWAP", pivot, j)
+        if work[j].sign < 0:
+            emit("X", j)
+    return CliffordTableau.from_circuit(Circuit.on_qubits(n, gates)), gates
+
+
+class TestMaskedDiagonalize:
+    def test_matches_unmasked_reference(self, rng):
+        for _ in range(80):
+            n = rng.randint(1, 9)
+            m = rng.randint(1, n)
+            paulis = [r.pauli for r in random_commuting_independent_rotations(n, m, rng)]
+            assert _diagonalize_with_gates(paulis) == unmasked_diagonalize(paulis)
 
 
 class TestSynthesize:

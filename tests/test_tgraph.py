@@ -7,7 +7,6 @@ from trotopt import (
     Rotation,
     RotationForm,
     ancilla_safe,
-    brute_force_min_layers,
     build_tgraph,
     equivalent_up_to_phase,
     extend_with_ancillas,
@@ -20,6 +19,7 @@ from trotopt import (
 )
 
 from _helpers import (
+    brute_force_min_layers,
     data_block_on_zero_ancillas,
     random_commuting_independent_rotations,
     random_pauli,

@@ -1,21 +1,33 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import trotopt.verify
 from trotopt import (
+    ARITY,
     Circuit,
     Gate,
     PauliProduct,
-    brute_force_min_layers,
+    Rotation,
+    RotationForm,
     equivalent_up_to_phase,
+    gate_matrix,
     pauli_matrix,
     rotation_matrix,
+    synthesize,
     unitary_of,
 )
 from trotopt.verify import verification_cap
 
-from _helpers import random_clifford_t_circuit, random_pauli
+from _helpers import (
+    brute_force_min_layers,
+    random_clifford_t_circuit,
+    random_pauli,
+    random_tableau,
+    rotations_product_matrix,
+)
 
 P = PauliProduct.from_label
 OMEGA = np.exp(1j * math.pi / 4)
@@ -52,6 +64,63 @@ class TestUnitaryOf:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             unitary_of(42)
+
+
+def dense_product(gates, n):
+    """Reference: the gates' full Kronecker matrices multiplied in order."""
+    u = np.eye(1 << n, dtype=complex)
+    for g in gates:
+        u = gate_matrix(g, n) @ u
+    return u
+
+
+def random_form(rng, n):
+    rotations = [Rotation(random_pauli(n, rng)) for _ in range(rng.randint(1, 8))]
+    tail, _ = random_tableau(n, rng)
+    return RotationForm(n, rotations, tail)
+
+
+class TestContractionKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_gate_at_every_placement(self, n):
+        # Every ordered placement: non-adjacent qubits, controls above and below the target.
+        for kind, arity in ARITY.items():
+            for qubits in itertools.permutations(range(n), arity):
+                g = Gate(kind, qubits)
+                u = unitary_of(Circuit.on_qubits(n, [g]))
+                np.testing.assert_allclose(u, gate_matrix(g, n), rtol=0, atol=1e-12)
+
+    def test_random_circuits_match_dense_product(self, rng):
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            c = random_clifford_t_circuit(n, rng.randint(0, 30), rng)
+            np.testing.assert_allclose(
+                unitary_of(c), dense_product(c.gates, n), rtol=0, atol=1e-12
+            )
+
+    def test_form_matches_rotation_matrix_product(self, rng):
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            form = random_form(rng, n)
+            tail = dense_product(synthesize(form.tail_clifford).gates, n)
+            expected = tail @ rotations_product_matrix(form.rotations)
+            np.testing.assert_allclose(unitary_of(form), expected, rtol=0, atol=1e-12)
+
+    def test_builds_no_dense_matrices(self, rng, monkeypatch):
+        circuit = random_clifford_t_circuit(4, 40, rng)
+        circuit = circuit.with_gates(
+            circuit.gates + (Gate("TOFFOLI", (3, 0, 2)), Gate("CCZ", (2, 3, 1)))
+        )
+        form = random_form(rng, 4)
+        expected = unitary_of(circuit), unitary_of(form)
+
+        def forbidden(*args):
+            raise AssertionError("dense reference matrix built")
+
+        for name in ("gate_matrix", "rotation_matrix", "pauli_matrix", "_embed1"):
+            monkeypatch.setattr(trotopt.verify, name, forbidden)
+        assert np.array_equal(unitary_of(circuit), expected[0])
+        assert np.array_equal(unitary_of(form), expected[1])
 
 
 class TestRotationMatrix:
