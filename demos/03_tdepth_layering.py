@@ -53,9 +53,10 @@ print()
 
 # ----------------------------------------------------------------------
 # Dependent layers (some subset multiplies to identity) cannot be
-# diagonalized -- but tagging rotation j with Z on ancilla j makes any
-# commuting layer independent without changing the DAG, and the ancillas
-# provably return to |0>.
+# diagonalized -- but tagging with Z, each on its own ancilla, only the
+# rotations that depend on earlier ones makes any commuting layer
+# independent without changing the DAG.  A layer of size m and GF(2) rank r
+# needs m - r ancillas (here 3 - 2 = 1), and they provably return to |0>.
 
 dependent = [Rotation(P("ZI")), Rotation(P("IZ")), Rotation(P("ZZ"))]
 try:
@@ -63,14 +64,14 @@ try:
 except Exception as exc:
     print("direct synthesis fails:", exc)
 
-extended = extend_with_ancillas(dependent, t=3)
+extended = extend_with_ancillas(dependent, t=1)
 print("extended axes:", [str(r.pauli) for r in extended])
 print("edges unchanged:",
       build_tgraph(extended).edges == build_tgraph(dependent).edges)
 
 block = synthesize_layer(extended)
-u = unitary_of(block)  # 5 qubits: 2 data + 3 ancillas
-dim_data, dim_anc = 4, 8
+u = unitary_of(block)  # 3 qubits: 2 data + 1 ancilla
+dim_data, dim_anc = 4, 2
 full = u.reshape(dim_data, dim_anc, dim_data, dim_anc)
 data_block = full[:, 0, :, 0]
 want = (

@@ -35,7 +35,10 @@ from .rotations import (
     Rotation,
     RotationForm,
     apply_edit_plan,
+    extend_with_ancillas,
     from_rotation_form_resynth,
+    synthesize_layer,
+    synthesize_schedule,
     to_rotation_form,
 )
 from .optimizer import (
@@ -50,10 +53,8 @@ from .tgraph import (
     TGraph,
     ancilla_safe,
     build_tgraph,
-    extend_with_ancillas,
     is_valid_reordering,
     layerize,
-    synthesize_layer,
     t_depth_bound,
     to_dot,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "rotation_matrix",
     "synthesize",
     "synthesize_layer",
+    "synthesize_schedule",
     "t_count_reduction",
     "t_depth_bound",
     "to_dot",

@@ -111,7 +111,7 @@ class Circuit:
         if len(set(self.qubit_names)) != len(self.qubit_names):
             raise ValueError("duplicate qubit names")
         for g in self.gates:
-            if any(q >= self.n for q in g.qubits):
+            if max(g.qubits) >= self.n:
                 raise ValueError(f"gate {g} references qubit outside register of {self.n}")
         for names in (self.inputs, self.outputs):
             if names is not None:

@@ -12,22 +12,18 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .circuit import Circuit, ParseError, UnsupportedGateError, parse_qc, write_qc
 from .optimizer import optimize, t_count_reduction
-from .rotations import apply_edit_plan, from_rotation_form_resynth, to_rotation_form
-from .tableau import synthesize
-from .tgraph import (
-    build_tgraph,
-    extend_with_ancillas,
-    layerize,
-    synthesize_layer,
-    t_depth_bound,
-    to_dot,
+from .rotations import (
+    apply_edit_plan,
+    from_rotation_form_resynth,
+    synthesize_schedule,
+    to_rotation_form,
 )
+from .tgraph import build_tgraph, layerize, t_depth_bound, to_dot
 from .verify import (
     VerificationCapError,
     equivalent_up_to_phase,
@@ -86,19 +82,20 @@ def _optimize_circuit(circuit: Circuit, mode: str):
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.input)
-    expanded, out, stats, elapsed = _optimize_circuit(circuit, args.mode)
-
-    cap = args.max_verify_qubits if args.max_verify_qubits is not None else verification_cap()
-    verified: bool | None = None
     skipped: str | None = None
     if args.verify is False:
         skipped = "disabled by --no-verify"
     elif args.verify is None and circuit.n > 6:
         skipped = f"not requested: {circuit.n} qubits, the default verifies up to 6"
-    elif circuit.n > cap:
-        skipped = f"{circuit.n} qubits exceeds the verification cap of {cap}"
-        print(f"note: verification skipped: {skipped}", file=sys.stderr)
     else:
+        cap = args.max_verify_qubits if args.max_verify_qubits is not None else verification_cap()
+        if circuit.n > cap:
+            skipped = f"{circuit.n} qubits exceeds the verification cap of {cap}"
+            print(f"note: verification skipped: {skipped}", file=sys.stderr)
+
+    expanded, out, stats, elapsed = _optimize_circuit(circuit, args.mode)
+    verified: bool | None = None
+    if skipped is None:
         verified = equivalent_up_to_phase(
             unitary_of(out, max_qubits=cap), unitary_of(expanded, max_qubits=cap)
         )
@@ -145,21 +142,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _layered_circuit(form, schedule, names) -> Circuit:
-    """Concatenate one T layer per schedule entry over a shared ancilla block."""
-    t = max((len(layer) for layer in schedule.layers), default=0)
-    total = form.n + t
-    gate_list = []
-    for layer in schedule.layers:
-        members = [form.rotations[v] for v in layer]
-        extended = extend_with_ancillas(members, t)
-        block = synthesize_layer(extended)
-        gate_list.extend(block.gates)
-    gate_list.extend(synthesize(form.tail_clifford).gates)
-    qubit_names = tuple(names) + tuple(f"anc{i}" for i in range(t))
-    return Circuit(qubit_names, tuple(gate_list))
-
-
 def cmd_tdepth(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.input)
     expanded = circuit.expand()
@@ -168,21 +150,19 @@ def cmd_tdepth(args: argparse.Namespace) -> int:
         form = optimize(form).form
     graph = build_tgraph(form)
     schedule = layerize(graph, alap=args.alap)
+    layered = synthesize_schedule(form, schedule.layers) if args.ancilla else None
     record = {
         "file": args.input,
         "qubits": circuit.n,
         "t_count": len(form.rotations),
         "t_depth": t_depth_bound(graph),
         "layer_sizes": [len(layer) for layer in schedule.layers],
-        "ancillas": max((len(layer) for layer in schedule.layers), default=0)
-        if args.ancilla
-        else 0,
+        "ancillas": layered.n - form.n if layered is not None else 0,
     }
     _emit(record)
     if args.dot:
         Path(args.dot).write_text(to_dot(graph), encoding="utf-8")
-    if args.ancilla:
-        layered = _layered_circuit(form, schedule, circuit.qubit_names)
+    if layered is not None:
         text = write_qc(layered)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
@@ -235,9 +215,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not files:
         print(f"error: no .qc files under {root}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(lambda p: _bench_one(p, args.mode), files))
-    rows.sort(key=lambda r: r.name)
+    rows = [_bench_one(path, args.mode) for path in files]
 
     scored = [r for r in rows if r.status == "ok"]
     buf = io.StringIO()
@@ -298,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("directory")
     p_bench.add_argument("--report", help="path for the CSV report (default stdout)")
     p_bench.add_argument("--mode", choices=["inplace", "resynth"], default="inplace")
-    p_bench.add_argument("--jobs", type=int, default=4)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

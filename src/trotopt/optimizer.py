@@ -114,7 +114,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
         return form.tail_clifford.compose(frame.invert()) if stats.merges else form.tail_clifford
 
     surviving = tuple(Rotation(axis, origin=orig) for axis, orig in processed)
-    out_form = RotationForm(form.n, surviving, tail, source=None)
+    out_form = RotationForm(form.n, surviving, tail, source=form.source)
 
     plan = EditPlan(frozenset(deletions), frozenset(replacements)) if plan_complete else None
     stats.t_after = len(surviving)

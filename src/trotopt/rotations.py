@@ -5,20 +5,30 @@ rotations about signed Pauli axes followed by one trailing Clifford: every
 T contributes one rotation whose axis is the prefix-conjugated Z of its
 target qubit, and all Clifford gates accumulate into the tail.  Extraction
 rewrites at most four rows of one tableau per Clifford gate and inverts it
-once, only when the tail is read.  Global phase is dropped throughout;
-equivalence is always modulo phase.
+once, only when the tail is read.  The way back is layer synthesis: each
+layer of commuting rotations becomes one parallel T layer, with ancillas
+for dependent layers; resynthesis is the schedule of singleton layers.
+Global phase is dropped throughout; equivalence is always modulo phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from itertools import count, islice
+from typing import Callable, Sequence
 
 from .circuit import Circuit, Gate, UnsupportedGateError
 from .pauli import PauliProduct
-from .tableau import CliffordTableau, _diagonalize_with_gates, _adjoint_gates, \
-    _lower_gate, synthesize_gates
+from .tableau import (
+    CliffordTableau,
+    DependentSetError,
+    _adjoint_gates,
+    _dependent_indices,
+    _diagonalize_with_gates,
+    _lower_gate,
+    synthesize,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,27 +130,86 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
     return RotationForm(circuit.n, tuple(rotations), inverse_prefix.invert, source=circuit)
 
 
+def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:
+    """Widen each rotation by ``t`` trailing ancilla qubits and tag with Z,
+    each on its own ancilla, only the rotations whose axes are products of
+    earlier axes in the layer.
+
+    Ancilla components are always I or Z, so ancillas prepared in |0> stay
+    in |0> and the anticommutation structure is untouched.  The result is
+    independent; more than ``t`` dependent rotations raise
+    :class:`DependentSetError`.
+    """
+    if t < 0:
+        raise ValueError("ancilla count must be nonnegative")
+    rotations = list(layer)
+    if not rotations:
+        return []
+    dependent = _dependent_indices([r.pauli for r in rotations])
+    if len(dependent) > t:
+        raise DependentSetError(
+            f"{t} ancilla(s) cannot make {len(rotations)} rotations independent"
+        )
+    n = rotations[0].pauli.n
+    tags = {j: 1 << (n + a) for a, j in enumerate(dependent)}
+    extended: list[Rotation] = []
+    for j, rotation in enumerate(rotations):
+        pauli = rotation.pauli.extend(t)
+        if j in tags:
+            pauli = PauliProduct(n + t, pauli.x, pauli.z | tags[j], pauli.sign)
+        extended.append(Rotation(pauli, origin=rotation.origin))
+    return extended
+
+
+def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
+    """Realize pairwise-commuting independent rotations with one T layer.
+
+    Emits C, then a parallel T/Tdg per rotation sign, then C-adjoint, where
+    C maps axis j onto Z of qubit j.  Dependent sets raise; extend with
+    ancillas first.
+    """
+    rotations = list(layer)
+    if not rotations:
+        return Circuit.on_qubits(0)
+    n = rotations[0].pauli.n
+    _, basis_gates = _diagonalize_with_gates([r.pauli.unsigned() for r in rotations])
+    gates: list[Gate] = [low for g in basis_gates for low in _lower_gate(g)]
+    for j, rotation in enumerate(rotations):
+        gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (j,)))
+    gates.extend(low for g in _adjoint_gates(basis_gates) for low in _lower_gate(g))
+    return Circuit.on_qubits(n, gates)
+
+
+def synthesize_schedule(form: RotationForm, layers: Sequence[Sequence[int]]) -> Circuit:
+    """One T layer per entry of ``layers`` (rotation indices), then the tail.
+
+    All layers share t = max(|layer| - GF(2) rank) ancillas, the fewest that
+    make every layer independent; they follow the data qubits as the first
+    free names among anc0, anc1, .., start in |0> and end in |0>.  Qubit
+    names and .i/.o come from ``form.source``; with ancillas and no .i, the
+    .i line lists the data qubits, so a reader starts the ancillas in |0>.
+    """
+    members = [[form.rotations[v] for v in layer] for layer in layers]
+    t = max((len(_dependent_indices([r.pauli for r in m])) for m in members), default=0)
+    gates: list[Gate] = []
+    for m in members:
+        gates.extend(synthesize_layer(extend_with_ancillas(m, t)).gates)
+    gates.extend(synthesize(form.tail_clifford).gates)
+    source = form.source if form.source is not None else Circuit.on_qubits(form.n)
+    spare = (f"anc{i}" for i in count() if f"anc{i}" not in source.qubit_names)
+    names = source.qubit_names + tuple(islice(spare, t))
+    inputs = source.qubit_names if source.inputs is None and t else source.inputs
+    return Circuit(names, tuple(gates), inputs, source.outputs)
+
+
 def from_rotation_form_resynth(form: RotationForm) -> Circuit:
-    """Re-emit every rotation as conjugated-T gates plus a synthesized tail.
+    """Re-emit every rotation as its own T layer plus a synthesized tail.
 
     Each rotation becomes W, T (or Tdg for a negative axis) on qubit 0,
     W-adjoint, where W diagonalizes the axis onto Z_0; the tail Clifford is
     synthesized by Gaussian elimination.  CNOT count may grow in this mode.
     """
-    gates: list[Gate] = []
-    for rotation in form.rotations:
-        axis = rotation.pauli
-        _, w_gates = _diagonalize_with_gates([axis.unsigned()])
-        gates.extend(low for g in w_gates for low in _lower_gate(g))
-        gates.append(Gate("T" if axis.sign > 0 else "Tdg", (0,)))
-        gates.extend(low for g in _adjoint_gates(w_gates) for low in _lower_gate(g))
-    gates.extend(
-        low for g in synthesize_gates(form.tail_clifford) for low in _lower_gate(g)
-    )
-    names = form.source.qubit_names if form.source is not None else None
-    if names is not None:
-        return Circuit(names, tuple(gates))
-    return Circuit.on_qubits(form.n, gates)
+    return synthesize_schedule(form, [(i,) for i in range(len(form.rotations))])
 
 
 def apply_edit_plan(circuit: Circuit, plan: EditPlan) -> Circuit:

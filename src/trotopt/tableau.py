@@ -310,25 +310,29 @@ class CliffordTableau:
 # diagonalization and synthesis
 
 
-def _gf2_rank(masks: list[int]) -> int:
-    rank = 0
-    rows = list(masks)
-    while rows:
-        pivot = rows.pop()
-        if pivot == 0:
-            continue
-        rank += 1
-        top = 1 << (pivot.bit_length() - 1)
-        rows = [r ^ pivot if r & top else r for r in rows]
-    return rank
+def _dependent_indices(paulis: list[PauliProduct]) -> list[int]:
+    """Indices of the Paulis whose bits are a product of earlier ones' bits.
+
+    Signs are ignored; the count is ``len(paulis)`` minus the GF(2) rank.
+    """
+    pivots: dict[int, int] = {}
+    dependent: list[int] = []
+    for j, p in enumerate(paulis):
+        v = p.x | (p.z << p.n)
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+        else:
+            dependent.append(j)
+    return dependent
 
 
 def check_independent(paulis: list[PauliProduct]) -> bool:
     """True iff no nonempty subset has bit product equal to the identity."""
-    if not paulis:
-        return True
-    n = paulis[0].n
-    return _gf2_rank([p.x | (p.z << n) for p in paulis]) == len(paulis)
+    return not _dependent_indices(paulis)
 
 
 def _diagonalize_with_gates(

@@ -15,17 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circuit import Circuit, Gate
-from .pauli import PauliProduct
 from .rotations import Rotation, RotationForm
-from .tableau import (
-    DependentSetError,
-    InvariantError,
-    _adjoint_gates,
-    _diagonalize_with_gates,
-    _lower_gate,
-    check_independent,
-)
+# Layer synthesis lives in rotations; its two steps stay importable from here.
+from .rotations import extend_with_ancillas, synthesize_layer  # noqa: F401
+from .tableau import InvariantError
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,6 @@ class LayerSchedule:
     """Vertex sets executable as one T layer each, in schedule order."""
 
     layers: tuple[tuple[int, ...], ...]
-    ancilla_count: int = 0
 
     @property
     def depth(self) -> int:
@@ -132,34 +124,6 @@ def layerize(graph: TGraph, alap: bool = False) -> LayerSchedule:
     return LayerSchedule(tuple(tuple(m) for m in layers))
 
 
-def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:
-    """Widen each rotation by ``t`` trailing ancilla qubits, tagging rotation
-    j with Z on ancilla j.
-
-    Ancilla components are always I or Z, so ancillas prepared in |0> stay
-    in |0> and the anticommutation structure is untouched.  With t >= layer
-    size the extended set is independent outright; otherwise the result is
-    checked and a still-dependent set raises :class:`DependentSetError`.
-    """
-    if t < 0:
-        raise ValueError("ancilla count must be nonnegative")
-    rotations = list(layer)
-    if not rotations:
-        return []
-    n = rotations[0].pauli.n
-    extended: list[Rotation] = []
-    for j, rotation in enumerate(rotations):
-        pauli = rotation.pauli.extend(t)
-        if j < t:
-            pauli = PauliProduct(n + t, pauli.x, pauli.z | (1 << (n + j)), pauli.sign)
-        extended.append(Rotation(pauli, origin=rotation.origin))
-    if not check_independent([r.pauli for r in extended]):
-        raise DependentSetError(
-            f"{t} ancilla(s) cannot make {len(rotations)} rotations independent"
-        )
-    return extended
-
-
 def ancilla_safe(form: RotationForm, t: int) -> bool:
     """True iff every rotation acts as I or Z on the last ``t`` qubits.
 
@@ -172,25 +136,6 @@ def ancilla_safe(form: RotationForm, t: int) -> bool:
         return True
     ancillas = range(form.n - t, form.n)
     return all(r.pauli.restrict(ancillas).x == 0 for r in form.rotations)
-
-
-def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
-    """Realize pairwise-commuting independent rotations with one T layer.
-
-    Emits C, then a parallel T/Tdg per rotation sign, then C-adjoint, where
-    C maps axis j onto Z of qubit j.  Dependent sets raise; extend with
-    ancillas first.
-    """
-    rotations = list(layer)
-    if not rotations:
-        return Circuit.on_qubits(0)
-    n = rotations[0].pauli.n
-    _, basis_gates = _diagonalize_with_gates([r.pauli.unsigned() for r in rotations])
-    gates: list[Gate] = [low for g in basis_gates for low in _lower_gate(g)]
-    for j, rotation in enumerate(rotations):
-        gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (j,)))
-    gates.extend(low for g in _adjoint_gates(basis_gates) for low in _lower_gate(g))
-    return Circuit.on_qubits(n, gates)
 
 
 def to_dot(graph: TGraph) -> str:

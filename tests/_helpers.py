@@ -103,7 +103,7 @@ def data_block_on_zero_ancillas(u: np.ndarray, n_data: int, t: int) -> np.ndarra
     dim_data, dim_anc = 1 << n_data, 1 << t
     full = u.reshape(dim_data, dim_anc, dim_data, dim_anc)
     leak = full[:, 1:, :, 0]
-    assert np.max(np.abs(leak)) < 1e-9, "ancillas do not return to |0>"
+    assert np.max(np.abs(leak), initial=0.0) < 1e-9, "ancillas do not return to |0>"
     return full[:, 0, :, 0]
 
 

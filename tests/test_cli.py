@@ -52,6 +52,24 @@ def test_non_integer_verify_cap_is_an_input_error(command, capsys, monkeypatch):
     )
 
 
+def test_bad_verify_cap_is_not_read_under_no_verify(monkeypatch):
+    monkeypatch.setenv("T_ROT_OPT_VERIFY_CAP", "abc")
+    code, stdout = run_cli("optimize", str(MOD5_4), "--no-verify")
+    assert code == 0
+    assert json.loads(stdout)["verify_skipped"] == "disabled by --no-verify"
+
+
+def test_bad_verify_cap_fails_before_optimizing(monkeypatch, capsys):
+    def forbidden(form):
+        raise AssertionError("optimize() called")
+
+    monkeypatch.setenv("T_ROT_OPT_VERIFY_CAP", "abc")
+    monkeypatch.setattr("trotopt.cli.optimize", forbidden)
+    code, stdout = run_cli("optimize", str(MOD5_4))
+    assert code == 1 and stdout == ""
+    assert capsys.readouterr().err.startswith("error: T_ROT_OPT_VERIFY_CAP")
+
+
 CHAIN_QC = """.v a
 BEGIN
 T a
@@ -105,6 +123,17 @@ class TestOptimize:
         )
         assert code == 0
         assert json.loads(stdout)["verified"] is True
+
+    def test_resynth_keeps_qubit_names(self, tmp_path):
+        out = tmp_path / "resynth.qc"
+        code, _ = run_cli("optimize", str(MOD5_4), "--mode", "resynth", "-o", str(out))
+        assert code == 0
+        text = out.read_text()
+        assert text.startswith(".v b c d e a\n.i b c d e\n")
+        result, source = parse_qc(text), parse_qc(MOD5_4.read_text())
+        assert (result.qubit_names, result.inputs, result.outputs) == (
+            source.qubit_names, source.inputs, source.outputs
+        )
 
     def test_no_verify_skips_oracle(self):
         code, stdout = run_cli("optimize", str(MOD5_4), "--no-verify")
@@ -200,6 +229,29 @@ class TestTdepth:
         assert t == record["ancillas"]
         block = data_block_on_zero_ancillas(unitary_of(layered), source.n, t)
         assert equivalent_up_to_phase(block, unitary_of(source.expand()))
+
+    def test_mod5_4_layered_uses_rank_many_ancillas(self, tmp_path):
+        out = tmp_path / "layered.qc"
+        code, stdout = run_cli("tdepth", str(MOD5_4), "--ancilla", "-o", str(out))
+        assert code == 0
+        record = json.loads(stdout)
+        assert record["layer_sizes"] == [8] and record["ancillas"] == 4
+        layered, source = parse_qc(out.read_text()), parse_qc(MOD5_4.read_text())
+        assert layered.qubit_names == source.qubit_names + ("anc0", "anc1", "anc2", "anc3")
+        assert (layered.inputs, layered.outputs) == (source.inputs, source.outputs)
+        block = data_block_on_zero_ancillas(unitary_of(layered), source.n, 4)
+        assert equivalent_up_to_phase(block, unitary_of(source.expand()))
+
+    def test_ancilla_names_skip_data_qubit_names(self, tmp_path):
+        path = tmp_path / "dependent.qc"
+        path.write_text(".v anc0 b\nBEGIN\nT anc0\nT b\ntof anc0 b\nT b\ntof anc0 b\nEND\n")
+        out = tmp_path / "layered.qc"
+        code, stdout = run_cli("tdepth", str(path), "--ancilla", "-o", str(out))
+        assert code == 0
+        assert json.loads(stdout)["layer_sizes"] == [3]
+        layered = parse_qc(out.read_text())
+        assert layered.qubit_names == ("anc0", "b", "anc1")
+        assert layered.inputs == ("anc0", "b")
 
     def test_mod5_4_depth_one_after_optimization(self):
         code, stdout = run_cli("tdepth", str(MOD5_4))

@@ -15,10 +15,14 @@ from trotopt import (
     apply_edit_plan,
     equivalent_up_to_phase,
     from_rotation_form_resynth,
+    optimize,
     parse_qc,
+    synthesize,
+    synthesize_schedule,
     to_rotation_form,
     unitary_of,
 )
+from trotopt.tableau import _adjoint_gates, _diagonalize_with_gates, _lower_gate
 
 from _helpers import random_clifford_t_circuit
 
@@ -149,6 +153,25 @@ class TestResynth:
             c = random_clifford_t_circuit(n, rng.randint(0, 25), rng)
             out = from_rotation_form_resynth(to_rotation_form(c))
             assert equivalent_up_to_phase(unitary_of(out), unitary_of(c))
+
+    def test_is_the_singleton_schedule(self, rng):
+        def per_rotation_gates(form):
+            gates = []
+            for rotation in form.rotations:
+                _, w_gates = _diagonalize_with_gates([rotation.pauli.unsigned()])
+                gates.extend(low for g in w_gates for low in _lower_gate(g))
+                gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (0,)))
+                gates.extend(low for g in _adjoint_gates(w_gates) for low in _lower_gate(g))
+            return gates + list(synthesize(form.tail_clifford).gates)
+
+        for _ in range(30):
+            c = random_clifford_t_circuit(rng.randint(1, 5), rng.randint(0, 40), rng)
+            form = optimize(to_rotation_form(c)).form
+            out = from_rotation_form_resynth(form)
+            singletons = [(i,) for i in range(len(form.rotations))]
+            assert out == synthesize_schedule(form, singletons)
+            assert list(out.gates) == per_rotation_gates(form)
+            assert out.n == c.n
 
 
 class TestEditPlan:

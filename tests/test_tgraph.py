@@ -13,6 +13,7 @@ from trotopt import (
     is_valid_reordering,
     layerize,
     synthesize_layer,
+    synthesize_schedule,
     t_depth_bound,
     to_dot,
     unitary_of,
@@ -21,6 +22,7 @@ from trotopt import (
 from _helpers import (
     brute_force_min_layers,
     data_block_on_zero_ancillas,
+    random_clifford_circuit,
     random_commuting_independent_rotations,
     random_pauli,
     rotations_product_matrix,
@@ -35,6 +37,16 @@ def rots(*labels):
 
 def form_of(rotations, n):
     return RotationForm(n, tuple(rotations), CliffordTableau.identity(n))
+
+
+def span_rank(paulis):
+    """GF(2) rank of the axes' bits by enumerating their span (small n only)."""
+    span = {0}
+    for p in paulis:
+        v = p.x | (p.z << p.n)
+        if v not in span:
+            span |= {s ^ v for s in span}
+    return len(span).bit_length() - 1
 
 
 class TestBuild:
@@ -171,6 +183,55 @@ class TestAncillaExtension:
     def test_signs_survive(self):
         extended = extend_with_ancillas(rots("-ZI"), 1)
         assert extended[0].pauli.sign == -1
+
+    def test_independent_rotations_stay_untagged(self):
+        extended = extend_with_ancillas(rots("ZI", "IZ", "ZZ", "ZI"), 3)
+        assert [r.pauli for r in extended] == [P("ZIIII"), P("IZIII"), P("ZZZII"), P("ZIIZI")]
+
+    def test_tags_exactly_the_dependent_rotations(self, rng):
+        for _ in range(80):
+            n = rng.randint(1, 3)
+            m = rng.randint(1, 8)
+            layer = [Rotation(random_pauli(n, rng)) for _ in range(m)]
+            extended = extend_with_ancillas(layer, m)
+            ancilla_bits = [r.pauli.z >> n for r in extended]
+            dependent = [
+                j for j in range(m)
+                if span_rank([r.pauli for r in layer[: j + 1]])
+                == span_rank([r.pauli for r in layer[:j]])
+            ]
+            assert [j for j in range(m) if ancilla_bits[j]] == dependent
+            assert [ancilla_bits[j] for j in dependent] == [1 << a for a in range(len(dependent))]
+            if dependent:
+                with pytest.raises(DependentSetError):
+                    extend_with_ancillas(layer, len(dependent) - 1)
+
+
+class TestSynthesizeSchedule:
+    def test_width_and_equivalence_on_random_forms(self, rng):
+        tagged = untagged = 0
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            rotations = [Rotation(random_pauli(n, rng)) for _ in range(rng.randint(0, 6))]
+            tail_circuit = random_clifford_circuit(n, rng.randint(0, 6), rng)
+            form = RotationForm(n, tuple(rotations), CliffordTableau.from_circuit(tail_circuit))
+            layers = layerize(build_tgraph(form), alap=rng.random() < 0.5).layers
+            t = max(
+                (len(layer) - span_rank([rotations[v].pauli for v in layer]) for layer in layers),
+                default=0,
+            )
+            out = synthesize_schedule(form, layers)
+            assert out.n == n + t
+            assert out.qubit_names[n:] == tuple(f"anc{i}" for i in range(t))
+            assert out.counts().t_count == len(rotations)
+            want = unitary_of(tail_circuit)
+            if rotations:
+                want = want @ rotations_product_matrix(rotations)
+            block = data_block_on_zero_ancillas(unitary_of(out), n, t)
+            assert equivalent_up_to_phase(block, want)
+            tagged += t > 0
+            untagged += t == 0
+        assert tagged and untagged
 
 
 class TestAncillaSafe:
