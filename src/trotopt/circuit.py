@@ -29,7 +29,6 @@ ARITY = {
 }
 
 CLIFFORD_KINDS = frozenset({"H", "X", "Y", "Z", "S", "Sdg", "CNOT", "CZ", "SWAP"})
-PHASE_KINDS = frozenset({"T", "Tdg", "S", "Sdg"})
 
 
 class ParseError(ValueError):

@@ -12,7 +12,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .circuit import Circuit, ParseError, UnsupportedGateError, parse_qc, write_qc
@@ -25,10 +24,10 @@ from .rotations import (
 )
 from .tgraph import build_tgraph, layerize, t_depth_bound, to_dot
 from .verify import (
+    DEFAULT_QUBIT_CAP,
     VerificationCapError,
     equivalent_up_to_phase,
     unitary_of,
-    verification_cap,
 )
 
 EXIT_OK = 0
@@ -38,6 +37,11 @@ EXIT_VERIFY_FAILED = 2
 
 # main exits 1 on these
 _INPUT_ERRORS = (ParseError, UnsupportedGateError, OSError, VerificationCapError)
+
+BENCH_COLUMNS = [
+    "name", "cnot_before", "t_before", "cnot_after", "t_after",
+    "reduction_percent", "wall_time_s", "status",
+]
 
 
 def _load_circuit(path: str | Path) -> Circuit:
@@ -53,23 +57,13 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-@dataclass
-class BenchRow:
-    name: str
-    cnot_before: int | None = None
-    t_before: int | None = None
-    cnot_after: int | None = None
-    t_after: int | None = None
-    reduction_percent: float | None = None
-    wall_time_s: float | None = None
-    status: str = "ok"
-
-
-BENCH_COLUMNS = [f.name for f in fields(BenchRow)]
-
-
 def _optimize_circuit(circuit: Circuit, mode: str):
-    """Expand, extract, fold, edit or resynthesize: (expanded, out, stats, seconds)."""
+    """Expand, extract, fold, edit or resynthesize: (expanded, out, record).
+
+    The record holds the fold counters, the T/CNOT/H counts before and
+    after, ``reduction_percent`` and ``wall_time_s``, the time of the whole
+    pipeline from expansion to the output circuit.
+    """
     started = time.perf_counter()
     expanded = circuit.expand()
     result = optimize(to_rotation_form(expanded))
@@ -77,7 +71,22 @@ def _optimize_circuit(circuit: Circuit, mode: str):
         out = from_rotation_form_resynth(result.form)
     else:
         out = apply_edit_plan(expanded, result.plan)
-    return expanded, out, result.stats, time.perf_counter() - started
+    elapsed = time.perf_counter() - started
+    before, after = expanded.counts(), out.counts()
+    record = {
+        **result.stats.as_dict(),
+        **t_count_reduction(expanded, out).as_dict(),
+        "cnot_before": before.cnot_count,
+        "cnot_after": after.cnot_count,
+        "h_before": before.h_count,
+        "h_after": after.h_count,
+        "wall_time_s": round(elapsed, 6),
+    }
+    return expanded, out, record
+
+
+def _equivalent(a: Circuit, b: Circuit, cap: int) -> bool:
+    return equivalent_up_to_phase(unitary_of(a, max_qubits=cap), unitary_of(b, max_qubits=cap))
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -87,39 +96,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         skipped = "disabled by --no-verify"
     elif args.verify is None and circuit.n > 6:
         skipped = f"not requested: {circuit.n} qubits, the default verifies up to 6"
-    else:
-        cap = args.max_verify_qubits if args.max_verify_qubits is not None else verification_cap()
-        if circuit.n > cap:
-            skipped = f"{circuit.n} qubits exceeds the verification cap of {cap}"
-            print(f"note: verification skipped: {skipped}", file=sys.stderr)
+    elif circuit.n > args.max_verify_qubits:
+        skipped = f"{circuit.n} qubits exceeds the verification cap of {args.max_verify_qubits}"
+        print(f"note: verification skipped: {skipped}", file=sys.stderr)
 
-    expanded, out, stats, elapsed = _optimize_circuit(circuit, args.mode)
-    verified: bool | None = None
-    if skipped is None:
-        verified = equivalent_up_to_phase(
-            unitary_of(out, max_qubits=cap), unitary_of(expanded, max_qubits=cap)
-        )
-
-    before = expanded.counts()
-    after = out.counts()
-    reduction = t_count_reduction(expanded, out)
-    record = {
-        "file": args.input,
-        "qubits": circuit.n,
-        "mode": args.mode,
-        "t_before": before.t_count,
-        "t_after": after.t_count,
-        "cnot_before": before.cnot_count,
-        "cnot_after": after.cnot_count,
-        "h_before": before.h_count,
-        "h_after": after.h_count,
-        "reduction_percent": round(reduction.percent, 2),
-        "verified": verified,
-        "verify_skipped": skipped,
-        "wall_time_s": round(elapsed, 6),
-        **stats.as_dict(),
-    }
-    _emit(record)
+    expanded, out, record = _optimize_circuit(circuit, args.mode)
+    verified = None if skipped else _equivalent(out, expanded, args.max_verify_qubits)
+    _emit({"file": args.input, "qubits": circuit.n, "mode": args.mode,
+           "verified": verified, "verify_skipped": skipped, **record})
 
     if args.output:
         Path(args.output).write_text(write_qc(out), encoding="utf-8")
@@ -177,36 +161,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if a.n != b.n:
         print("error: circuits have different qubit counts", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    cap = args.max_verify_qubits if args.max_verify_qubits is not None else verification_cap()
-    try:
-        equal = equivalent_up_to_phase(
-            unitary_of(a, max_qubits=cap), unitary_of(b, max_qubits=cap)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    equal = _equivalent(a, b, args.max_verify_qubits)
     _emit({"a": args.a, "b": args.b, "equivalent": equal})
     return EXIT_OK if equal else EXIT_VERIFY_FAILED
 
 
-def _bench_one(path: Path, mode: str) -> BenchRow:
+def _bench_one(path: Path, mode: str) -> dict:
     try:
         circuit = _load_circuit(path)
     except _INPUT_ERRORS as exc:
-        return BenchRow(name=path.name, status=f"skip: {exc}")
-    expanded, out, _, elapsed = _optimize_circuit(circuit, mode)
-    before = expanded.counts()
-    after = out.counts()
-    reduction = t_count_reduction(expanded, out)
-    return BenchRow(
-        name=path.name,
-        cnot_before=before.cnot_count,
-        t_before=before.t_count,
-        cnot_after=after.cnot_count,
-        t_after=after.t_count,
-        reduction_percent=round(reduction.percent, 2),
-        wall_time_s=round(elapsed, 6),
-    )
+        return {"name": path.name, "status": f"skip: {exc}"}
+    return {"name": path.name, **_optimize_circuit(circuit, mode)[2], "status": "ok"}
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -217,17 +182,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     rows = [_bench_one(path, args.mode) for path in files]
 
-    scored = [r for r in rows if r.status == "ok"]
+    scored = [r["reduction_percent"] for r in rows if r["status"] == "ok"]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
+    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, extrasaction="ignore")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(asdict(row))
+    writer.writerows(rows)
     if scored:
-        average = sum(r.reduction_percent for r in scored) / len(scored)
-        best = max(r.reduction_percent for r in scored)
-        writer.writerow({"name": "AVERAGE", "reduction_percent": round(average, 2), "status": ""})
-        writer.writerow({"name": "MAXIMUM", "reduction_percent": round(best, 2), "status": ""})
+        average = sum(scored) / len(scored)
+        writer.writerow({"name": "AVERAGE", "reduction_percent": round(average, 2)})
+        writer.writerow({"name": "MAXIMUM", "reduction_percent": max(scored)})
     text = buf.getvalue()
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")
@@ -236,8 +199,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (input error); argparse's own 2 means a failed check here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
+
+
+def _qubit_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trotopt",
         description="T-count and T-depth optimization for Clifford+T .qc circuits",
     )
@@ -250,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_opt.add_mutually_exclusive_group()
     group.add_argument("--verify", dest="verify", action="store_true", default=None)
     group.add_argument("--no-verify", dest="verify", action="store_false")
-    p_opt.add_argument("--max-verify-qubits", type=int, default=None)
+    p_opt.add_argument("--max-verify-qubits", type=_qubit_cap, default=DEFAULT_QUBIT_CAP)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_stats = sub.add_parser("stats", help="print gate counts")
@@ -269,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="compare two circuits up to global phase")
     p_ver.add_argument("a")
     p_ver.add_argument("b")
-    p_ver.add_argument("--max-verify-qubits", type=int, default=None)
+    p_ver.add_argument("--max-verify-qubits", type=_qubit_cap, default=DEFAULT_QUBIT_CAP)
     p_ver.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="optimize every .qc file in a directory")

@@ -16,8 +16,7 @@ tail, the input tail after the inverse frame, is built only when read.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .circuit import Circuit
@@ -35,17 +34,9 @@ class OptimizeStats:
     cancellations: int = 0
     merges: int = 0
     comparisons: int = 0
-    wall_time_s: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "t_before": self.t_before,
-            "t_after": self.t_after,
-            "cancellations": self.cancellations,
-            "merges": self.merges,
-            "comparisons": self.comparisons,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
+        return asdict(self)
 
 
 class OptimizeResult(NamedTuple):
@@ -62,7 +53,6 @@ def optimize(form: RotationForm) -> OptimizeResult:
     after the inverse of the accumulated frame Clifford; it is built, with
     one ``invert()`` of the frame, only when first read.
     """
-    started = time.perf_counter()
     stats = OptimizeStats(t_before=len(form.rotations))
 
     frame = CliffordTableau.identity(form.n)  # maps raw axes into the analysis frame
@@ -118,7 +108,6 @@ def optimize(form: RotationForm) -> OptimizeResult:
 
     plan = EditPlan(frozenset(deletions), frozenset(replacements)) if plan_complete else None
     stats.t_after = len(surviving)
-    stats.wall_time_s = time.perf_counter() - started
     return OptimizeResult(out_form, plan, stats)
 
 

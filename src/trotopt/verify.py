@@ -17,7 +17,6 @@ the references the kernel is tested against.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -112,20 +111,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 class VerificationCapError(ValueError):
-    """T_ROT_OPT_VERIFY_CAP is set to something that is not an integer."""
-
-
-def verification_cap() -> int:
-    """Qubit cap for dense verification; T_ROT_OPT_VERIFY_CAP overrides."""
-    raw = os.environ.get("T_ROT_OPT_VERIFY_CAP")
-    if raw is None:
-        return DEFAULT_QUBIT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise VerificationCapError(
-            f"T_ROT_OPT_VERIFY_CAP must be an integer, got {raw!r}"
-        ) from None
+    """The register is over the oracle's qubit cap, or numpy cannot allocate its unitary."""
 
 
 def _ones(n: int, qubits) -> tuple:
@@ -158,7 +144,7 @@ def _apply(u: np.ndarray, gate: Gate) -> np.ndarray:
     return u
 
 
-def unitary_of(obj: Circuit | RotationForm, max_qubits: int | None = None) -> np.ndarray:
+def unitary_of(obj: Circuit | RotationForm, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Exact gate-by-gate (or rotation-by-rotation) dense unitary.
 
     Each gate touches only its own tensor axes, so it costs O(4^n) rather
@@ -166,11 +152,13 @@ def unitary_of(obj: Circuit | RotationForm, max_qubits: int | None = None) -> np
     """
     if not isinstance(obj, (Circuit, RotationForm)):
         raise TypeError(f"cannot build a unitary from {type(obj).__name__}")
-    cap = DEFAULT_QUBIT_CAP if max_qubits is None else max_qubits
-    if obj.n > cap:
-        raise ValueError(f"{obj.n} qubits exceeds the verification cap of {cap}")
     n, dim = obj.n, 1 << obj.n
-    u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    if n > max_qubits:
+        raise VerificationCapError(f"{n} qubits exceeds the verification cap of {max_qubits}")
+    try:
+        u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    except (ValueError, MemoryError):
+        raise VerificationCapError(f"cannot allocate the 2^{n} x 2^{n} unitary") from None
     if isinstance(obj, Circuit):
         gates = obj.gates
     else:

@@ -1,13 +1,17 @@
+import argparse
 import csv
 import io
 import json
+import re
 import shutil
+import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from trotopt import equivalent_up_to_phase, parse_qc, unitary_of
-from trotopt.cli import main
+from trotopt import apply_edit_plan, equivalent_up_to_phase, parse_qc, unitary_of
+from trotopt.cli import BENCH_COLUMNS, build_parser, main
 
 from _helpers import MOD5_4, data_block_on_zero_ancillas
 
@@ -17,6 +21,10 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+def error_lines(stderr):
+    return [line for line in stderr.splitlines() if line.startswith("error: ")]
 
 
 NOT_UTF8 = b".v a\nBEGIN\nT a  # caf\xe9\nEND\n"
@@ -41,33 +49,52 @@ def test_undecodable_file_is_an_input_error(command, tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["optimize", "verify"])
-def test_non_integer_verify_cap_is_an_input_error(command, capsys, monkeypatch):
-    monkeypatch.setenv("T_ROT_OPT_VERIFY_CAP", "abc")
-    inputs = [str(MOD5_4)] * (2 if command == "verify" else 1)
-    code, stdout = run_cli(command, *inputs)
-    assert code == 1 and stdout == ""
-    assert capsys.readouterr().err == (
-        "error: T_ROT_OPT_VERIFY_CAP must be an integer, got 'abc'\n"
-    )
-
-
-def test_bad_verify_cap_is_not_read_under_no_verify(monkeypatch):
-    monkeypatch.setenv("T_ROT_OPT_VERIFY_CAP", "abc")
-    code, stdout = run_cli("optimize", str(MOD5_4), "--no-verify")
-    assert code == 0
-    assert json.loads(stdout)["verify_skipped"] == "disabled by --no-verify"
-
-
 def test_bad_verify_cap_fails_before_optimizing(monkeypatch, capsys):
     def forbidden(form):
         raise AssertionError("optimize() called")
 
-    monkeypatch.setenv("T_ROT_OPT_VERIFY_CAP", "abc")
     monkeypatch.setattr("trotopt.cli.optimize", forbidden)
-    code, stdout = run_cli("optimize", str(MOD5_4))
+    with pytest.raises(SystemExit) as exit_:
+        main(["optimize", str(MOD5_4), "--max-verify-qubits", "-1"])
+    assert exit_.value.code == 1
+    assert error_lines(capsys.readouterr().err) == [
+        "error: argument --max-verify-qubits: must not be negative: -1"
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize"],
+    ["optimize", str(MOD5_4), "--mode", "sideways"],
+    ["optimize", str(MOD5_4), "--max-verify-qubits", "abc"],
+    ["verify", str(MOD5_4), str(MOD5_4), "--max-verify-qubits", "abc"],
+], ids=["missing-input", "bad-mode", "optimize-cap-abc", "verify-cap-abc"])
+def test_usage_errors_are_input_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    assert len(error_lines(capsys.readouterr().err)) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert "usage: trotopt" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_unallocatable_oracle_is_an_input_error(command, tmp_path, capsys):
+    # 32 qubits: numpy refuses the 2^32 x 2^32 unitary before allocating anything
+    path = tmp_path / "wide.qc"
+    path.write_text(wide_qc(32))
+    argv = {"optimize": ["optimize", str(path), "--verify"],
+            "verify": ["verify", str(path), str(path)]}[command]
+    code, stdout = run_cli(*argv, "--max-verify-qubits", "64")
     assert code == 1 and stdout == ""
-    assert capsys.readouterr().err.startswith("error: T_ROT_OPT_VERIFY_CAP")
+    assert capsys.readouterr().err == (
+        "error: cannot allocate the 2^32 x 2^32 unitary\n"
+    )
 
 
 CHAIN_QC = """.v a
@@ -146,8 +173,7 @@ class TestOptimize:
         assert code == 0
         assert json.loads(stdout)["verify_skipped"] is None
 
-    def test_verify_above_cap_gives_reason_and_note(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("T_ROT_OPT_VERIFY_CAP", raising=False)
+    def test_verify_above_cap_gives_reason_and_note(self, tmp_path, capsys):
         path = tmp_path / "wide.qc"
         path.write_text(wide_qc(19))
         code, stdout = run_cli("optimize", str(path), "--verify")
@@ -338,3 +364,73 @@ class TestBench:
     def test_empty_directory(self, tmp_path):
         code, _ = run_cli("bench", str(tmp_path))
         assert code == 1
+
+
+def bench_mod5_4(tmp_path, *options):
+    bench_dir = tmp_path / "suite"
+    bench_dir.mkdir(exist_ok=True)
+    shutil.copy(MOD5_4, bench_dir / "mod5_4.qc")
+    code, stdout = run_cli("bench", str(bench_dir), *options)
+    assert code == 0
+    return next(r for r in csv.DictReader(stdout.splitlines()) if r["name"] == "mod5_4.qc")
+
+
+class TestOneRecord:
+    """``optimize`` and ``bench`` report one record of one pipeline."""
+
+    @pytest.mark.parametrize("mode", ["inplace", "resynth"])
+    def test_bench_row_is_the_optimize_record(self, mode, tmp_path):
+        code, stdout = run_cli("optimize", str(MOD5_4), "--mode", mode)
+        assert code == 0
+        record = json.loads(stdout)
+        row = bench_mod5_4(tmp_path, "--mode", mode)
+        assert row["status"] == "ok"
+        for column in BENCH_COLUMNS:
+            if column not in ("name", "wall_time_s", "status"):
+                assert row[column] == str(record[column]), column
+
+    def test_wall_time_covers_the_whole_pipeline(self, tmp_path, monkeypatch):
+        def slow_edit(circuit, plan):
+            time.sleep(0.05)
+            return apply_edit_plan(circuit, plan)
+
+        monkeypatch.setattr("trotopt.cli.apply_edit_plan", slow_edit)
+        code, stdout = run_cli("optimize", str(MOD5_4), "--no-verify")
+        assert code == 0
+        assert json.loads(stdout)["wall_time_s"] >= 0.05
+        assert float(bench_mod5_4(tmp_path)["wall_time_s"]) >= 0.05
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_synopses():
+    """README's ``trotopt CMD ...`` synopsis lines by command, continuations joined."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    synopses = {}
+    for line in block.splitlines():
+        if line.startswith("trotopt "):
+            command = line.split()[1]
+            synopses[command] = line
+        else:
+            synopses[command] += line
+    return synopses
+
+
+def test_readme_synopsis_matches_parser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    synopses = readme_synopses()
+    assert set(synopses) == set(sub.choices)
+    for command, parser in sub.choices.items():
+        documented = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", synopses[command]))
+        flags = [a.option_strings for a in parser._actions if a.option_strings]
+        flags = [f for f in flags if "--help" not in f]
+        undocumented = [f for f in flags if not documented & set(f)]
+        assert not undocumented, f"README {command} synopsis lacks {undocumented}"
+        assert documented <= {s for f in flags for s in f}, f"README {command} synopsis"
+
+
+def test_readme_bench_header_is_bench_columns():
+    header = re.search(r"`(name,[a-z_,]+)`", README.read_text(encoding="utf-8")).group(1)
+    assert header.split(",") == BENCH_COLUMNS

@@ -19,7 +19,7 @@ from trotopt import (
     synthesize,
     unitary_of,
 )
-from trotopt.verify import verification_cap
+from trotopt.verify import VerificationCapError
 
 from _helpers import (
     brute_force_min_layers,
@@ -52,14 +52,12 @@ class TestUnitaryOf:
             unitary_of(big)
         assert unitary_of(big, max_qubits=11).shape == (2048, 2048)
 
-    def test_env_var_overrides_cap(self, monkeypatch):
-        monkeypatch.setenv("T_ROT_OPT_VERIFY_CAP", "4")
-        assert verification_cap() == 4
-        monkeypatch.delenv("T_ROT_OPT_VERIFY_CAP")
-        assert verification_cap() == 10
-        monkeypatch.setenv("T_ROT_OPT_VERIFY_CAP", "many")
-        with pytest.raises(ValueError):
-            verification_cap()
+    def test_cap_errors(self):
+        with pytest.raises(VerificationCapError, match="11 qubits exceeds"):
+            unitary_of(Circuit.on_qubits(11))
+        # at 32 qubits numpy refuses the unitary before allocating anything
+        with pytest.raises(VerificationCapError, match="cannot allocate"):
+            unitary_of(Circuit.on_qubits(32), max_qubits=64)
 
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
