@@ -51,9 +51,7 @@ from .optimizer import (
 from .tgraph import (
     LayerSchedule,
     TGraph,
-    ancilla_safe,
     build_tgraph,
-    is_valid_reordering,
     layerize,
     t_depth_bound,
     to_dot,
@@ -89,7 +87,6 @@ __all__ = [
     "RotationForm",
     "TGraph",
     "UnsupportedGateError",
-    "ancilla_safe",
     "apply_edit_plan",
     "build_tgraph",
     "diagonalize_commuting_set",
@@ -97,7 +94,6 @@ __all__ = [
     "extend_with_ancillas",
     "from_rotation_form_resynth",
     "gate_matrix",
-    "is_valid_reordering",
     "layerize",
     "optimize",
     "parse_qc",

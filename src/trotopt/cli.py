@@ -262,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (1), both already printed
+        return exc.code
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -9,9 +9,12 @@ the leftover square of the rotation (an S-like Clifford) into the frame.
 Every hit lowers the T-count by exactly 2.
 
 Total scan work is at most one commutation/equality check per ordered
-rotation pair, each O(n) bit operations: O(n k^2) overall.  A merge rewrites
-only the frame rows that anticommute with its axis (O(n) rows); the output
-tail, the input tail after the inverse frame, is built only when read.
+rotation pair, each O(n) bit operations: O(n k^2) overall.  The scan keeps
+the processed axes' X and Z masks in two plain int lists and checks a pair
+inline, an equality test and the parity of one popcount, with no method
+call per pair.  A merge rewrites only the frame rows that anticommute with
+its axis (O(n) rows); the output tail, the input tail after the inverse
+frame, is built only when read.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ def optimize(form: RotationForm) -> OptimizeResult:
 
     frame = CliffordTableau.identity(form.n)  # maps raw axes into the analysis frame
     processed: list[tuple[PauliProduct, int | None]] = []
+    # the processed axes' X and Z masks, index for index with ``processed``
+    xs: list[int] = []
+    zs: list[int] = []
 
     deletions: set[int] = set()
     replacements: set[int] = set()
@@ -65,23 +71,27 @@ def optimize(form: RotationForm) -> OptimizeResult:
     for rotation in form.rotations:
         axis = frame.conjugate(rotation.pauli) if stats.merges else rotation.pauli
         origin = rotation.origin
+        ax, az = axis.x, axis.z
 
         match = -1
-        i = len(processed) - 1
-        while i >= 0:
-            other = processed[i][0]
-            stats.comparisons += 1
-            if other.equal_up_to_sign(axis):
+        for i in range(len(xs) - 1, -1, -1):
+            px, pz = xs[i], zs[i]
+            if px == ax and pz == az:
                 match = i
                 break
-            if not other.commutes(axis):
+            if ((px & az) ^ (pz & ax)).bit_count() & 1:  # anticommutes
                 break
-            i -= 1
+        else:
+            i = -1
+        stats.comparisons += len(xs) - max(i, 0)  # entries scanned
 
         if match < 0:
             processed.append((axis, origin))
+            xs.append(ax)
+            zs.append(az)
             continue
 
+        del xs[match], zs[match]
         partner, partner_origin = processed.pop(match)
         if partner_origin is None or origin is None:
             plan_complete = False

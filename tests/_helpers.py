@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -14,6 +15,8 @@ from trotopt import (
     Gate,
     PauliProduct,
     Rotation,
+    RotationForm,
+    TGraph,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -130,3 +133,25 @@ def brute_force_min_layers(paulis: list[PauliProduct], max_m: int = 12) -> int:
         return best
 
     return max(extend(v, 1) for v in range(m))
+
+
+def is_valid_reordering(graph: TGraph, perm: Sequence[int]) -> bool:
+    """True iff ``perm`` (a permutation of 0..m-1) is a topological order."""
+    if sorted(perm) != list(range(graph.m)):
+        raise ValueError("not a permutation of the graph's vertices")
+    position = {v: i for i, v in enumerate(perm)}
+    return all(position[i] < position[j] for i, j in graph.edges)
+
+
+def ancilla_safe(form: RotationForm, t: int) -> bool:
+    """True iff every rotation acts as I or Z on the last ``t`` qubits.
+
+    That is exactly the condition under which ancillas prepared in |0> pass
+    through every rotation unchanged.
+    """
+    if not 0 <= t <= form.n:
+        raise ValueError(f"ancilla count {t} out of range for n={form.n}")
+    if t == 0:
+        return True
+    ancillas = range(form.n - t, form.n)
+    return all(r.pauli.restrict(ancillas).x == 0 for r in form.rotations)

@@ -2,8 +2,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -54,9 +57,7 @@ def test_bad_verify_cap_fails_before_optimizing(monkeypatch, capsys):
         raise AssertionError("optimize() called")
 
     monkeypatch.setattr("trotopt.cli.optimize", forbidden)
-    with pytest.raises(SystemExit) as exit_:
-        main(["optimize", str(MOD5_4), "--max-verify-qubits", "-1"])
-    assert exit_.value.code == 1
+    assert main(["optimize", str(MOD5_4), "--max-verify-qubits", "-1"]) == 1
     assert error_lines(capsys.readouterr().err) == [
         "error: argument --max-verify-qubits: must not be negative: -1"
     ]
@@ -69,18 +70,25 @@ def test_bad_verify_cap_fails_before_optimizing(monkeypatch, capsys):
     ["verify", str(MOD5_4), str(MOD5_4), "--max-verify-qubits", "abc"],
 ], ids=["missing-input", "bad-mode", "optimize-cap-abc", "verify-cap-abc"])
 def test_usage_errors_are_input_errors(argv, capsys):
-    with pytest.raises(SystemExit) as exit_:
-        main(argv)
-    assert exit_.value.code == 1
+    assert main(argv) == 1
     assert len(error_lines(capsys.readouterr().err)) == 1
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]])
 def test_help_exits_zero(argv, capsys):
-    with pytest.raises(SystemExit) as exit_:
-        main(argv)
-    assert exit_.value.code == 0
+    assert main(argv) == 0
     assert "usage: trotopt" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["optimize"], 1)],
+                         ids=["help", "usage-error"])
+def test_module_entry_point_exits_with_the_returned_code(argv, code):
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", "trotopt.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])

@@ -130,20 +130,25 @@ class TestFrame:
 
 def eager_fold(form):
     """Reference fold: rebuilds the whole frame tableau on every merge and
-    the tail eagerly, as ``tail.compose(frame.invert())``."""
+    the tail eagerly, as ``tail.compose(frame.invert())``, and counts each
+    processed entry its scans read."""
     frame = CliffordTableau.identity(form.n)
     processed = []
+    comparisons = 0
     for rotation in form.rotations:
         axis = frame.conjugate(rotation.pauli)
         i = len(processed) - 1
-        while i >= 0 and processed[i].commutes(axis) and not processed[i].equal_up_to_sign(axis):
+        while i >= 0:
+            comparisons += 1
+            if processed[i].equal_up_to_sign(axis) or not processed[i].commutes(axis):
+                break
             i -= 1
         if i >= 0 and processed[i].equal_up_to_sign(axis):
             if processed.pop(i).sign == axis.sign:
                 frame = CliffordTableau.s_rotation(-axis).compose(frame)
         else:
             processed.append(axis)
-    return processed, form.tail_clifford.compose(frame.invert())
+    return processed, form.tail_clifford.compose(frame.invert()), comparisons
 
 
 class TestLazyFrameTail:
@@ -154,9 +159,10 @@ class TestLazyFrameTail:
             n = rng.randint(1, 8)
             c = random_clifford_t_circuit(n, rng.randint(0, 80), rng, t_weight=0.5)
             result = optimize(to_rotation_form(c))
-            axes, tail = eager_fold(to_rotation_form(c))
+            axes, tail, comparisons = eager_fold(to_rotation_form(c))
             assert [r.pauli for r in result.form.rotations] == axes
             assert result.form.tail_clifford == tail
+            assert result.stats.comparisons == comparisons
             merges += result.stats.merges
         assert merges > 50
 

@@ -1,17 +1,19 @@
 import pytest
 
+from trotopt import tgraph
 from trotopt import (
     CliffordTableau,
     DependentSetError,
+    InvariantError,
     PauliProduct,
     Rotation,
     RotationForm,
-    ancilla_safe,
+    TGraph,
     build_tgraph,
     equivalent_up_to_phase,
     extend_with_ancillas,
-    is_valid_reordering,
     layerize,
+    optimize,
     synthesize_layer,
     synthesize_schedule,
     t_depth_bound,
@@ -20,8 +22,10 @@ from trotopt import (
 )
 
 from _helpers import (
+    ancilla_safe,
     brute_force_min_layers,
     data_block_on_zero_ancillas,
+    is_valid_reordering,
     random_clifford_circuit,
     random_commuting_independent_rotations,
     random_pauli,
@@ -37,6 +41,15 @@ def rots(*labels):
 
 def form_of(rotations, n):
     return RotationForm(n, tuple(rotations), CliffordTableau.identity(n))
+
+
+def first_anticommuting_pair(paulis):
+    """Reference for the layer check: the pair a nested loop meets first."""
+    for a in range(len(paulis)):
+        for b in range(a + 1, len(paulis)):
+            if not paulis[a].commutes(paulis[b]):
+                return a, b
+    return None
 
 
 def span_rank(paulis):
@@ -65,6 +78,22 @@ class TestBuild:
     def test_accepts_rotation_form(self):
         g = build_tgraph(form_of(rots("Z", "X"), 1))
         assert g.edges == ((0, 1),)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_edges_match_pairwise_reference(self, n, rng):
+        m = 400
+        assert tgraph._block_rows(m) < m  # more than one row block
+        paulis = [random_pauli(n, rng) for _ in range(m)]
+        reference = tuple(
+            (i, j) for j in range(m) for i in range(j) if not paulis[i].commutes(paulis[j])
+        )
+        assert build_tgraph([Rotation(p) for p in paulis]).edges == reference
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="qubit count mismatch: 1 vs 2"):
+            build_tgraph(rots("Z", "X", "ZZ"))
+        with pytest.raises(ValueError, match="qubit count mismatch: 1 vs 2"):
+            layerize(TGraph(tuple(rots("Z", "Z", "ZZ")), ()))
 
 
 class TestReordering:
@@ -117,6 +146,32 @@ class TestLayerize:
     def test_empty(self):
         assert layerize(build_tgraph([])).layers == ()
 
+    @pytest.mark.parametrize("n", [3, 65])
+    def test_stripped_graph_names_first_anticommuting_pair(self, n, rng):
+        raised = 0
+        for _ in range(30):
+            paulis = [random_pauli(n, rng) for _ in range(rng.randint(2, 40))]
+            pair = first_anticommuting_pair(paulis)
+            stripped = TGraph(tuple(Rotation(p) for p in paulis), ())
+            if pair is None:
+                assert layerize(stripped).depth == 1
+                continue
+            with pytest.raises(InvariantError, match=rf"^vertices {pair[0]},{pair[1]} share"):
+                layerize(stripped)
+            raised += 1
+        assert raised > 20
+
+    def test_stripped_check_reaches_the_last_row_block(self):
+        # 400 diagonal axes off qubit 0, then X and Z on qubit 0: the one
+        # anticommuting pair is the last one, past the first row block
+        n, m = 10, 402
+        assert tgraph._block_rows(m) < m - 2
+        paulis = [PauliProduct(n, 0, (v % 511 + 1) << 1) for v in range(m - 2)]
+        paulis += [PauliProduct.single(n, 0, "X"), PauliProduct.single(n, 0, "Z")]
+        stripped = TGraph(tuple(Rotation(p) for p in paulis), ())
+        with pytest.raises(InvariantError, match=f"^vertices {m - 2},{m - 1} share"):
+            layerize(stripped)
+
     def test_layer_count_equals_bound(self, rng):
         for _ in range(100):
             n = rng.randint(1, 4)
@@ -142,6 +197,27 @@ class TestLayerize:
                 )
                 order = [v for layer in layerize(g, alap=alap).layers for v in layer]
                 assert is_valid_reordering(g, order)
+
+
+def test_scans_make_no_per_pair_pauli_calls(monkeypatch, rng):
+    """The fold scan, the T-graph build and the layer check read packed masks."""
+    n = 70
+    axes = [random_pauli(n, rng) for _ in range(60)]
+    signed = axes + [-p for p in reversed(axes[-10:])]  # ten cancellations, no merge
+    form = RotationForm(
+        n, tuple(Rotation(p, origin=i) for i, p in enumerate(signed)), CliffordTableau.identity(n)
+    )
+
+    def forbidden(self, other):
+        raise AssertionError("per-pair PauliProduct call")
+
+    monkeypatch.setattr(PauliProduct, "commutes", forbidden)
+    monkeypatch.setattr(PauliProduct, "equal_up_to_sign", forbidden)
+    result = optimize(form)
+    assert (result.stats.cancellations, result.stats.merges) == (10, 0)
+    graph = build_tgraph(result.form)
+    assert graph.edges
+    assert max(len(layer) for layer in layerize(graph).layers) > 1
 
 
 class TestAncillaExtension:
