@@ -11,8 +11,8 @@ independence when a layer needs it.
 
 Both pair scans, for the edges and for each layer's commutation check,
 pack the axes into uint64 X/Z word arrays and take the symplectic product
-of a whole block of pairs at once in numpy: O(m^2 n / 64) word operations,
-in row blocks sized so that no temporary exceeds 128 KiB.  The longest-path
+of a whole tile of pairs at once in numpy: O(m^2 n / 64) word operations,
+in tiles sized so that no temporary exceeds 128 KiB.  The longest-path
 DP is a Python loop over the edges.
 """
 
@@ -65,7 +65,7 @@ class LayerSchedule:
         return len(self.layers)
 
 
-# uint64 words in one temporary of a block product: 128 KiB, whatever m and n.
+# uint64 words in one temporary of a tile's product: 128 KiB, whatever m and n.
 # Larger blocks save little time and leave the allocator holding more memory.
 _BLOCK_WORDS = 1 << 14
 
@@ -93,35 +93,44 @@ def _anticommute(x: np.ndarray, z: np.ndarray, rows: slice, cols: slice) -> np.n
     """Bool block: [r, c] is True iff axes ``rows``[r] and ``cols``[c] anticommute.
 
     Word by word, (X_r & Z_c) ^ (Z_r & X_c); the symplectic product is the
-    parity of the XOR of all the words.
+    parity of the XOR of all the words, folded down to its low bit.
     """
     parts = ((xw[rows, None] & zw[cols]) ^ (zw[rows, None] & xw[cols]) for xw, zw in zip(x, z))
-    return (np.bitwise_count(reduce(np.bitwise_xor, parts)) & 1).view(bool)
+    word = reduce(np.bitwise_xor, parts)
+    for shift in (32, 16, 8, 4, 2, 1):
+        word ^= word >> np.uint64(shift)
+    return (word & np.uint64(1)).astype(bool)
 
 
-def _block_rows(columns: int) -> int:
-    """Rows per block, so that a temporary holds at most ``_BLOCK_WORDS`` words."""
-    return max(1, _BLOCK_WORDS // max(1, columns))
+def _tile(m: int) -> tuple[int, int]:
+    """Rows and columns per tile, so that a temporary holds at most ``_BLOCK_WORDS`` words.
+
+    Columns are split only when one row of them exceeds the budget; a tile is
+    then a single row, so tiles taken in order keep edges ordered by j, then i.
+    """
+    cols = max(1, min(m, _BLOCK_WORDS))
+    return max(1, _BLOCK_WORDS // cols), cols
 
 
 def build_tgraph(form: RotationForm | Sequence[Rotation]) -> TGraph:
     """Anticommutation edges from a blocked GF(2) symplectic product.
 
-    O(m^2 n / 64) word operations in numpy, over row blocks sized so that no
+    O(m^2 n / 64) word operations in numpy, over tiles sized so that no
     temporary exceeds 128 KiB; no Python work per pair.  Edges come out
     ordered by j, then by i.  Signs are ignored.
     """
     rotations = tuple(form.rotations if isinstance(form, RotationForm) else form)
     x, z = _pack(rotations)
     m = len(rotations)
-    step = _block_rows(m)
+    rows, cols = _tile(m)
     edges: list[tuple[int, int]] = []
-    for start in range(0, m, step):
-        stop = min(m, start + step)
+    for start in range(0, m, rows):
+        stop = min(m, start + rows)
         # rows j in [start, stop) against columns i < stop; keep i < j
-        block = np.tril(_anticommute(x, z, slice(start, stop), slice(0, stop)), start - 1)
-        j, i = np.nonzero(block)
-        edges.extend(zip(i.tolist(), (j + start).tolist()))
+        for first in range(0, stop, cols):
+            block = _anticommute(x, z, slice(start, stop), slice(first, min(stop, first + cols)))
+            j, i = np.nonzero(np.tril(block, start - first - 1))
+            edges.extend(zip((i + first).tolist(), (j + start).tolist()))
     return TGraph(rotations, tuple(edges))
 
 
@@ -161,31 +170,12 @@ def layerize(graph: TGraph, alap: bool = False) -> LayerSchedule:
     layers: list[list[int]] = [[] for _ in range(depth)]
     for v in range(graph.m):
         layers[level[v] - 1].append(v)
-    for members in layers:
-        if len(members) > 1:
-            _check_commuting(graph.rotations, members)
+    for members in (layer for layer in layers if len(layer) > 1):
+        edges = build_tgraph([graph.rotations[v] for v in members]).edges
+        if edges:
+            a, b = min(edges)  # the pair a nested loop over a, then b, meets first
+            raise InvariantError(f"vertices {members[a]},{members[b]} share a layer but anticommute")
     return LayerSchedule(tuple(tuple(m) for m in layers))
-
-
-def _check_commuting(rotations: Sequence[Rotation], members: list[int]) -> None:
-    """Raise InvariantError naming the first anticommuting pair (a, b), a < b.
-
-    One block product over the layer, in row blocks; pairs are ranked as a
-    nested loop over a, then b, would meet them.
-    """
-    x, z = _pack([rotations[v] for v in members])
-    size = len(members)
-    step = _block_rows(size)
-    for start in range(0, size, step):
-        stop = min(size, start + step)
-        # rows a in [start, stop) against columns b >= start; keep b > a
-        block = np.triu(_anticommute(x, z, slice(start, stop), slice(start, size)), 1)
-        hits = np.flatnonzero(block)
-        if hits.size:
-            a, b = divmod(int(hits[0]), size - start)
-            raise InvariantError(
-                f"vertices {members[start + a]},{members[start + b]} share a layer but anticommute"
-            )
 
 
 def to_dot(graph: TGraph) -> str:

@@ -43,6 +43,13 @@ def form_of(rotations, n):
     return RotationForm(n, tuple(rotations), CliffordTableau.identity(n))
 
 
+def pairwise_edges(paulis):
+    """Reference for the T-graph: every anticommuting i < j, ordered by j, then i."""
+    return tuple(
+        (i, j) for j in range(len(paulis)) for i in range(j) if not paulis[i].commutes(paulis[j])
+    )
+
+
 def first_anticommuting_pair(paulis):
     """Reference for the layer check: the pair a nested loop meets first."""
     for a in range(len(paulis)):
@@ -82,12 +89,21 @@ class TestBuild:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
     def test_edges_match_pairwise_reference(self, n, rng):
         m = 400
-        assert tgraph._block_rows(m) < m  # more than one row block
+        assert tgraph._tile(m)[0] < m  # more than one row of tiles
         paulis = [random_pauli(n, rng) for _ in range(m)]
-        reference = tuple(
-            (i, j) for j in range(m) for i in range(j) if not paulis[i].commutes(paulis[j])
-        )
-        assert build_tgraph([Rotation(p) for p in paulis]).edges == reference
+        assert build_tgraph([Rotation(p) for p in paulis]).edges == pairwise_edges(paulis)
+
+    @pytest.mark.parametrize("n", [1, 65])
+    def test_column_tiles_keep_edge_order(self, n, rng, monkeypatch):
+        # a budget below m splits each row's columns, as m > 2^14 does
+        monkeypatch.setattr(tgraph, "_BLOCK_WORDS", 64)
+        m = 200
+        assert tgraph._tile(m) == (1, 64)
+        paulis = [random_pauli(n, rng) for _ in range(m)]
+        assert build_tgraph([Rotation(p) for p in paulis]).edges == pairwise_edges(paulis)
+        a, b = first_anticommuting_pair(paulis)
+        with pytest.raises(InvariantError, match=rf"^vertices {a},{b} share"):
+            layerize(TGraph(tuple(Rotation(p) for p in paulis), ()))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="qubit count mismatch: 1 vs 2"):
@@ -165,7 +181,7 @@ class TestLayerize:
         # 400 diagonal axes off qubit 0, then X and Z on qubit 0: the one
         # anticommuting pair is the last one, past the first row block
         n, m = 10, 402
-        assert tgraph._block_rows(m) < m - 2
+        assert tgraph._tile(m)[0] < m - 2
         paulis = [PauliProduct(n, 0, (v % 511 + 1) << 1) for v in range(m - 2)]
         paulis += [PauliProduct.single(n, 0, "X"), PauliProduct.single(n, 0, "Z")]
         stripped = TGraph(tuple(Rotation(p) for p in paulis), ())
