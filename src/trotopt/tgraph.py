@@ -73,7 +73,7 @@ _BLOCK_WORDS = 1 << 14
 def _pack(rotations: Sequence[Rotation]) -> tuple[np.ndarray, np.ndarray]:
     """The axes' X and Z masks as (ceil(n/64), m) uint64 arrays, low word first.
 
-    Word-major, so that each word's product over a block runs along whole
+    Word-major, so that each word's product over a tile runs along whole
     contiguous rows of axes.
     """
     n = rotations[0].pauli.n if rotations else 1
