@@ -58,7 +58,6 @@ from .tgraph import (
 )
 from .verify import (
     equivalent_up_to_phase,
-    gate_matrix,
     pauli_matrix,
     rotation_matrix,
     unitary_of,
@@ -93,7 +92,6 @@ __all__ = [
     "equivalent_up_to_phase",
     "extend_with_ancillas",
     "from_rotation_form_resynth",
-    "gate_matrix",
     "layerize",
     "optimize",
     "parse_qc",

@@ -22,7 +22,7 @@ from .rotations import (
     synthesize_schedule,
     to_rotation_form,
 )
-from .tgraph import build_tgraph, layerize, t_depth_bound, to_dot
+from .tgraph import build_tgraph, layerize, to_dot
 from .verify import (
     DEFAULT_QUBIT_CAP,
     VerificationCapError,
@@ -139,7 +139,7 @@ def cmd_tdepth(args: argparse.Namespace) -> int:
         "file": args.input,
         "qubits": circuit.n,
         "t_count": len(form.rotations),
-        "t_depth": t_depth_bound(graph),
+        "t_depth": schedule.depth,
         "layer_sizes": [len(layer) for layer in schedule.layers],
         "ancillas": layered.n - form.n if layered is not None else 0,
     }

@@ -32,7 +32,12 @@ from .tableau import InvariantError
 
 @dataclass(frozen=True)
 class TGraph:
-    """DAG over rotations; edge (i, j) means axes i and j anticommute, i < j."""
+    """DAG over rotations; edge (i, j) means axes i and j anticommute.
+
+    Every edge has i < j, and the edges are ordered by j, then by i, as
+    :func:`build_tgraph` emits them.  The longest-path pass relies on that
+    order: every edge into a vertex comes before every edge out of it.
+    """
 
     rotations: tuple[Rotation, ...]
     edges: tuple[tuple[int, int], ...]
@@ -40,18 +45,6 @@ class TGraph:
     @property
     def m(self) -> int:
         return len(self.rotations)
-
-    def predecessors(self) -> list[list[int]]:
-        preds: list[list[int]] = [[] for _ in range(self.m)]
-        for i, j in self.edges:
-            preds[j].append(i)
-        return preds
-
-    def successors(self) -> list[list[int]]:
-        succs: list[list[int]] = [[] for _ in range(self.m)]
-        for i, j in self.edges:
-            succs[i].append(j)
-        return succs
 
 
 @dataclass(frozen=True)
@@ -134,42 +127,42 @@ def build_tgraph(form: RotationForm | Sequence[Rotation]) -> TGraph:
     return TGraph(rotations, tuple(edges))
 
 
-def _longest_path_to(graph: TGraph) -> list[int]:
-    """Longest path (vertex count) ending at each vertex; DP in input order."""
-    preds = graph.predecessors()
-    depth = [0] * graph.m
-    for v in range(graph.m):
-        depth[v] = 1 + max((depth[u] for u in preds[v]), default=0)
-    return depth
+def _longest_paths(graph: TGraph, reverse: bool = False) -> list[int]:
+    """Vertices on the longest path ending at each vertex, or starting there if ``reverse``.
+
+    One pass over the edges in :class:`TGraph` order: forward, every edge
+    into i is relaxed before any edge (i, j) out of it; reversed, every
+    edge out of j is relaxed before any edge (i, j) into it.
+    """
+    length = [1] * graph.m
+    if reverse:
+        for i, j in reversed(graph.edges):
+            if length[i] <= length[j]:
+                length[i] = length[j] + 1
+    else:
+        for i, j in graph.edges:
+            if length[j] <= length[i]:
+                length[j] = length[i] + 1
+    return length
 
 
 def t_depth_bound(graph: TGraph) -> int:
     """Vertices on the longest path; the commutation-only T-depth optimum."""
-    if graph.m == 0:
-        return 0
-    return max(_longest_path_to(graph))
+    return max(_longest_paths(graph), default=0)
 
 
 def layerize(graph: TGraph, alap: bool = False) -> LayerSchedule:
-    """Group vertices by longest incoming path (ASAP) or its mirror (ALAP).
+    """Group vertices by longest incoming path (ASAP) or longest outgoing path (ALAP).
 
-    Layer count always equals :func:`t_depth_bound`; every layer is checked
-    to be pairwise commuting before returning.
+    One longest-path pass gives both the levels and the layer count, which
+    always equals :func:`t_depth_bound`; every layer is checked to be
+    pairwise commuting before returning.
     """
-    depth = t_depth_bound(graph)
-    if depth == 0:
-        return LayerSchedule(())
-    if not alap:
-        level = _longest_path_to(graph)
-    else:
-        succs = graph.successors()
-        tail = [0] * graph.m
-        for v in reversed(range(graph.m)):
-            tail[v] = 1 + max((tail[w] for w in succs[v]), default=0)
-        level = [depth - tail[v] + 1 for v in range(graph.m)]
+    length = _longest_paths(graph, reverse=alap)
+    depth = max(length, default=0)
     layers: list[list[int]] = [[] for _ in range(depth)]
-    for v in range(graph.m):
-        layers[level[v] - 1].append(v)
+    for v, k in enumerate(length):
+        layers[depth - k if alap else k - 1].append(v)
     for members in (layer for layer in layers if len(layer) > 1):
         edges = build_tgraph([graph.rotations[v] for v in members]).edges
         if edges:

@@ -9,9 +9,10 @@ Kronecker factor).
 and applies each gate to its own qubit axes only: a 2x2 contraction for H
 and Y, a block phase for diagonal gates, a block swap for X/CNOT/Toffoli and
 an axis swap for SWAP.  That is O(4^n) work per gate and never forms a
-2^n x 2^n gate matrix.  :func:`gate_matrix`, :func:`pauli_matrix` and
+2^n x 2^n gate matrix.  A unitary over ``_MAX_UNITARY_BYTES`` (1 GiB, so
+n <= 13) is refused before anything is allocated.  :func:`pauli_matrix` and
 :func:`rotation_matrix` build full matrices from Kronecker products; they are
-the references the kernel is tested against.
+references the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .rotations import RotationForm
 from .tableau import synthesize
 
 DEFAULT_QUBIT_CAP = 10
+
+# Largest 2^n x 2^n complex128 unitary the oracle allocates: 1 GiB, n = 13.
+_MAX_UNITARY_BYTES = 1 << 30
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,42 +53,6 @@ _ONE_QUBIT = {
 # Diagonal gates: the phase on the block where all of their qubits are 1.
 _PHASE = {kind: _ONE_QUBIT[kind][1, 1] for kind in ("Z", "S", "Sdg", "T", "Tdg")}
 _PHASE.update(CZ=-1, CCZ=-1)
-
-_PROJ0 = np.diag([1, 0]).astype(complex)
-_PROJ1 = np.diag([0, 1]).astype(complex)
-
-
-def _embed1(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    left = np.eye(1 << qubit, dtype=complex)
-    right = np.eye(1 << (n - qubit - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
-
-
-def gate_matrix(gate: Gate, n: int) -> np.ndarray:
-    """Full 2^n matrix of one gate on an n-qubit register."""
-    if gate.kind in _ONE_QUBIT:
-        return _embed1(_ONE_QUBIT[gate.kind], gate.qubits[0], n)
-    if gate.kind == "CNOT":
-        c, t = gate.qubits
-        return _embed1(_PROJ0, c, n) + _embed1(_PROJ1, c, n) @ _embed1(_X, t, n)
-    if gate.kind == "CZ":
-        c, t = gate.qubits
-        return _embed1(_PROJ0, c, n) + _embed1(_PROJ1, c, n) @ _embed1(_Z, t, n)
-    if gate.kind == "SWAP":
-        a, b = gate.qubits
-        cnot_ab = gate_matrix(Gate("CNOT", (a, b)), n)
-        cnot_ba = gate_matrix(Gate("CNOT", (b, a)), n)
-        return cnot_ab @ cnot_ba @ cnot_ab
-    if gate.kind == "CCZ":
-        a, b, t = gate.qubits
-        both = _embed1(_PROJ1, a, n) @ _embed1(_PROJ1, b, n)
-        return np.eye(1 << n, dtype=complex) + both @ (_embed1(_Z, t, n) - np.eye(1 << n))
-    if gate.kind == "TOFFOLI":
-        a, b, t = gate.qubits
-        both = _embed1(_PROJ1, a, n) @ _embed1(_PROJ1, b, n)
-        return np.eye(1 << n, dtype=complex) + both @ (_embed1(_X, t, n) - np.eye(1 << n))
-    raise ValueError(f"no dense matrix for gate kind {gate.kind!r}")
-
 
 def pauli_matrix(p: PauliProduct) -> np.ndarray:
     """Dense matrix of a signed Pauli product."""
@@ -111,7 +79,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 class VerificationCapError(ValueError):
-    """The register is over the oracle's qubit cap, or numpy cannot allocate its unitary."""
+    """The register is over the oracle's qubit cap, or its unitary over the memory budget."""
 
 
 def _ones(n: int, qubits) -> tuple:
@@ -156,6 +124,8 @@ def unitary_of(obj: Circuit | RotationForm, max_qubits: int = DEFAULT_QUBIT_CAP)
     if n > max_qubits:
         raise VerificationCapError(f"{n} qubits exceeds the verification cap of {max_qubits}")
     try:
+        if 16 * dim * dim > _MAX_UNITARY_BYTES:  # complex128: refuse before numpy allocates
+            raise MemoryError
         u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     except (ValueError, MemoryError):
         raise VerificationCapError(f"cannot allocate the 2^{n} x 2^{n} unitary") from None

@@ -18,6 +18,7 @@ from trotopt import (
     RotationForm,
     TGraph,
 )
+from trotopt.verify import _ONE_QUBIT
 
 DATA_DIR = Path(__file__).parent / "data"
 BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
@@ -87,6 +88,46 @@ def random_commuting_independent_rotations(
     ]
 
 
+_PROJ0 = np.diag([1, 0]).astype(complex)
+_PROJ1 = np.diag([0, 1]).astype(complex)
+
+
+def _embed1(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    left = np.eye(1 << qubit, dtype=complex)
+    right = np.eye(1 << (n - qubit - 1), dtype=complex)
+    return np.kron(np.kron(left, op), right)
+
+
+def gate_matrix(gate: Gate, n: int) -> np.ndarray:
+    """Full 2^n matrix of one gate on an n-qubit register, from Kronecker products.
+
+    The reference the oracle's tensor-contraction kernel is tested against.
+    """
+    x, z = _ONE_QUBIT["X"], _ONE_QUBIT["Z"]
+    if gate.kind in _ONE_QUBIT:
+        return _embed1(_ONE_QUBIT[gate.kind], gate.qubits[0], n)
+    if gate.kind == "CNOT":
+        c, t = gate.qubits
+        return _embed1(_PROJ0, c, n) + _embed1(_PROJ1, c, n) @ _embed1(x, t, n)
+    if gate.kind == "CZ":
+        c, t = gate.qubits
+        return _embed1(_PROJ0, c, n) + _embed1(_PROJ1, c, n) @ _embed1(z, t, n)
+    if gate.kind == "SWAP":
+        a, b = gate.qubits
+        cnot_ab = gate_matrix(Gate("CNOT", (a, b)), n)
+        cnot_ba = gate_matrix(Gate("CNOT", (b, a)), n)
+        return cnot_ab @ cnot_ba @ cnot_ab
+    if gate.kind == "CCZ":
+        a, b, t = gate.qubits
+        both = _embed1(_PROJ1, a, n) @ _embed1(_PROJ1, b, n)
+        return np.eye(1 << n, dtype=complex) + both @ (_embed1(z, t, n) - np.eye(1 << n))
+    if gate.kind == "TOFFOLI":
+        a, b, t = gate.qubits
+        both = _embed1(_PROJ1, a, n) @ _embed1(_PROJ1, b, n)
+        return np.eye(1 << n, dtype=complex) + both @ (_embed1(x, t, n) - np.eye(1 << n))
+    raise ValueError(f"no dense matrix for gate kind {gate.kind!r}")
+
+
 def rotations_product_matrix(rotations) -> np.ndarray:
     from trotopt import rotation_matrix
 
@@ -133,6 +174,34 @@ def brute_force_min_layers(paulis: list[PauliProduct], max_m: int = 12) -> int:
         return best
 
     return max(extend(v, 1) for v in range(m))
+
+
+def reference_layers(graph: TGraph, alap: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Reference for the one-pass schedule: a per-vertex DP over adjacency lists.
+
+    ASAP levels are the longest path ending at each vertex, from predecessor
+    lists in input order; ALAP levels mirror the longest path starting there,
+    from successor lists in reverse order.  No edge order is assumed.
+    """
+    preds: list[list[int]] = [[] for _ in range(graph.m)]
+    succs: list[list[int]] = [[] for _ in range(graph.m)]
+    for i, j in graph.edges:
+        preds[j].append(i)
+        succs[i].append(j)
+    head = [0] * graph.m
+    for v in range(graph.m):
+        head[v] = 1 + max((head[u] for u in preds[v]), default=0)
+    depth = max(head, default=0)
+    level = head
+    if alap:
+        tail = [0] * graph.m
+        for v in reversed(range(graph.m)):
+            tail[v] = 1 + max((tail[w] for w in succs[v]), default=0)
+        level = [depth - tail[v] + 1 for v in range(graph.m)]
+    layers: list[list[int]] = [[] for _ in range(depth)]
+    for v in range(graph.m):
+        layers[level[v] - 1].append(v)
+    return tuple(tuple(layer) for layer in layers)
 
 
 def is_valid_reordering(graph: TGraph, perm: Sequence[int]) -> bool:

@@ -11,13 +11,12 @@ from trotopt import (
     Gate,
     ParseError,
     equivalent_up_to_phase,
-    gate_matrix,
     parse_qc,
     unitary_of,
     write_qc,
 )
 
-from _helpers import random_clifford_t_circuit
+from _helpers import gate_matrix, random_clifford_t_circuit
 
 
 class TestGate:

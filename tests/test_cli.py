@@ -93,7 +93,7 @@ def test_module_entry_point_exits_with_the_returned_code(argv, code):
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
 def test_unallocatable_oracle_is_an_input_error(command, tmp_path, capsys):
-    # 32 qubits: numpy refuses the 2^32 x 2^32 unitary before allocating anything
+    # 32 qubits: the memory budget refuses the 2^32 x 2^32 unitary before allocating anything
     path = tmp_path / "wide.qc"
     path.write_text(wide_qc(32))
     argv = {"optimize": ["optimize", str(path), "--verify"],
@@ -103,6 +103,18 @@ def test_unallocatable_oracle_is_an_input_error(command, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: cannot allocate the 2^32 x 2^32 unitary\n"
     )
+
+
+def test_oracle_over_memory_budget_is_refused_before_allocating(monkeypatch, tmp_path, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.eye called")
+
+    path = tmp_path / "wide.qc"
+    path.write_text(wide_qc(14))
+    monkeypatch.setattr("numpy.eye", forbidden)
+    code, stdout = run_cli("verify", str(path), str(path), "--max-verify-qubits", "64")
+    assert code == 1 and stdout == ""
+    assert capsys.readouterr().err == "error: cannot allocate the 2^14 x 2^14 unitary\n"
 
 
 CHAIN_QC = """.v a

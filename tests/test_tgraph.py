@@ -1,6 +1,10 @@
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
 from trotopt import tgraph
+from trotopt.cli import main
 from trotopt import (
     CliffordTableau,
     DependentSetError,
@@ -22,6 +26,7 @@ from trotopt import (
 )
 
 from _helpers import (
+    MOD5_4,
     ancilla_safe,
     brute_force_min_layers,
     data_block_on_zero_ancillas,
@@ -29,6 +34,7 @@ from _helpers import (
     random_clifford_circuit,
     random_commuting_independent_rotations,
     random_pauli,
+    reference_layers,
     rotations_product_matrix,
 )
 
@@ -213,6 +219,32 @@ class TestLayerize:
                 )
                 order = [v for layer in layerize(g, alap=alap).layers for v in layer]
                 assert is_valid_reordering(g, order)
+
+
+class TestLongestPathPass:
+    @pytest.mark.parametrize("n", [3, 65])
+    def test_matches_adjacency_list_reference(self, n, rng):
+        m = 400
+        assert tgraph._tile(m)[0] < m  # edges from more than one row of tiles
+        for _ in range(3):
+            g = build_tgraph([Rotation(random_pauli(n, rng)) for _ in range(m)])
+            asap = reference_layers(g)
+            assert t_depth_bound(g) == len(asap)
+            assert layerize(g).layers == asap
+            assert layerize(g, alap=True).layers == reference_layers(g, alap=True)
+
+    def test_tdepth_runs_one_pass(self, monkeypatch):
+        calls = []
+        one_pass = tgraph._longest_paths
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return one_pass(*args, **kwargs)
+
+        monkeypatch.setattr(tgraph, "_longest_paths", counted)
+        with redirect_stdout(io.StringIO()):
+            assert main(["tdepth", str(MOD5_4), "--ancilla"]) == 0
+        assert len(calls) == 1
 
 
 def test_scans_make_no_per_pair_pauli_calls(monkeypatch, rng):

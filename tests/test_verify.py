@@ -13,7 +13,6 @@ from trotopt import (
     Rotation,
     RotationForm,
     equivalent_up_to_phase,
-    gate_matrix,
     pauli_matrix,
     rotation_matrix,
     synthesize,
@@ -23,6 +22,7 @@ from trotopt.verify import VerificationCapError
 
 from _helpers import (
     brute_force_min_layers,
+    gate_matrix,
     random_clifford_t_circuit,
     random_pauli,
     random_tableau,
@@ -55,9 +55,23 @@ class TestUnitaryOf:
     def test_cap_errors(self):
         with pytest.raises(VerificationCapError, match="11 qubits exceeds"):
             unitary_of(Circuit.on_qubits(11))
-        # at 32 qubits numpy refuses the unitary before allocating anything
+        # at 32 qubits the memory budget refuses the unitary before allocating anything
         with pytest.raises(VerificationCapError, match="cannot allocate"):
             unitary_of(Circuit.on_qubits(32), max_qubits=64)
+
+    def test_memory_budget_refuses_before_allocating(self, monkeypatch):
+        class Allocating(Exception):
+            pass
+
+        def eye(*args, **kwargs):
+            raise Allocating
+
+        monkeypatch.setattr(np, "eye", eye)
+        # 2^13 x 2^13 complex128 is exactly the 1 GiB budget: it goes on to allocate
+        with pytest.raises(Allocating):
+            unitary_of(Circuit.on_qubits(13), max_qubits=64)
+        with pytest.raises(VerificationCapError, match=r"^cannot allocate the 2\^14 x 2\^14 unitary$"):
+            unitary_of(Circuit.on_qubits(14), max_qubits=64)
 
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
@@ -115,7 +129,7 @@ class TestContractionKernel:
         def forbidden(*args):
             raise AssertionError("dense reference matrix built")
 
-        for name in ("gate_matrix", "rotation_matrix", "pauli_matrix", "_embed1"):
+        for name in ("rotation_matrix", "pauli_matrix"):
             monkeypatch.setattr(trotopt.verify, name, forbidden)
         assert np.array_equal(unitary_of(circuit), expected[0])
         assert np.array_equal(unitary_of(form), expected[1])
