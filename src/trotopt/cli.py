@@ -127,6 +127,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_tdepth(args: argparse.Namespace) -> int:
+    if args.output and not args.ancilla:
+        print("error: -o/--output needs --ancilla, which emits the layered circuit",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
     circuit = _load_circuit(args.input)
     expanded = circuit.expand()
     form = to_rotation_form(expanded)
@@ -243,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_td.add_argument("--ancilla", action="store_true", help="emit the layered circuit")
     p_td.add_argument("--alap", action="store_true", help="schedule layers as late as possible")
     p_td.add_argument("--no-optimize", action="store_true", help="skip the T-count pass")
-    p_td.add_argument("-o", "--output", help="path for the layered .qc file")
+    p_td.add_argument("-o", "--output", help="path for the layered .qc file (needs --ancilla)")
     p_td.add_argument("--dot", help="path for a DOT dump of the rotation DAG")
     p_td.set_defaults(func=cmd_tdepth)
 

@@ -172,7 +172,7 @@ def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
     if not rotations:
         return Circuit.on_qubits(0)
     n = rotations[0].pauli.n
-    _, basis_gates = _diagonalize_with_gates([r.pauli.unsigned() for r in rotations])
+    basis_gates = _diagonalize_with_gates([r.pauli.unsigned() for r in rotations])
     gates: list[Gate] = [low for g in basis_gates for low in _lower_gate(g)]
     for j, rotation in enumerate(rotations):
         gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (j,)))

@@ -103,24 +103,26 @@ def conjugate_by_gate(gate: Gate, p: PauliProduct) -> PauliProduct:
     return PauliProduct(p.n, x, z, sign)
 
 
-_INVERSE_KIND = {
-    "H": "H",
-    "S": "Sdg",
-    "Sdg": "S",
-    "X": "X",
-    "Y": "Y",
-    "Z": "Z",
-    "CNOT": "CNOT",
-    "CZ": "CZ",
-    "SWAP": "SWAP",
-}
+_SELF_INVERSE = frozenset({"H", "X", "Y", "Z", "CNOT", "CZ", "SWAP"})
+_INVERSE_KIND = {"S": "Sdg", "Sdg": "S"}
 
 
 def inverse_gate(gate: Gate) -> Gate:
+    """The inverse Clifford gate; a self-inverse gate is returned as it is."""
+    if gate.kind in _SELF_INVERSE:
+        return gate
     try:
         return Gate(_INVERSE_KIND[gate.kind], gate.qubits)
     except KeyError:
         raise UnsupportedGateError(f"{gate.kind} has no Clifford inverse") from None
+
+
+def _conjugate_rows(rows: list[PauliProduct], gate: Gate) -> None:
+    """Conjugate ``rows`` by ``gate`` in place; a gate fixes every row off its qubits."""
+    mask = sum(1 << q for q in gate.qubits)
+    for i, row in enumerate(rows):
+        if (row.x | row.z) & mask:
+            rows[i] = conjugate_by_gate(gate, row)
 
 
 def _transpose_bits(masks: list[int], width: int) -> list[int]:
@@ -163,10 +165,12 @@ class CliffordTableau:
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> CliffordTableau:
-        t = cls.identity(circuit.n)
+        """The gates' tableau: the 2n generator rows pushed through every gate."""
+        identity = cls.identity(circuit.n)
+        rows = list(identity.x_images + identity.z_images)
         for g in circuit.gates:
-            t = t.apply_gate(g)
-        return t
+            _conjugate_rows(rows, g)
+        return cls(circuit.n, rows[: circuit.n], rows[circuit.n :])
 
     @classmethod
     def s_rotation(cls, axis: PauliProduct) -> CliffordTableau:
@@ -178,12 +182,9 @@ class CliffordTableau:
 
     def apply_gate(self, gate: Gate) -> CliffordTableau:
         """Tableau of (gate applied after self); rows off the gate are reused."""
-        mask = sum(1 << q for q in gate.qubits)
-
-        def image(row: PauliProduct) -> PauliProduct:
-            return conjugate_by_gate(gate, row) if (row.x | row.z) & mask else row
-
-        return self._map_rows(image)
+        rows = list(self.x_images + self.z_images)
+        _conjugate_rows(rows, gate)
+        return CliffordTableau(self.n, rows[: self.n], rows[self.n :])
 
     def apply_s_rotation(self, axis: PauliProduct) -> CliffordTableau:
         """Tableau of (the square of the quarter-rotation about ``axis``) after self.
@@ -336,8 +337,21 @@ def check_independent(paulis: list[PauliProduct]) -> bool:
 
 
 def _diagonalize_with_gates(
-    paulis: list[PauliProduct],
-) -> tuple[CliffordTableau, list[Gate]]:
+    paulis: list[PauliProduct], carry: list[PauliProduct] | None = None
+) -> list[Gate]:
+    """Gates, in application order, of a Clifford C with C P_j C^dagger == +Z_j.
+
+    Symplectic Gaussian elimination over ``work``, a copy of the inputs that
+    every emitted gate conjugates in place.  A gate skips only the Paulis
+    with no support on its qubits, and it fixes those exactly, so ``work[j]``
+    is always input j conjugated by every gate emitted so far.  The
+    post-check "``work[j]`` is exactly +Z_j for every j" is therefore the
+    condition C P_j C^dagger == +Z_j on the gates' tableau, at O(1) per Pauli
+    and with no tableau built.
+
+    Each row of ``carry`` rides along as an extra entry that is never a
+    pivot: it is replaced in place by its image under C.
+    """
     if not paulis:
         raise ValueError("need at least one Pauli to diagonalize")
     n = paulis[0].n
@@ -346,9 +360,11 @@ def _diagonalize_with_gates(
             raise ValueError("mixed qubit counts in Pauli set")
         if p.is_identity:
             raise ValueError(f"Pauli {j} is the identity")
-    for i in range(len(paulis)):
+    xmasks = [p.x for p in paulis]
+    zmasks = [p.z for p in paulis]
+    for i, (xi, zi) in enumerate(zip(xmasks, zmasks)):
         for j in range(i + 1, len(paulis)):
-            if not paulis[i].commutes(paulis[j]):
+            if ((xi & zmasks[j]) ^ (zi & xmasks[j])).bit_count() & 1:  # anticommute
                 raise NonCommutingError(
                     f"Paulis {i} ({paulis[i]}) and {j} ({paulis[j]}) anticommute"
                 )
@@ -357,18 +373,15 @@ def _diagonalize_with_gates(
             "a nonempty subset of the Paulis multiplies to the identity"
         )
 
-    work = list(paulis)
+    work = list(paulis) + (carry or [])
     gates: list[Gate] = []
 
     def emit(kind: str, *qubits: int) -> None:
         g = Gate(kind, qubits)
         gates.append(g)
-        mask = sum(1 << q for q in qubits)
-        for idx, w in enumerate(work):
-            if (w.x | w.z) & mask:  # a gate fixes every Pauli off its qubits
-                work[idx] = conjugate_by_gate(g, w)
+        _conjugate_rows(work, g)
 
-    for j in range(len(work)):
+    for j in range(len(paulis)):
         p = work[j]
         # Fast path: already exactly +-Z_j.
         zbit = 1 << j
@@ -413,13 +426,13 @@ def _diagonalize_with_gates(
         if work[j].sign < 0:
             emit("X", j)
 
-    tableau = CliffordTableau.identity(n)
-    for g in gates:
-        tableau = tableau.apply_gate(g)
-    for j, p in enumerate(paulis):
-        if tableau.conjugate(p) != PauliProduct.single(n, j, "Z"):
+    for j in range(len(paulis)):
+        w = work[j]
+        if w.x or w.z != 1 << j or w.sign < 0:
             raise InvariantError("diagonalization post-check failed")
-    return tableau, gates
+    if carry is not None:
+        carry[:] = work[len(paulis) :]
+    return gates
 
 
 def diagonalize_commuting_set(paulis: list[PauliProduct]) -> CliffordTableau:
@@ -428,8 +441,8 @@ def diagonalize_commuting_set(paulis: list[PauliProduct]) -> CliffordTableau:
     Inputs must pairwise commute and be independent (no nonempty subset with
     bit product identity); built by symplectic Gaussian elimination.
     """
-    tableau, _ = _diagonalize_with_gates(paulis)
-    return tableau
+    gates = _diagonalize_with_gates(paulis)
+    return CliffordTableau.from_circuit(Circuit.on_qubits(paulis[0].n, gates))
 
 
 def _adjoint_gates(gates: list[Gate]) -> list[Gate]:
@@ -455,14 +468,15 @@ def _lower_gate(g: Gate) -> list[Gate]:
 def synthesize_gates(t: CliffordTableau) -> list[Gate]:
     """Gates (application order) whose tableau equals ``t``; no optimality."""
     n = t.n
-    diag, diag_gates = _diagonalize_with_gates(list(t.z_images))
-    d = diag.compose(t)
+    # d = diag ∘ t: t's X rows ride through the elimination of its Z rows,
+    # which the post-check leaves exactly +Z_i.
+    x_rows = list(t.x_images)
+    diag_gates = _diagonalize_with_gates(list(t.z_images), carry=x_rows)
+    d = CliffordTableau(n, x_rows, tuple(PauliProduct.single(n, i, "Z") for i in range(n)))
 
     # d fixes every Z_i exactly, so it is a layer of S/CZ gates up to Pauli-Z
     # sign corrections on the X images.
     for i in range(n):
-        if d.z_images[i] != PauliProduct.single(n, i, "Z"):
-            raise InvariantError("Z rows not fixed after diagonalization")
         if d.x_images[i].x != 1 << i:
             raise InvariantError("X rows acquired extra X support")
 

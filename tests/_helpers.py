@@ -18,6 +18,7 @@ from trotopt import (
     RotationForm,
     TGraph,
 )
+from trotopt.tableau import conjugate_by_gate
 from trotopt.verify import _ONE_QUBIT
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -224,3 +225,50 @@ def ancilla_safe(form: RotationForm, t: int) -> bool:
         return True
     ancillas = range(form.n - t, form.n)
     return all(r.pauli.restrict(ancillas).x == 0 for r in form.rotations)
+
+
+def unmasked_diagonalize(paulis):
+    """Reference elimination for valid inputs: every emitted gate conjugates
+    every Pauli, whether or not it touches the gate's qubits.  Returns the
+    gates' tableau, built one ``apply_gate`` at a time, and the gates."""
+    n = paulis[0].n
+    work = list(paulis)
+    gates = []
+
+    def emit(kind, *qubits):
+        g = Gate(kind, qubits)
+        gates.append(g)
+        work[:] = [conjugate_by_gate(g, w) for w in work]
+
+    for j in range(len(work)):
+        p = work[j]
+        if p.x == 0 and p.z == 1 << j:
+            if p.sign < 0:
+                emit("X", j)
+            continue
+        hi = ~((1 << j) - 1)
+        if p.x & hi == 0:
+            zs = p.z & hi
+            emit("H", (zs & -zs).bit_length() - 1)
+            p = work[j]
+        for q in range(j, n):
+            if p.z & (1 << q):
+                emit("Sdg" if p.x & (1 << q) else "H", q)
+                p = work[j]
+        pivot = (p.x & hi & -(p.x & hi)).bit_length() - 1
+        for q in range(pivot + 1, n):
+            if p.x & (1 << q):
+                emit("CNOT", pivot, q)
+        p = work[j]
+        for q in range(j):
+            if p.z & (1 << q):
+                emit("CZ", q, pivot)
+        emit("H", pivot)
+        if pivot != j:
+            emit("SWAP", pivot, j)
+        if work[j].sign < 0:
+            emit("X", j)
+    tableau = CliffordTableau.identity(n)
+    for g in gates:
+        tableau = tableau.apply_gate(g)
+    return tableau, gates

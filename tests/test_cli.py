@@ -1,8 +1,10 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -13,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from trotopt import apply_edit_plan, equivalent_up_to_phase, parse_qc, unitary_of
+from trotopt import apply_edit_plan, equivalent_up_to_phase, parse_qc, unitary_of, write_qc
 from trotopt.cli import BENCH_COLUMNS, build_parser, main
 
-from _helpers import MOD5_4, data_block_on_zero_ancillas
+from _helpers import MOD5_4, data_block_on_zero_ancillas, random_clifford_t_circuit
 
 
 def run_cli(*argv):
@@ -311,11 +313,67 @@ class TestTdepth:
         assert code == 0
         assert json.loads(stdout)["t_count"] == 28
 
+    def test_output_without_ancilla_is_a_usage_error(self, tmp_path, capsys):
+        out, dot = tmp_path / "layered.qc", tmp_path / "graph.dot"
+        code, stdout = run_cli("tdepth", str(MOD5_4), "-o", str(out), "--dot", str(dot))
+        assert code == 1 and stdout == ""
+        assert error_lines(capsys.readouterr().err) == [
+            "error: -o/--output needs --ancilla, which emits the layered circuit"
+        ]
+        assert not out.exists() and not dot.exists()
+
     def test_plain_tdepth_never_inverts(self, no_invert, tmp_path):
         assert run_cli("tdepth", str(MOD5_4))[0] == 0
         assert run_cli("tdepth", str(MOD5_4), "--no-optimize")[0] == 0
         with pytest.raises(AssertionError, match="invert"):
             run_cli("tdepth", str(MOD5_4), "--ancilla", "-o", str(tmp_path / "l.qc"))
+
+
+# sha256 of the synthesized .qc text per input and command form.  A change to
+# the diagonalizer's gate order, the phase-layer synthesis or the ancilla
+# tagging shows here first; a deliberate change updates these and says why.
+SYNTHESIS_FORMS = {
+    "asap": ("tdepth", "--ancilla"),
+    "alap": ("tdepth", "--ancilla", "--alap"),
+    "no-optimize": ("tdepth", "--ancilla", "--no-optimize"),
+    "resynth": ("optimize", "--mode", "resynth", "--no-verify"),
+}
+# (seed, n, depth) of random_clifford_t_circuit; seed 5 needs one ancilla even after folding
+SYNTHESIS_INPUTS = {"mod5_4": None, "r1": (1, 5, 40), "r2": (2, 7, 60), "r5": (5, 7, 46)}
+SYNTHESIS_SHA256 = {
+    ("mod5_4", "asap"): "04d005936eeb5e69a448209b2cd28dff40378cac5e096b6dd6a914f791087680",
+    ("mod5_4", "alap"): "04d005936eeb5e69a448209b2cd28dff40378cac5e096b6dd6a914f791087680",
+    ("mod5_4", "no-optimize"): "6c44e50b4ae8b6ec21eef0b390b72d3708494915e3e3c6fd827b491ced14eb00",
+    ("mod5_4", "resynth"): "813f2e2096d7b512b50eb63848da8117b13bf8adc41ad0ca34ed006999aa36ad",
+    ("r1", "asap"): "d75652b1dbf3cea62a5b9227c472e512ee3cd2575186044745183d8e957c13e5",
+    ("r1", "alap"): "2741561ba13e2a67926139367443b0c4056b5ba961e21be3ed2d40c67b5bbdec",
+    ("r1", "no-optimize"): "bbba974bb70b21a3f551bea94e77babe196c13e135f78cec7b2e7ca0c9a3ac77",
+    ("r1", "resynth"): "1f0a893ec153752c993698f28d6c9c6198a882a4beb79cdf299eae391832d575",
+    ("r2", "asap"): "c03e2631b73bc3f3438135024343cf19cb5573afdaa2eab55c53b8fb07f3b630",
+    ("r2", "alap"): "0dc3d1c824b63b6faefdf7e72db6089ea232934d22ca229270cf1a6ef5fe3da5",
+    ("r2", "no-optimize"): "295a84a7fcaa5a2719fb74aa4f8d26bd66fd1ef7d46c216096f1dde5122cf4c6",
+    ("r2", "resynth"): "ae9cb2f4939b12981a11a671daf0e9d495929917481791abc813c918aeda112b",
+    ("r5", "asap"): "202c526446d64b63f196c3204da6a2af371f28337141cb9743d41a4f423b1181",
+    ("r5", "alap"): "202c526446d64b63f196c3204da6a2af371f28337141cb9743d41a4f423b1181",
+    ("r5", "no-optimize"): "556181af43f0e663627f4880ff9796c4336e47f75ed8310428f8d46268d26ed0",
+    ("r5", "resynth"): "0086e4172acb6aeff5e5a3a120d1ac9600c4103f82fba2bbb03ccaeac13aff19",
+}
+
+
+@pytest.mark.parametrize("name", SYNTHESIS_INPUTS)
+def test_synthesized_outputs_are_pinned(name, tmp_path):
+    if SYNTHESIS_INPUTS[name] is None:
+        path = MOD5_4
+    else:
+        seed, n, depth = SYNTHESIS_INPUTS[name]
+        path = tmp_path / f"{name}.qc"
+        path.write_text(write_qc(random_clifford_t_circuit(n, depth, random.Random(seed))))
+    out = tmp_path / "out.qc"
+    for form, (command, *flags) in SYNTHESIS_FORMS.items():
+        code, _ = run_cli(command, str(path), *flags, "-o", str(out))
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == SYNTHESIS_SHA256[name, form], (name, form)
 
 
 class TestVerify:

@@ -22,9 +22,9 @@ from trotopt import (
     to_rotation_form,
     unitary_of,
 )
-from trotopt.tableau import _adjoint_gates, _diagonalize_with_gates, _lower_gate
+from trotopt.tableau import _adjoint_gates, _lower_gate
 
-from _helpers import random_clifford_t_circuit
+from _helpers import random_clifford_t_circuit, unmasked_diagonalize
 
 P = PauliProduct.from_label
 
@@ -158,7 +158,7 @@ class TestResynth:
         def per_rotation_gates(form):
             gates = []
             for rotation in form.rotations:
-                _, w_gates = _diagonalize_with_gates([rotation.pauli.unsigned()])
+                _, w_gates = unmasked_diagonalize([rotation.pauli.unsigned()])
                 gates.extend(low for g in w_gates for low in _lower_gate(g))
                 gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (0,)))
                 gates.extend(low for g in _adjoint_gates(w_gates) for low in _lower_gate(g))

@@ -9,13 +9,15 @@ from trotopt import (
     InvariantError,
     NonCommutingError,
     PauliProduct,
+    Rotation,
     UnsupportedGateError,
     diagonalize_commuting_set,
     pauli_matrix,
     synthesize,
+    synthesize_layer,
     unitary_of,
 )
-
+from trotopt import tableau
 from trotopt.tableau import _diagonalize_with_gates, conjugate_by_gate, inverse_gate
 
 from _helpers import (
@@ -23,6 +25,7 @@ from _helpers import (
     random_commuting_independent_rotations,
     random_pauli,
     random_tableau,
+    unmasked_diagonalize,
 )
 
 P = PauliProduct.from_label
@@ -138,6 +141,15 @@ class TestComposeInvert:
     def test_h_self_inverse(self):
         h = tableau_of(Gate("H", (0,)))
         assert h.compose(h) == CliffordTableau.identity(1)
+
+    def test_inverse_gate(self):
+        for kind in ("H", "X", "Y", "Z", "CNOT", "CZ", "SWAP"):
+            g = Gate(kind, (1, 0)[: 2 if kind in ("CNOT", "CZ", "SWAP") else 1])
+            assert inverse_gate(g) is g
+        assert inverse_gate(Gate("S", (2,))) == Gate("Sdg", (2,))
+        assert inverse_gate(Gate("Sdg", (2,))) == Gate("S", (2,))
+        with pytest.raises(UnsupportedGateError, match="T has no Clifford inverse"):
+            inverse_gate(Gate("T", (0,)))
 
     def test_invert_round_trips_paulis(self, rng):
         for _ in range(60):
@@ -265,48 +277,17 @@ class TestDiagonalize:
         with pytest.raises(ValueError):
             diagonalize_commuting_set([PauliProduct.identity(2)])
 
+    def test_post_check_catches_a_broken_gate_rule(self, monkeypatch):
+        real = tableau.conjugate_by_gate
 
-def unmasked_diagonalize(paulis):
-    """Reference elimination for valid inputs: every emitted gate conjugates
-    every Pauli, whether or not it touches the gate's qubits."""
-    n = paulis[0].n
-    work = list(paulis)
-    gates = []
+        def h_does_nothing(gate, p):
+            return p if gate.kind == "H" else real(gate, p)
 
-    def emit(kind, *qubits):
-        g = Gate(kind, qubits)
-        gates.append(g)
-        work[:] = [conjugate_by_gate(g, w) for w in work]
-
-    for j in range(len(work)):
-        p = work[j]
-        if p.x == 0 and p.z == 1 << j:
-            if p.sign < 0:
-                emit("X", j)
-            continue
-        hi = ~((1 << j) - 1)
-        if p.x & hi == 0:
-            zs = p.z & hi
-            emit("H", (zs & -zs).bit_length() - 1)
-            p = work[j]
-        for q in range(j, n):
-            if p.z & (1 << q):
-                emit("Sdg" if p.x & (1 << q) else "H", q)
-                p = work[j]
-        pivot = (p.x & hi & -(p.x & hi)).bit_length() - 1
-        for q in range(pivot + 1, n):
-            if p.x & (1 << q):
-                emit("CNOT", pivot, q)
-        p = work[j]
-        for q in range(j):
-            if p.z & (1 << q):
-                emit("CZ", q, pivot)
-        emit("H", pivot)
-        if pivot != j:
-            emit("SWAP", pivot, j)
-        if work[j].sign < 0:
-            emit("X", j)
-    return CliffordTableau.from_circuit(Circuit.on_qubits(n, gates)), gates
+        monkeypatch.setattr(tableau, "conjugate_by_gate", h_does_nothing)
+        with pytest.raises(InvariantError, match="diagonalization post-check failed"):
+            diagonalize_commuting_set([P("X")])
+        with pytest.raises(InvariantError, match="diagonalization post-check failed"):
+            synthesize_layer([Rotation(P("X"))])
 
 
 class TestMaskedDiagonalize:
@@ -315,7 +296,9 @@ class TestMaskedDiagonalize:
             n = rng.randint(1, 9)
             m = rng.randint(1, n)
             paulis = [r.pauli for r in random_commuting_independent_rotations(n, m, rng)]
-            assert _diagonalize_with_gates(paulis) == unmasked_diagonalize(paulis)
+            tableau, gates = unmasked_diagonalize(paulis)
+            assert _diagonalize_with_gates(paulis) == gates
+            assert diagonalize_commuting_set(paulis) == tableau
 
 
 class TestSynthesize:

@@ -18,10 +18,12 @@ from trotopt import (
     extend_with_ancillas,
     layerize,
     optimize,
+    parse_qc,
     synthesize_layer,
     synthesize_schedule,
     t_depth_bound,
     to_dot,
+    to_rotation_form,
     unitary_of,
 )
 
@@ -452,6 +454,25 @@ class TestSynthesizeLayer:
 
     def test_empty_layer(self):
         assert synthesize_layer([]).gates == ()
+
+    def test_builds_no_tableau(self, monkeypatch, rng):
+        form = optimize(to_rotation_form(parse_qc(MOD5_4.read_text()).expand())).form
+        (layer,) = layerize(build_tgraph(form)).layers
+        layers = [extend_with_ancillas([form.rotations[v] for v in layer], 4)]
+        for n in (1, 2, 5, 17, 33, 64, 65):
+            layers.append(random_commuting_independent_rotations(n, rng.randint(1, n), rng))
+        calls = []
+        for name in ("apply_gate", "__post_init__"):
+            real = getattr(CliffordTableau, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(CliffordTableau, name, counted)
+        for layer in layers:
+            synthesize_layer(layer)
+        assert calls == []
 
 
 class TestDot:
