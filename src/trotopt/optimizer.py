@@ -12,9 +12,17 @@ Total scan work is at most one commutation/equality check per ordered
 rotation pair, each O(n) bit operations: O(n k^2) overall.  The scan keeps
 the processed axes' X and Z masks in two plain int lists and checks a pair
 inline, an equality test and the parity of one popcount, with no method
-call per pair.  A merge rewrites only the frame rows that anticommute with
-its axis (O(n) rows); the output tail, the input tail after the inverse
-frame, is built only when read.
+call per pair.
+
+The frame is one mutable array of integer rows (X mask, Z mask and i
+exponent per generator image).  A merge rewrites in place only the rows
+that anticommute with its axis, and the fold keeps the mask of the rows
+merges have rewritten; every other row is still the identity's.  An
+incoming axis with no bits on rewritten rows is already in the frame and
+is not conjugated; any other axis is conjugated on ints.  So when every
+merge axis is diagonal, no Z row moves and no diagonal axis is ever
+conjugated.  The output tail, the input tail after the inverse frame, is
+built only when read.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import NamedTuple
 from .circuit import Circuit
 from .pauli import PauliProduct
 from .rotations import EditPlan, Rotation, RotationForm
-from .tableau import CliffordTableau
+from .tableau import CliffordTableau, _Rows
 
 
 @dataclass
@@ -58,7 +66,9 @@ def optimize(form: RotationForm) -> OptimizeResult:
     """
     stats = OptimizeStats(t_before=len(form.rotations))
 
-    frame = CliffordTableau.identity(form.n)  # maps raw axes into the analysis frame
+    n = form.n
+    frame = _Rows.identity(n)  # maps raw axes into the analysis frame
+    moved = 0  # bit r set once frame row r (X_r, or Z_{r-n}) has been rewritten
     processed: list[tuple[PauliProduct, int | None]] = []
     # the processed axes' X and Z masks, index for index with ``processed``
     xs: list[int] = []
@@ -69,9 +79,12 @@ def optimize(form: RotationForm) -> OptimizeResult:
     plan_complete = True
 
     for rotation in form.rotations:
-        axis = frame.conjugate(rotation.pauli) if stats.merges else rotation.pauli
+        axis = rotation.pauli
         origin = rotation.origin
         ax, az = axis.x, axis.z
+        if (ax | az << n) & moved:
+            ax, az, k = frame.conjugate(ax, az, 0 if axis.sign > 0 else 2)
+            axis = PauliProduct(n, ax, az, 1 if k == 0 else -1)
 
         match = -1
         for i in range(len(xs) - 1, -1, -1):
@@ -100,7 +113,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
             # The pair leaves the square of the rotation behind; absorb its
             # inverse into the frame so later raw axes map correctly, and
             # square the earlier physical gate in place (T**2 == S).
-            frame = frame.apply_s_rotation(-axis)
+            moved |= frame.apply_s_rotation(ax, az, 2 if axis.sign > 0 else 0)  # -axis
             if plan_complete:
                 replacements.add(partner_origin)
                 deletions.add(origin)
@@ -111,7 +124,9 @@ def optimize(form: RotationForm) -> OptimizeResult:
                 deletions.add(origin)
 
     def tail() -> CliffordTableau:
-        return form.tail_clifford.compose(frame.invert()) if stats.merges else form.tail_clifford
+        if not stats.merges:
+            return form.tail_clifford
+        return form.tail_clifford.compose(frame.tableau().invert())
 
     surviving = tuple(Rotation(axis, origin=orig) for axis, orig in processed)
     out_form = RotationForm(form.n, surviving, tail, source=form.source)

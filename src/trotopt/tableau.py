@@ -5,17 +5,23 @@ conjugation, each as a full signed :class:`~trotopt.pauli.PauliProduct`.
 Signs are load-bearing: they distinguish a +P rotation axis from a -P one
 downstream.  Gate application, composition, inversion, diagonalization of
 commuting sets, and synthesis back to gates all live here.
+
+The row algebra itself (conjugating a Pauli by the rows, the S-rotation
+row update, precomposing a gate's inverse) runs on :class:`_Rows`, the
+same 2n generator images as mutable lists of X masks, Z masks and i
+exponents, in the row layout of Aaronson and Gottesman (quant-ph/0406196).
+Extraction and folding update one such array in place and freeze it into
+a :class:`CliffordTableau` only when a tail is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .circuit import Circuit, Gate, UnsupportedGateError
-from .pauli import PauliProduct, _mul_bits
+from .circuit import ARITY, CLIFFORD_KINDS, Circuit, Gate, UnsupportedGateError
+from .pauli import PauliProduct
 
 
 class InvariantError(RuntimeError):
@@ -134,6 +140,146 @@ def _transpose_bits(masks: list[int], width: int) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _preimages(kind: str) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """How precomposing the inverse of a ``kind`` gate rewrites its qubits' rows.
+
+    On a gate of arity a, local generator j < a is X on the gate's qubit j
+    and a + j is Z on it.  An entry (j, factors, k) says: new row j is i^k
+    times the product of the old rows ``factors``, in ascending order.  The
+    entries are read off :func:`conjugate_by_gate` for the inverse gate on an
+    a-qubit register; rows the gate leaves as they are have no entry.
+    """
+    a = ARITY[kind]
+    inverse = inverse_gate(Gate(kind, tuple(range(a))))
+    pattern = []
+    for j in range(2 * a):
+        p = conjugate_by_gate(inverse, PauliProduct.single(a, j % a, "XZ"[j // a]))
+        bits = p.x | p.z << a
+        factors = tuple(f for f in range(2 * a) if bits >> f & 1)
+        k = ((p.x & p.z).bit_count() + (0 if p.sign > 0 else 2)) % 4
+        if factors != (j,) or k:
+            pattern.append((j, factors, k))
+    return tuple(pattern)
+
+
+_PREIMAGES = {kind: _preimages(kind) for kind in CLIFFORD_KINDS}
+
+
+class _Rows:
+    """A Clifford's 2n generator images as mutable int rows.
+
+    Row r < n is the image of X_r and row n + q the image of Z_q:
+    ``i**k[r] * P(x[r], z[r])``, with P(x, z) the Hermitian Pauli of
+    :mod:`~trotopt.pauli`, so every k is 0 or 2.  Every row product checks
+    that the phase stays Hermitian and raises :class:`InvariantError` if not.
+    """
+
+    __slots__ = ("n", "x", "z", "k")
+
+    def __init__(self, n: int, x: list[int], z: list[int], k: list[int]) -> None:
+        self.n, self.x, self.z, self.k = n, x, z, k
+
+    @classmethod
+    def identity(cls, n: int) -> _Rows:
+        ones = [1 << q for q in range(n)]
+        return cls(n, ones + [0] * n, [0] * n + ones, [0] * (2 * n))
+
+    @classmethod
+    def of(cls, t: CliffordTableau) -> _Rows:
+        rows = t.x_images + t.z_images
+        return cls(
+            t.n,
+            [r.x for r in rows],
+            [r.z for r in rows],
+            [0 if r.sign > 0 else 2 for r in rows],
+        )
+
+    def row(self, r: int) -> PauliProduct:
+        return PauliProduct(self.n, self.x[r], self.z[r], 1 if self.k[r] == 0 else -1)
+
+    def tableau(self) -> CliffordTableau:
+        rows = [self.row(r) for r in range(2 * self.n)]
+        return CliffordTableau(self.n, rows[: self.n], rows[self.n :])
+
+    def product(self, selected: int, k: int) -> tuple[int, int, int]:
+        """i^k times the product of the rows whose bits are set in ``selected``,
+        taken in ascending order, as (x, z, k') with every i phase folded in.
+
+        With P(x, z) = i^|x&z| X^x Z^z, a product of rows r_1 .. r_m is
+        i^e P(x', z') where e sums each row's k and |x&z|, subtracts
+        |x'&z'|, and adds 2 per (Z of an earlier row, X of a later row)
+        overlap, from moving every X^x left past the Z^z before it.  An
+        odd e means a Hermitian input came out anti-Hermitian.
+        """
+        xs, zs, ks = self.x, self.z, self.k
+        ox = oz = swaps = 0
+        while selected:
+            r = (selected & -selected).bit_length() - 1
+            selected &= selected - 1
+            xr, zr = xs[r], zs[r]
+            k += ks[r] + (xr & zr).bit_count()
+            swaps += (oz & xr).bit_count()
+            ox ^= xr
+            oz ^= zr
+        k += 2 * swaps - (ox & oz).bit_count()
+        if k & 1:
+            raise InvariantError("conjugation produced an anti-Hermitian phase")
+        return ox, oz, k & 3
+
+    def conjugate(self, x: int, z: int, k: int) -> tuple[int, int, int]:
+        """C (i^k P(x, z)) C^dagger as (x', z', k'): the X rows selected by
+        x, then the Z rows selected by z."""
+        return self.product(x | z << self.n, k + (x & z).bit_count())
+
+    def image(self, p: PauliProduct) -> PauliProduct:
+        """C p C^dagger with exact sign."""
+        x, z, k = self.conjugate(p.x, p.z, 0 if p.sign > 0 else 2)
+        return PauliProduct(self.n, x, z, 1 if k == 0 else -1)
+
+    def apply_s_rotation(self, ax: int, az: int, ak: int) -> int:
+        """Apply the square of the quarter-rotation about i^ak P(ax, az) after C.
+
+        That Clifford, (1+i)/2 (1 - i*axis), fixes every Pauli that commutes
+        with the axis and maps an anticommuting P to i*P*axis, so only the
+        anticommuting rows change.  Returns the mask of the rows it rewrote.
+        """
+        xs, zs, ks = self.x, self.z, self.k
+        base = ak + 1 + (ax & az).bit_count()  # the axis, and the extra factor of i
+        moved = 0
+        for r in range(2 * self.n):
+            x, z = xs[r], zs[r]
+            if ((x & az) ^ (z & ax)).bit_count() & 1:
+                # row * axis, phase as in product()
+                nx, nz = x ^ ax, z ^ az
+                k = ks[r] + base + (x & z).bit_count() + 2 * (z & ax).bit_count()
+                k -= (nx & nz).bit_count()
+                if k & 1:
+                    raise InvariantError("anti-Hermitian image in s_rotation")
+                xs[r], zs[r], ks[r] = nx, nz, k & 3
+                moved |= 1 << r
+        return moved
+
+    def precompose_inverse(self, gate: Gate) -> None:
+        """Make C into C composed with gate^-1 applied first.
+
+        Only the X and Z rows of the gate's qubits change (at most four),
+        each to a product of at most two old rows (see :func:`_preimages`).
+        """
+        pattern = _PREIMAGES.get(gate.kind)
+        if pattern is None:
+            raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
+        at = gate.qubits + tuple([self.n + q for q in gate.qubits])
+        new = []
+        for j, factors, k in pattern:
+            selected = 0
+            for f in factors:
+                selected |= 1 << at[f]
+            new.append((at[j], *self.product(selected, k)))
+        xs, zs, ks = self.x, self.z, self.k
+        for r, x, z, k in new:
+            xs[r], zs[r], ks[r] = x, z, k
+
+
 # ----------------------------------------------------------------------
 
 
@@ -189,36 +335,15 @@ class CliffordTableau:
     def apply_s_rotation(self, axis: PauliProduct) -> CliffordTableau:
         """Tableau of (the square of the quarter-rotation about ``axis``) after self.
 
-        That Clifford, (1+i)/2 (1 - i*axis), fixes every Pauli that commutes
-        with the axis and maps an anticommuting P to i*P*axis: O(n) row work.
+        Only the rows that anticommute with the axis change: O(n) row work.
         """
         if axis.is_identity:
             raise ValueError("rotation axis must not be the identity")
-
-        def image(row: PauliProduct) -> PauliProduct:
-            if row.commutes(axis):
-                return row
-            prod, k = row.mul(axis)
-            k = (k + 1) % 4  # extra factor of i
-            if k % 2:
-                raise InvariantError("anti-Hermitian image in s_rotation")
-            return prod if k == 0 else -prod
-
-        return self._map_rows(image)
-
-    def precompose_inverse(self, gate: Gate) -> CliffordTableau:
-        """Tableau of (self composed with gate^-1 applied first).
-
-        Only the X and Z rows of the gate's qubits change (at most four), so a
-        running inverse-prefix tableau is cheap to maintain.
-        """
-        inv = inverse_gate(gate)
-        xs = list(self.x_images)
-        zs = list(self.z_images)
-        for q in gate.qubits:
-            xs[q] = self.conjugate(conjugate_by_gate(inv, PauliProduct.single(self.n, q, "X")))
-            zs[q] = self.conjugate(conjugate_by_gate(inv, PauliProduct.single(self.n, q, "Z")))
-        return CliffordTableau(self.n, tuple(xs), tuple(zs))
+        if axis.n != self.n:
+            raise ValueError(f"qubit count mismatch: {axis.n} vs {self.n}")
+        rows = _Rows.of(self)
+        rows.apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
+        return rows.tableau()
 
     def conjugate(self, p: PauliProduct) -> PauliProduct:
         """Return C p C^dagger with exact sign.
@@ -229,37 +354,15 @@ class CliffordTableau:
         """
         if p.n != self.n:
             raise ValueError(f"qubit count mismatch: {p.n} vs {self.n}")
-        k = (p.x & p.z).bit_count() + (0 if p.sign > 0 else 2)
-        x = z = 0
-        rest = p.x
-        while rest:
-            q = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            row = self.x_images[q]
-            x, z, dk = _mul_bits(x, z, row.x, row.z)
-            k += dk + (0 if row.sign > 0 else 2)
-        rest = p.z
-        while rest:
-            q = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            row = self.z_images[q]
-            x, z, dk = _mul_bits(x, z, row.x, row.z)
-            k += dk + (0 if row.sign > 0 else 2)
-        k %= 4
-        if k % 2:
-            raise InvariantError("conjugation produced an anti-Hermitian phase")
-        return PauliProduct(self.n, x, z, 1 if k == 0 else -1)
+        return _Rows.of(self).image(p)
 
     def compose(self, other: CliffordTableau) -> CliffordTableau:
         """Tableau of (self after other): ``other`` acts first."""
         if self.n != other.n:
             raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
-        return other._map_rows(self.conjugate)
-
-    def _map_rows(self, image: Callable[[PauliProduct], PauliProduct]) -> CliffordTableau:
-        """The tableau whose every row is ``image`` of the matching row here."""
+        image = _Rows.of(self).image
         return CliffordTableau(
-            self.n, tuple(map(image, self.x_images)), tuple(map(image, self.z_images))
+            self.n, tuple(map(image, other.x_images)), tuple(map(image, other.z_images))
         )
 
     def invert(self) -> CliffordTableau:
@@ -270,13 +373,14 @@ class CliffordTableau:
         its halves swapped.  Each sign comes from a forward round trip.
         """
         n = self.n
+        rows = _Rows.of(self)
         cols = _transpose_bits([r.x | r.z << n for r in self.x_images + self.z_images], 2 * n)
         low = (1 << n) - 1
         xs, zs = [], []
         for i in range(n):
             for col, basis_letter, out in ((cols[n + i], "X", xs), (cols[i], "Z", zs)):
                 candidate = PauliProduct(n, col >> n, col & low, 1)
-                forward = self.conjugate(candidate)
+                forward = rows.image(candidate)
                 expected = PauliProduct.single(n, i, basis_letter)
                 if not forward.equal_up_to_sign(expected):
                     raise InvariantError("symplectic inverse does not round-trip")

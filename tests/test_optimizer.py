@@ -3,8 +3,10 @@ import random
 import pytest
 
 from trotopt import (
+    CLIFFORD_KINDS,
     Circuit,
     CliffordTableau,
+    EditPlan,
     Gate,
     PauliProduct,
     Rotation,
@@ -17,6 +19,7 @@ from trotopt import (
     to_rotation_form,
     unitary_of,
 )
+from trotopt.tableau import _Rows
 
 from _helpers import non_phase_gates, random_clifford_t_circuit
 
@@ -130,41 +133,96 @@ class TestFrame:
 
 def eager_fold(form):
     """Reference fold: rebuilds the whole frame tableau on every merge and
-    the tail eagerly, as ``tail.compose(frame.invert())``, and counts each
-    processed entry its scans read."""
+    the tail eagerly, as ``tail.compose(frame.invert())``, counts each
+    processed entry its scans read, and builds the edit plan."""
     frame = CliffordTableau.identity(form.n)
     processed = []
     comparisons = 0
+    deletions, replacements = set(), set()
     for rotation in form.rotations:
         axis = frame.conjugate(rotation.pauli)
         i = len(processed) - 1
         while i >= 0:
             comparisons += 1
-            if processed[i].equal_up_to_sign(axis) or not processed[i].commutes(axis):
+            if processed[i][0].equal_up_to_sign(axis) or not processed[i][0].commutes(axis):
                 break
             i -= 1
-        if i >= 0 and processed[i].equal_up_to_sign(axis):
-            if processed.pop(i).sign == axis.sign:
+        if i >= 0 and processed[i][0].equal_up_to_sign(axis):
+            partner, origin = processed.pop(i)
+            deletions.add(rotation.origin)
+            if partner.sign == axis.sign:
                 frame = CliffordTableau.s_rotation(-axis).compose(frame)
+                replacements.add(origin)
+            else:
+                deletions.add(origin)
         else:
-            processed.append(axis)
-    return processed, form.tail_clifford.compose(frame.invert()), comparisons
+            processed.append((axis, rotation.origin))
+    plan = EditPlan(frozenset(deletions), frozenset(replacements))
+    tail = form.tail_clifford.compose(frame.invert())
+    return [axis for axis, _ in processed], tail, comparisons, plan
 
 
 class TestLazyFrameTail:
     def test_matches_eager_frame_and_tail(self):
         rng = random.Random(0xFA11)
         merges = 0
-        for _ in range(80):
-            n = rng.randint(1, 8)
-            c = random_clifford_t_circuit(n, rng.randint(0, 80), rng, t_weight=0.5)
+        # widths on both sides of the 64-bit word boundary, and over two words
+        widths = [rng.randint(1, 8) for _ in range(80)] + [63, 64, 65, 130]
+        for n in widths:
+            c = random_clifford_t_circuit(n, rng.randint(0, 80) if n <= 8 else 6 * n, rng,
+                                          t_weight=0.5)
+            if n > 8:
+                assert {g.kind for g in c.gates} == CLIFFORD_KINDS | {"T", "Tdg"}
             result = optimize(to_rotation_form(c))
-            axes, tail, comparisons = eager_fold(to_rotation_form(c))
+            axes, tail, comparisons, plan = eager_fold(to_rotation_form(c))
             assert [r.pauli for r in result.form.rotations] == axes
             assert result.form.tail_clifford == tail
             assert result.stats.comparisons == comparisons
+            assert result.plan == plan
             merges += result.stats.merges
         assert merges > 50
+
+    def test_builds_no_tableau_until_the_tail_is_read(self, monkeypatch):
+        c = random_clifford_t_circuit(12, 300, random.Random(0x7AB), t_weight=0.5)
+        calls = []
+        for name in ("__post_init__", "conjugate"):
+            real = getattr(CliffordTableau, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(CliffordTableau, name, counted)
+        result = optimize(to_rotation_form(c))
+        assert result.stats.merges > 0
+        assert calls == []
+        result.form.tail_clifford
+        assert "__post_init__" in calls
+
+    def test_axes_off_moved_frame_rows_are_not_conjugated(self, monkeypatch):
+        # On CNOT+T+X circuits every axis is diagonal: merges move only X
+        # rows of the frame, so no axis ever needs conjugating.
+        conjugations = []
+        real = _Rows.conjugate
+
+        def counted(*args):
+            conjugations.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(_Rows, "conjugate", counted)
+        rng = random.Random(0xD1A)
+        kinds = ["CNOT", "X", "T", "Tdg", "T"]
+        gates = []
+        for _ in range(400):
+            kind = rng.choice(kinds)
+            qubits = rng.sample(range(6), 2) if kind == "CNOT" else [rng.randrange(6)]
+            gates.append(Gate(kind, tuple(qubits)))
+        phase_poly = optimize(to_rotation_form(Circuit.on_qubits(6, gates)))
+        assert phase_poly.stats.merges > 10
+        assert conjugations == []
+        mixed = optimize(to_rotation_form(
+            random_clifford_t_circuit(6, 200, random.Random(0xD1B), t_weight=0.5)))
+        assert mixed.stats.merges > 0 and conjugations
 
     def test_fold_reads_no_tail(self, no_invert):
         c = random_clifford_t_circuit(6, 120, random.Random(0xB0), t_weight=0.5)

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from trotopt import (
+    CLIFFORD_KINDS,
     Circuit,
     CliffordTableau,
     EditPlan,
@@ -98,9 +99,11 @@ class TestToRotationForm:
 
     def test_tail_is_the_tableau_of_the_clifford_gates(self):
         rng = random.Random(0x7A1)
-        for _ in range(60):
-            n = rng.randint(1, 12)
-            c = random_clifford_t_circuit(n, rng.randint(0, 80), rng)
+        # widths on both sides of the 64-bit word boundary, and over two words
+        for n in [rng.randint(1, 12) for _ in range(60)] + [63, 64, 65, 130]:
+            c = random_clifford_t_circuit(n, rng.randint(0, 80) if n <= 12 else 6 * n, rng)
+            if n > 12:
+                assert {g.kind for g in c.gates} == CLIFFORD_KINDS | {"T", "Tdg"}
             cliffords = [g for g in c.gates if g.kind not in ("T", "Tdg")]
             expected = CliffordTableau.from_circuit(Circuit.on_qubits(n, cliffords))
             assert to_rotation_form(c).tail_clifford == expected

@@ -17,8 +17,8 @@ from trotopt import (
     synthesize_layer,
     unitary_of,
 )
-from trotopt import tableau
-from trotopt.tableau import _diagonalize_with_gates, conjugate_by_gate, inverse_gate
+from trotopt import ARITY, CLIFFORD_KINDS, tableau
+from trotopt.tableau import _diagonalize_with_gates, _Rows, conjugate_by_gate, inverse_gate
 
 from _helpers import (
     random_clifford_circuit,
@@ -177,18 +177,21 @@ class TestComposeInvert:
 
 class TestPrecomposeInverse:
     def test_matches_compose_with_inverted_gate_tableau(self, rng):
-        for _ in range(60):
-            n = rng.randint(1, 4)
-            t, _ = random_tableau(n, rng)
-            kind = rng.choice(["H", "S", "Sdg", "X", "CNOT", "CZ", "SWAP"])
-            if kind in ("CNOT", "CZ", "SWAP"):
-                if n < 2:
-                    continue
-                g = Gate(kind, tuple(rng.sample(range(n), 2)))
-            else:
-                g = Gate(kind, (rng.randrange(n),))
-            gate_tab = CliffordTableau.from_circuit(Circuit.on_qubits(n, [g]))
-            assert t.precompose_inverse(g) == t.compose(gate_tab.invert())
+        for kind in sorted(CLIFFORD_KINDS):
+            for _ in range(12):
+                n = rng.randint(ARITY[kind], 5)
+                t, _ = random_tableau(n, rng)
+                g = Gate(kind, tuple(rng.sample(range(n), ARITY[kind])))
+                gate_tab = CliffordTableau.from_circuit(Circuit.on_qubits(n, [g]))
+                before, rows = _Rows.of(t), _Rows.of(t)
+                rows.precompose_inverse(g)
+                assert rows.tableau() == t.compose(gate_tab.invert())
+                changed = {r % n for r in range(2 * n) if rows.row(r) != before.row(r)}
+                assert changed <= set(g.qubits)
+
+    def test_non_clifford_rejected(self):
+        with pytest.raises(UnsupportedGateError):
+            _Rows.identity(1).precompose_inverse(Gate("T", (0,)))
 
 
 class TestSRotation:
@@ -233,9 +236,11 @@ class TestSRotation:
             axis = random_pauli(n, rng)
             out = t.apply_s_rotation(axis)
             assert out == CliffordTableau.s_rotation(axis).compose(t)
-            for row, new in zip(t.x_images + t.z_images, out.x_images + out.z_images):
-                if row.commutes(axis):
-                    assert new is row
+            rows = _Rows.of(t)
+            moved = rows.apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
+            assert rows.tableau() == out
+            for r, row in enumerate(t.x_images + t.z_images):
+                assert bool(moved >> r & 1) != row.commutes(axis)
 
 
 class TestDiagonalize:

@@ -65,3 +65,18 @@ def test_traced_layer_synthesis_on_mod5_4(tracing, tmp_path):
         for info in layers
     )
     assert used == needed == records["tdepth"]["ancillas"] == 4
+
+
+def test_traced_optimize_keeps_the_stage_split(tracing):
+    # The benchmark's per-layer extract and fold metrics read these two spans;
+    # a pass that fused the stages would leave them empty.
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.request("optimize"), redirect_stdout(io.StringIO()):
+            assert main(["optimize", str(MOD5_4), "--no-verify"]) == 0
+    finally:
+        tracer.uninstall()
+    info = {s.name: s.info for s in tracer.spans}
+    assert info["rotations.extract"]["t_in"] == 28
+    assert info["optimizer.fold"]["t_out"] == 8
