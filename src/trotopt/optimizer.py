@@ -14,15 +14,15 @@ the processed axes' X and Z masks in two plain int lists and checks a pair
 inline, an equality test and the parity of one popcount, with no method
 call per pair.
 
-The frame is one mutable array of integer rows (X mask, Z mask and i
-exponent per generator image).  A merge rewrites in place only the rows
-that anticommute with its axis, and the fold keeps the mask of the rows
-merges have rewritten; every other row is still the identity's.  An
-incoming axis with no bits on rewritten rows is already in the frame and
-is not conjugated; any other axis is conjugated on ints.  So when every
-merge axis is diagonal, no Z row moves and no diagonal axis is ever
-conjugated.  The output tail, the input tail after the inverse frame, is
-built only when read.
+The frame is one tableau that the fold owns and updates in place: a
+merge rewrites only the integer rows (X mask, Z mask and i exponent per
+generator image) that anticommute with its axis, and the fold keeps the
+mask of the rows merges have rewritten; every other row is still the
+identity's.  An incoming axis with no bits on rewritten rows is already
+in the frame and is not conjugated; any other axis is conjugated on ints.
+So when every merge axis is diagonal, no Z row moves and no diagonal axis
+is ever conjugated.  The output tail, the input tail after the inverse
+frame, is built only when read.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .circuit import Circuit
 from .pauli import PauliProduct
 from .rotations import EditPlan, Rotation, RotationForm
-from .tableau import CliffordTableau, _Rows
+from .tableau import CliffordTableau
 
 
 @dataclass
@@ -67,7 +67,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
     stats = OptimizeStats(t_before=len(form.rotations))
 
     n = form.n
-    frame = _Rows.identity(n)  # maps raw axes into the analysis frame
+    frame = CliffordTableau.identity(n)  # maps raw axes into the analysis frame
     moved = 0  # bit r set once frame row r (X_r, or Z_{r-n}) has been rewritten
     processed: list[tuple[PauliProduct, int | None]] = []
     # the processed axes' X and Z masks, index for index with ``processed``
@@ -83,8 +83,8 @@ def optimize(form: RotationForm) -> OptimizeResult:
         origin = rotation.origin
         ax, az = axis.x, axis.z
         if (ax | az << n) & moved:
-            ax, az, k = frame.conjugate(ax, az, 0 if axis.sign > 0 else 2)
-            axis = PauliProduct(n, ax, az, 1 if k == 0 else -1)
+            ax, az, k = frame._conjugate(ax, az, 1 - axis.sign)
+            axis = PauliProduct(n, ax, az, 1 - k)
 
         match = -1
         for i in range(len(xs) - 1, -1, -1):
@@ -113,7 +113,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
             # The pair leaves the square of the rotation behind; absorb its
             # inverse into the frame so later raw axes map correctly, and
             # square the earlier physical gate in place (T**2 == S).
-            moved |= frame.apply_s_rotation(ax, az, 2 if axis.sign > 0 else 0)  # -axis
+            moved |= frame._apply_s_rotation(ax, az, 1 + axis.sign)  # -axis
             if plan_complete:
                 replacements.add(partner_origin)
                 deletions.add(origin)
@@ -126,7 +126,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
     def tail() -> CliffordTableau:
         if not stats.merges:
             return form.tail_clifford
-        return form.tail_clifford.compose(frame.tableau().invert())
+        return form.tail_clifford.compose(frame.invert())
 
     surviving = tuple(Rotation(axis, origin=orig) for axis, orig in processed)
     out_form = RotationForm(form.n, surviving, tail, source=form.source)

@@ -4,14 +4,13 @@ A circuit over {Clifford, T, Tdg} is rewritten as an ordered list of pi/4
 rotations about signed Pauli axes followed by one trailing Clifford: every
 T contributes one rotation whose axis is the prefix-conjugated Z of its
 target qubit, and all Clifford gates accumulate into the tail.  Extraction
-keeps the inverse Clifford prefix as one mutable array of integer rows (X
-mask, Z mask and i exponent per generator image) and rewrites at most four
-of them per Clifford gate, with no tableau object built; it freezes and
-inverts the array once, only when the tail is read.  The way back is layer
-synthesis: each layer of commuting rotations becomes one parallel T layer,
-with ancillas for dependent layers; resynthesis is the schedule of
-singleton layers.  Global phase is dropped throughout; equivalence is
-always modulo phase.
+keeps the inverse Clifford prefix as one tableau, whose integer rows (X
+mask, Z mask and i exponent per generator image) it rewrites in place, at
+most four per Clifford gate; it inverts that tableau once, only when the
+tail is read.  The way back is layer synthesis: each layer of commuting
+rotations becomes one parallel T layer, with ancillas for dependent
+layers; resynthesis is the schedule of singleton layers.  Global phase is
+dropped throughout; equivalence is always modulo phase.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .pauli import PauliProduct
 from .tableau import (
     CliffordTableau,
     DependentSetError,
-    _Rows,
     _adjoint_gates,
     _dependent_indices,
     _diagonalize_with_gates,
@@ -111,31 +109,28 @@ class RotationForm:
 
 
 def to_rotation_form(circuit: Circuit) -> RotationForm:
-    """Single left-to-right pass over one row array, the inverse Clifford prefix.
+    """Single left-to-right pass over one tableau, the inverse Clifford prefix.
 
     A Clifford gate rewrites only its qubits' rows in place; a T on qubit q
     reads its axis straight off the Z row for q (a Tdg flips its sign).  The
-    tail, the prefix itself, is that array's inverse, built on first read.
+    tail, the prefix itself, is that tableau's inverse, built on first read.
     """
-    inverse_prefix = _Rows.identity(circuit.n)
+    inverse_prefix = CliffordTableau.identity(circuit.n)
     rotations: list[Rotation] = []
     for index, gate in enumerate(circuit.gates):
         if gate.kind in ("T", "Tdg"):
-            axis = inverse_prefix.row(circuit.n + gate.qubits[0])
+            axis = inverse_prefix._row(circuit.n + gate.qubits[0])
             if gate.kind == "Tdg":
                 axis = -axis
             rotations.append(Rotation(axis, origin=index))
         elif gate.is_clifford:
-            inverse_prefix.precompose_inverse(gate)
+            inverse_prefix._precompose_inverse(gate)
         else:
             raise UnsupportedGateError(
                 f"{gate.kind} at index {index}: expand() the circuit first"
             )
 
-    def tail() -> CliffordTableau:
-        return inverse_prefix.tableau().invert()
-
-    return RotationForm(circuit.n, tuple(rotations), tail, source=circuit)
+    return RotationForm(circuit.n, tuple(rotations), inverse_prefix.invert, source=circuit)
 
 
 def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:

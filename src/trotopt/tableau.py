@@ -1,26 +1,29 @@
 """Clifford-group elements as stabilizer tableaux.
 
-A tableau stores the images of the X_i and Z_i generators under
-conjugation, each as a full signed :class:`~trotopt.pauli.PauliProduct`.
-Signs are load-bearing: they distinguish a +P rotation axis from a -P one
+A :class:`CliffordTableau` stores the images of the X_i and Z_i generators
+under conjugation as 2n integer rows, in the row layout of Aaronson and
+Gottesman (quant-ph/0406196): row r < n is the image of X_r and row n + q
+the image of Z_q, each an X mask, a Z mask and an i exponent.  Signs are
+load-bearing: they distinguish a +P rotation axis from a -P one
 downstream.  Gate application, composition, inversion, diagonalization of
 commuting sets, and synthesis back to gates all live here.
 
-The row algebra itself (conjugating a Pauli by the rows, the S-rotation
-row update, precomposing a gate's inverse) runs on :class:`_Rows`, the
-same 2n generator images as mutable lists of X masks, Z masks and i
-exponents, in the row layout of Aaronson and Gottesman (quant-ph/0406196).
-Extraction and folding update one such array in place and freeze it into
-a :class:`CliffordTableau` only when a tail is read.
+Each Clifford gate kind is defined once, by its own small tableau in
+:data:`_GATE_IMAGES`; the forward rule that conjugates a row and the
+preimage patterns that precompose a gate's inverse are both read off it.
+Public methods return new tableaux.  The underscored in-place updates
+(``_apply_gate``, ``_apply_s_rotation``, ``_precompose_inverse``) are for
+callers that own the array: extraction's inverse prefix, the fold's frame
+and synthesis's scratch phase layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .circuit import ARITY, CLIFFORD_KINDS, Circuit, Gate, UnsupportedGateError
+from .circuit import Circuit, Gate, UnsupportedGateError
 from .pauli import PauliProduct
 
 
@@ -37,98 +40,281 @@ class DependentSetError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# single-gate conjugation rules on one Pauli
+# row algebra on int rows: row r is i**ks[r] * P(xs[r], zs[r]), with P(x, z)
+# the Hermitian Pauli of :mod:`~trotopt.pauli`, so every k is 0 or 2
 
 
-def conjugate_by_gate(gate: Gate, p: PauliProduct) -> PauliProduct:
-    """Return gate * p * gate^dagger for a single Clifford generator."""
-    x, z, sign = p.x, p.z, p.sign
-    kind = gate.kind
-    if kind == "H":
-        (q,) = gate.qubits
-        b = 1 << q
-        xq, zq = x & b, z & b
-        if xq and zq:
-            sign = -sign
-        x = (x & ~b) | (b if zq else 0)
-        z = (z & ~b) | (b if xq else 0)
-    elif kind == "S":
-        (q,) = gate.qubits
-        b = 1 << q
-        if x & b:
-            if z & b:
-                sign = -sign  # Y -> -X
-            z ^= b
-    elif kind == "Sdg":
-        (q,) = gate.qubits
-        b = 1 << q
-        if x & b:
-            if not z & b:
-                sign = -sign  # X -> -Y
-            z ^= b
-    elif kind == "X":
-        (q,) = gate.qubits
-        if z & (1 << q):
-            sign = -sign
-    elif kind == "Z":
-        (q,) = gate.qubits
-        if x & (1 << q):
-            sign = -sign
-    elif kind == "Y":
-        (q,) = gate.qubits
-        b = 1 << q
-        if bool(x & b) != bool(z & b):
-            sign = -sign
-    elif kind == "CNOT":
-        c, t = gate.qubits
-        bc, bt = 1 << c, 1 << t
-        if x & bc and z & bt and bool(x & bt) == bool(z & bc):
-            sign = -sign
-        if x & bc:
-            x ^= bt
-        if z & bt:
-            z ^= bc
-    elif kind == "CZ":
-        c, t = gate.qubits
-        bc, bt = 1 << c, 1 << t
-        if x & bc and x & bt and bool(z & bc) != bool(z & bt):
-            sign = -sign
-        if x & bc:
-            z ^= bt
-        if x & bt:
-            z ^= bc
-    elif kind == "SWAP":
-        a, b_ = gate.qubits
-        ba, bb = 1 << a, 1 << b_
-        xa, xb = bool(x & ba), bool(x & bb)
-        za, zb = bool(z & ba), bool(z & bb)
-        x = (x & ~(ba | bb)) | (ba if xb else 0) | (bb if xa else 0)
-        z = (z & ~(ba | bb)) | (ba if zb else 0) | (bb if za else 0)
-    else:
-        raise UnsupportedGateError(f"{kind} is not a Clifford tableau update")
-    return PauliProduct(p.n, x, z, sign)
+def _product(
+    xs: list[int], zs: list[int], ks: list[int], selected: int, k: int
+) -> tuple[int, int, int]:
+    """i^k times the product of the rows whose bits are set in ``selected``,
+    taken in ascending order, as (x, z, k') with every i phase folded in.
+
+    With P(x, z) = i^|x&z| X^x Z^z, a product of rows r_1 .. r_m is
+    i^e P(x', z') where e sums each row's k and |x&z|, subtracts |x'&z'|,
+    and adds 2 per (Z of an earlier row, X of a later row) overlap, from
+    moving every X^x left past the Z^z before it.  An odd e means a
+    Hermitian input came out anti-Hermitian.
+    """
+    ox = oz = swaps = 0
+    while selected:
+        r = (selected & -selected).bit_length() - 1
+        selected &= selected - 1
+        xr, zr = xs[r], zs[r]
+        k += ks[r] + (xr & zr).bit_count()
+        swaps += (oz & xr).bit_count()
+        ox ^= xr
+        oz ^= zr
+    k += 2 * swaps - (ox & oz).bit_count()
+    if k & 1:
+        raise InvariantError("conjugation produced an anti-Hermitian phase")
+    return ox, oz, k & 3
 
 
-_SELF_INVERSE = frozenset({"H", "X", "Y", "Z", "CNOT", "CZ", "SWAP"})
-_INVERSE_KIND = {"S": "Sdg", "Sdg": "S"}
+def _conjugate_rows(xs: list[int], zs: list[int], ks: list[int], gate: Gate) -> None:
+    """Conjugate the rows by ``gate`` in place; a gate fixes every row off its qubits.
+
+    A row's bits on the gate's qubits, X bits then Z bits in operand order,
+    index the kind's forward rule, which gives the bits to flip there and
+    the phase to add.
+    """
+    rule = _FORWARD.get(gate.kind)
+    if rule is None:
+        raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
+    qubits = gate.qubits
+    a = len(qubits)
+    spread = [0]  # local bits -> the same bits on the gate's qubits
+    for q in qubits:
+        spread += [s | 1 << q for s in spread]
+    mask = spread[-1]
+    for r, x in enumerate(xs):
+        z = zs[r]
+        if (x | z) & mask:
+            key = 0
+            for j, q in enumerate(qubits):
+                key |= (x >> q & 1) << j | (z >> q & 1) << (a + j)
+            dx, dz, dk = rule[key]
+            xs[r] = x ^ spread[dx]
+            zs[r] = z ^ spread[dz]
+            ks[r] = (ks[r] + dk) & 3
 
 
-def inverse_gate(gate: Gate) -> Gate:
-    """The inverse Clifford gate; a self-inverse gate is returned as it is."""
-    if gate.kind in _SELF_INVERSE:
-        return gate
-    try:
-        return Gate(_INVERSE_KIND[gate.kind], gate.qubits)
-    except KeyError:
-        raise UnsupportedGateError(f"{gate.kind} has no Clifford inverse") from None
+class CliffordTableau:
+    """Images of the X_i / Z_i generators under a Clifford unitary.
 
+    Built from ``PauliProduct`` rows; compared, hashed and printed by value.
+    """
 
-def _conjugate_rows(rows: list[PauliProduct], gate: Gate) -> None:
-    """Conjugate ``rows`` by ``gate`` in place; a gate fixes every row off its qubits."""
-    mask = sum(1 << q for q in gate.qubits)
-    for i, row in enumerate(rows):
-        if (row.x | row.z) & mask:
-            rows[i] = conjugate_by_gate(gate, row)
+    __slots__ = ("n", "_x", "_z", "_k")
+
+    def __init__(
+        self, n: int, x_images: Iterable[PauliProduct], z_images: Iterable[PauliProduct]
+    ) -> None:
+        x_images, z_images = tuple(x_images), tuple(z_images)
+        if len(x_images) != n or len(z_images) != n:
+            raise ValueError("tableau must hold exactly n X rows and n Z rows")
+        rows = x_images + z_images
+        for row in rows:
+            if row.n != n:
+                raise ValueError("tableau row width mismatch")
+        self.n = n
+        self._x = [r.x for r in rows]
+        self._z = [r.z for r in rows]
+        self._k = [1 - r.sign for r in rows]
+
+    @classmethod
+    def _from_rows(cls, n: int, x: list[int], z: list[int], k: list[int]) -> CliffordTableau:
+        """A tableau that takes ownership of the row lists, unchecked."""
+        t = cls.__new__(cls)
+        t.n, t._x, t._z, t._k = n, x, z, k
+        return t
+
+    # ------------------------------------------------------------------
+    # constructors
+
+    @classmethod
+    def identity(cls, n: int) -> CliffordTableau:
+        ones = [1 << q for q in range(n)]
+        return cls._from_rows(n, ones + [0] * n, [0] * n + ones, [0] * (2 * n))
+
+    @classmethod
+    def from_circuit(cls, circuit: Circuit) -> CliffordTableau:
+        """The gates' tableau: the 2n generator rows pushed through every gate."""
+        t = cls.identity(circuit.n)
+        for g in circuit.gates:
+            t._apply_gate(g)
+        return t
+
+    @classmethod
+    def s_rotation(cls, axis: PauliProduct) -> CliffordTableau:
+        """Tableau of the square of the quarter-rotation about ``axis``."""
+        return cls.identity(axis.n).apply_s_rotation(axis)
+
+    # ------------------------------------------------------------------
+    # rows
+
+    def _row(self, r: int) -> PauliProduct:
+        return PauliProduct(self.n, self._x[r], self._z[r], 1 - self._k[r])
+
+    @property
+    def x_images(self) -> tuple[PauliProduct, ...]:
+        return tuple(map(self._row, range(self.n)))
+
+    @property
+    def z_images(self) -> tuple[PauliProduct, ...]:
+        return tuple(map(self._row, range(self.n, 2 * self.n)))
+
+    def _copy(self) -> CliffordTableau:
+        return CliffordTableau._from_rows(self.n, self._x[:], self._z[:], self._k[:])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CliffordTableau):
+            return NotImplemented
+        return (self.n, self._x, self._z, self._k) == (other.n, other._x, other._z, other._k)
+
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self._x), tuple(self._z), tuple(self._k)))
+
+    def __repr__(self) -> str:
+        return f"CliffordTableau(n={self.n}, x_images={self.x_images}, z_images={self.z_images})"
+
+    def __str__(self) -> str:
+        lines = [f"CliffordTableau(n={self.n})"]
+        for i in range(self.n):
+            lines.append(f"  X{i} -> {self._row(i)}   Z{i} -> {self._row(self.n + i)}")
+        return "\n".join(lines)
+
+    # ------------------------------------------------------------------
+    # row operations; the in-place ones are for tableaux the caller owns
+
+    def _conjugate(self, x: int, z: int, k: int) -> tuple[int, int, int]:
+        """C (i^k P(x, z)) C^dagger as (x', z', k'): the X rows selected by
+        x, then the Z rows selected by z."""
+        return _product(self._x, self._z, self._k, x | z << self.n, k + (x & z).bit_count())
+
+    def _apply_gate(self, gate: Gate) -> None:
+        _conjugate_rows(self._x, self._z, self._k, gate)
+
+    def _apply_s_rotation(self, ax: int, az: int, ak: int) -> int:
+        """Apply the square of the quarter-rotation about i^ak P(ax, az) after C.
+
+        That Clifford, (1+i)/2 (1 - i*axis), fixes every Pauli that commutes
+        with the axis and maps an anticommuting P to i*P*axis, so only the
+        anticommuting rows change.  Returns the mask of the rows it rewrote.
+        """
+        xs, zs, ks = self._x, self._z, self._k
+        base = ak + 1 + (ax & az).bit_count()  # the axis, and the extra factor of i
+        moved = 0
+        for r in range(2 * self.n):
+            x, z = xs[r], zs[r]
+            if ((x & az) ^ (z & ax)).bit_count() & 1:
+                # row * axis, phase as in _product()
+                nx, nz = x ^ ax, z ^ az
+                k = ks[r] + base + (x & z).bit_count() + 2 * (z & ax).bit_count()
+                k -= (nx & nz).bit_count()
+                if k & 1:
+                    raise InvariantError("anti-Hermitian image in s_rotation")
+                xs[r], zs[r], ks[r] = nx, nz, k & 3
+                moved |= 1 << r
+        return moved
+
+    def _precompose_inverse(self, gate: Gate) -> None:
+        """Make C into C composed with gate^-1 applied first.
+
+        Only the X and Z rows of the gate's qubits change (at most four),
+        each to a product of at most two old rows (see :data:`_PREIMAGES`).
+        """
+        pattern = _PREIMAGES.get(gate.kind)
+        if pattern is None:
+            raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
+        xs, zs, ks = self._x, self._z, self._k
+        at = gate.qubits + tuple([self.n + q for q in gate.qubits])
+        new = []
+        for j, factors, k in pattern:
+            selected = 0
+            for f in factors:
+                selected |= 1 << at[f]
+            new.append((at[j], *_product(xs, zs, ks, selected, k)))
+        for r, x, z, k in new:
+            xs[r], zs[r], ks[r] = x, z, k
+
+    # ------------------------------------------------------------------
+    # core operations
+
+    def apply_gate(self, gate: Gate) -> CliffordTableau:
+        """Tableau of (gate applied after self); only rows meeting the gate change."""
+        out = self._copy()
+        out._apply_gate(gate)
+        return out
+
+    def apply_s_rotation(self, axis: PauliProduct) -> CliffordTableau:
+        """Tableau of (the square of the quarter-rotation about ``axis``) after self.
+
+        Only the rows that anticommute with the axis change: O(n) row work.
+        """
+        if axis.is_identity:
+            raise ValueError("rotation axis must not be the identity")
+        if axis.n != self.n:
+            raise ValueError(f"qubit count mismatch: {axis.n} vs {self.n}")
+        out = self._copy()
+        out._apply_s_rotation(axis.x, axis.z, 1 - axis.sign)
+        return out
+
+    def conjugate(self, p: PauliProduct) -> PauliProduct:
+        """Return C p C^dagger with exact sign.
+
+        Assembles the image by multiplying the rows selected by p's bits and
+        folding all i phases; a Hermitian input must come out Hermitian, so
+        an odd total i exponent raises :class:`InvariantError`.
+        """
+        if p.n != self.n:
+            raise ValueError(f"qubit count mismatch: {p.n} vs {self.n}")
+        x, z, k = self._conjugate(p.x, p.z, 1 - p.sign)
+        return PauliProduct(self.n, x, z, 1 - k)
+
+    def compose(self, other: CliffordTableau) -> CliffordTableau:
+        """Tableau of (self after other): ``other`` acts first."""
+        if self.n != other.n:
+            raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
+        rows = list(map(self._conjugate, other._x, other._z, other._k))
+        return CliffordTableau._from_rows(
+            self.n, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+        )
+
+    def invert(self) -> CliffordTableau:
+        """The inverse Clifford: conjugating by it undoes self exactly.
+
+        The symplectic bit matrix M (rows x|z) inverts as L M^T L, L the
+        off-diagonal form: inverse row X_i (Z_i) is column n+i (i) of M with
+        its halves swapped.  Each sign comes from a forward round trip.
+        """
+        n = self.n
+        cols = _transpose_bits([x | z << n for x, z in zip(self._x, self._z)], 2 * n)
+        low = (1 << n) - 1
+        xs, zs, ks = [], [], []
+        for r in range(2 * n):
+            col = cols[(r + n) % (2 * n)]
+            x, z = col >> n, col & low
+            fx, fz, fk = self._conjugate(x, z, 0)
+            if fx | fz << n != 1 << r:
+                raise InvariantError("symplectic inverse does not round-trip")
+            xs.append(x)
+            zs.append(z)
+            ks.append(fk)
+        return CliffordTableau._from_rows(n, xs, zs, ks)
+
+    # ------------------------------------------------------------------
+
+    def validate(self) -> None:
+        """Check symplectic validity; raises InvariantError on failure."""
+        n, xs, zs = self.n, self._x, self._z
+        for r in range(2 * n):
+            for s in range(r + 1, 2 * n):
+                anticommute = ((xs[r] & zs[s]) ^ (zs[r] & xs[s])).bit_count() & 1
+                if anticommute != (s == n + r):
+                    if s == n + r:
+                        raise InvariantError(f"X_{r} and Z_{r} images must anticommute")
+                    raise InvariantError(f"rows for qubits {r % n},{s % n} break symplectic form")
 
 
 def _transpose_bits(masks: list[int], width: int) -> list[int]:
@@ -140,275 +326,85 @@ def _transpose_bits(masks: list[int], width: int) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _preimages(kind: str) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """How precomposing the inverse of a ``kind`` gate rewrites its qubits' rows.
+# ----------------------------------------------------------------------
+# the Clifford gate kinds, each as its own small tableau
 
-    On a gate of arity a, local generator j < a is X on the gate's qubit j
-    and a + j is Z on it.  An entry (j, factors, k) says: new row j is i^k
-    times the product of the old rows ``factors``, in ascending order.  The
-    entries are read off :func:`conjugate_by_gate` for the inverse gate on an
-    a-qubit register; rows the gate leaves as they are have no entry.
+# Images of X, then Z, on a gate's qubits in operand order (qubit 0 first).
+_GATE_IMAGES = {
+    "H": ("Z", "X"),
+    "S": ("Y", "Z"),
+    "Sdg": ("-Y", "Z"),
+    "X": ("X", "-Z"),
+    "Y": ("-X", "-Z"),
+    "Z": ("-X", "Z"),
+    "CNOT": ("XX", "IX", "ZI", "ZZ"),
+    "CZ": ("XZ", "ZX", "ZI", "IZ"),
+    "SWAP": ("IX", "XI", "IZ", "ZI"),
+}
+
+
+def _local_tableau(images: tuple[str, ...]) -> CliffordTableau:
+    rows = [PauliProduct.from_label(label) for label in images]
+    a = len(rows) // 2
+    local = CliffordTableau(a, rows[:a], rows[a:])
+    local.validate()
+    return local
+
+
+def _forward_rule(local: CliffordTableau) -> tuple[tuple[int, int, int], ...]:
+    """Entry ``key`` (X bits, then Z bits << a, on the gate's a qubits) is
+    (dx, dz, dk): conjugating P(x, z) flips the bits dx, dz and adds dk to
+    the i exponent."""
+    a = local.n
+    rule = []
+    for key in range(1 << 2 * a):
+        x, z = key & ((1 << a) - 1), key >> a
+        nx, nz, dk = local._conjugate(x, z, 0)
+        rule.append((x ^ nx, z ^ nz, dk))
+    return tuple(rule)
+
+
+def _preimage_pattern(inverse: CliffordTableau) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """How precomposing a gate's inverse rewrites its qubits' rows.
+
+    Local row j < a is X on the gate's qubit j and a + j is Z on it.  An
+    entry (j, factors, k) says: new row j is i^k times the product of the
+    old rows ``factors``, in ascending order, which are the bits and phase
+    of the inverse's local row j.  Rows the gate fixes have no entry.
     """
-    a = ARITY[kind]
-    inverse = inverse_gate(Gate(kind, tuple(range(a))))
+    a = inverse.n
     pattern = []
     for j in range(2 * a):
-        p = conjugate_by_gate(inverse, PauliProduct.single(a, j % a, "XZ"[j // a]))
-        bits = p.x | p.z << a
-        factors = tuple(f for f in range(2 * a) if bits >> f & 1)
-        k = ((p.x & p.z).bit_count() + (0 if p.sign > 0 else 2)) % 4
+        x, z = inverse._x[j], inverse._z[j]
+        factors = tuple(f for f in range(2 * a) if (x | z << a) >> f & 1)
+        k = ((x & z).bit_count() + inverse._k[j]) % 4
         if factors != (j,) or k:
             pattern.append((j, factors, k))
     return tuple(pattern)
 
 
-_PREIMAGES = {kind: _preimages(kind) for kind in CLIFFORD_KINDS}
+_LOCAL = {kind: _local_tableau(images) for kind, images in _GATE_IMAGES.items()}
+_FORWARD = {kind: _forward_rule(local) for kind, local in _LOCAL.items()}
+_PREIMAGES = {kind: _preimage_pattern(local.invert()) for kind, local in _LOCAL.items()}
+_INVERSE_KIND = {
+    kind: next(other for other, t in _LOCAL.items() if t == local.invert())
+    for kind, local in _LOCAL.items()
+}
 
 
-class _Rows:
-    """A Clifford's 2n generator images as mutable int rows.
-
-    Row r < n is the image of X_r and row n + q the image of Z_q:
-    ``i**k[r] * P(x[r], z[r])``, with P(x, z) the Hermitian Pauli of
-    :mod:`~trotopt.pauli`, so every k is 0 or 2.  Every row product checks
-    that the phase stays Hermitian and raises :class:`InvariantError` if not.
-    """
-
-    __slots__ = ("n", "x", "z", "k")
-
-    def __init__(self, n: int, x: list[int], z: list[int], k: list[int]) -> None:
-        self.n, self.x, self.z, self.k = n, x, z, k
-
-    @classmethod
-    def identity(cls, n: int) -> _Rows:
-        ones = [1 << q for q in range(n)]
-        return cls(n, ones + [0] * n, [0] * n + ones, [0] * (2 * n))
-
-    @classmethod
-    def of(cls, t: CliffordTableau) -> _Rows:
-        rows = t.x_images + t.z_images
-        return cls(
-            t.n,
-            [r.x for r in rows],
-            [r.z for r in rows],
-            [0 if r.sign > 0 else 2 for r in rows],
-        )
-
-    def row(self, r: int) -> PauliProduct:
-        return PauliProduct(self.n, self.x[r], self.z[r], 1 if self.k[r] == 0 else -1)
-
-    def tableau(self) -> CliffordTableau:
-        rows = [self.row(r) for r in range(2 * self.n)]
-        return CliffordTableau(self.n, rows[: self.n], rows[self.n :])
-
-    def product(self, selected: int, k: int) -> tuple[int, int, int]:
-        """i^k times the product of the rows whose bits are set in ``selected``,
-        taken in ascending order, as (x, z, k') with every i phase folded in.
-
-        With P(x, z) = i^|x&z| X^x Z^z, a product of rows r_1 .. r_m is
-        i^e P(x', z') where e sums each row's k and |x&z|, subtracts
-        |x'&z'|, and adds 2 per (Z of an earlier row, X of a later row)
-        overlap, from moving every X^x left past the Z^z before it.  An
-        odd e means a Hermitian input came out anti-Hermitian.
-        """
-        xs, zs, ks = self.x, self.z, self.k
-        ox = oz = swaps = 0
-        while selected:
-            r = (selected & -selected).bit_length() - 1
-            selected &= selected - 1
-            xr, zr = xs[r], zs[r]
-            k += ks[r] + (xr & zr).bit_count()
-            swaps += (oz & xr).bit_count()
-            ox ^= xr
-            oz ^= zr
-        k += 2 * swaps - (ox & oz).bit_count()
-        if k & 1:
-            raise InvariantError("conjugation produced an anti-Hermitian phase")
-        return ox, oz, k & 3
-
-    def conjugate(self, x: int, z: int, k: int) -> tuple[int, int, int]:
-        """C (i^k P(x, z)) C^dagger as (x', z', k'): the X rows selected by
-        x, then the Z rows selected by z."""
-        return self.product(x | z << self.n, k + (x & z).bit_count())
-
-    def image(self, p: PauliProduct) -> PauliProduct:
-        """C p C^dagger with exact sign."""
-        x, z, k = self.conjugate(p.x, p.z, 0 if p.sign > 0 else 2)
-        return PauliProduct(self.n, x, z, 1 if k == 0 else -1)
-
-    def apply_s_rotation(self, ax: int, az: int, ak: int) -> int:
-        """Apply the square of the quarter-rotation about i^ak P(ax, az) after C.
-
-        That Clifford, (1+i)/2 (1 - i*axis), fixes every Pauli that commutes
-        with the axis and maps an anticommuting P to i*P*axis, so only the
-        anticommuting rows change.  Returns the mask of the rows it rewrote.
-        """
-        xs, zs, ks = self.x, self.z, self.k
-        base = ak + 1 + (ax & az).bit_count()  # the axis, and the extra factor of i
-        moved = 0
-        for r in range(2 * self.n):
-            x, z = xs[r], zs[r]
-            if ((x & az) ^ (z & ax)).bit_count() & 1:
-                # row * axis, phase as in product()
-                nx, nz = x ^ ax, z ^ az
-                k = ks[r] + base + (x & z).bit_count() + 2 * (z & ax).bit_count()
-                k -= (nx & nz).bit_count()
-                if k & 1:
-                    raise InvariantError("anti-Hermitian image in s_rotation")
-                xs[r], zs[r], ks[r] = nx, nz, k & 3
-                moved |= 1 << r
-        return moved
-
-    def precompose_inverse(self, gate: Gate) -> None:
-        """Make C into C composed with gate^-1 applied first.
-
-        Only the X and Z rows of the gate's qubits change (at most four),
-        each to a product of at most two old rows (see :func:`_preimages`).
-        """
-        pattern = _PREIMAGES.get(gate.kind)
-        if pattern is None:
-            raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
-        at = gate.qubits + tuple([self.n + q for q in gate.qubits])
-        new = []
-        for j, factors, k in pattern:
-            selected = 0
-            for f in factors:
-                selected |= 1 << at[f]
-            new.append((at[j], *self.product(selected, k)))
-        xs, zs, ks = self.x, self.z, self.k
-        for r, x, z, k in new:
-            xs[r], zs[r], ks[r] = x, z, k
+def conjugate_by_gate(gate: Gate, p: PauliProduct) -> PauliProduct:
+    """Return gate * p * gate^dagger for a single Clifford generator."""
+    xs, zs, ks = [p.x], [p.z], [1 - p.sign]
+    _conjugate_rows(xs, zs, ks, gate)
+    return PauliProduct(p.n, xs[0], zs[0], 1 - ks[0])
 
 
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CliffordTableau:
-    """Images of the X_i / Z_i generators under a Clifford unitary."""
-
-    n: int
-    x_images: tuple[PauliProduct, ...]
-    z_images: tuple[PauliProduct, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_images", tuple(self.x_images))
-        object.__setattr__(self, "z_images", tuple(self.z_images))
-        if len(self.x_images) != self.n or len(self.z_images) != self.n:
-            raise ValueError("tableau must hold exactly n X rows and n Z rows")
-        for row in self.x_images + self.z_images:
-            if row.n != self.n:
-                raise ValueError("tableau row width mismatch")
-
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def identity(cls, n: int) -> CliffordTableau:
-        xs = tuple(PauliProduct.single(n, q, "X") for q in range(n))
-        zs = tuple(PauliProduct.single(n, q, "Z") for q in range(n))
-        return cls(n, xs, zs)
-
-    @classmethod
-    def from_circuit(cls, circuit: Circuit) -> CliffordTableau:
-        """The gates' tableau: the 2n generator rows pushed through every gate."""
-        identity = cls.identity(circuit.n)
-        rows = list(identity.x_images + identity.z_images)
-        for g in circuit.gates:
-            _conjugate_rows(rows, g)
-        return cls(circuit.n, rows[: circuit.n], rows[circuit.n :])
-
-    @classmethod
-    def s_rotation(cls, axis: PauliProduct) -> CliffordTableau:
-        """Tableau of the square of the quarter-rotation about ``axis``."""
-        return cls.identity(axis.n).apply_s_rotation(axis)
-
-    # ------------------------------------------------------------------
-    # core operations
-
-    def apply_gate(self, gate: Gate) -> CliffordTableau:
-        """Tableau of (gate applied after self); rows off the gate are reused."""
-        rows = list(self.x_images + self.z_images)
-        _conjugate_rows(rows, gate)
-        return CliffordTableau(self.n, rows[: self.n], rows[self.n :])
-
-    def apply_s_rotation(self, axis: PauliProduct) -> CliffordTableau:
-        """Tableau of (the square of the quarter-rotation about ``axis``) after self.
-
-        Only the rows that anticommute with the axis change: O(n) row work.
-        """
-        if axis.is_identity:
-            raise ValueError("rotation axis must not be the identity")
-        if axis.n != self.n:
-            raise ValueError(f"qubit count mismatch: {axis.n} vs {self.n}")
-        rows = _Rows.of(self)
-        rows.apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
-        return rows.tableau()
-
-    def conjugate(self, p: PauliProduct) -> PauliProduct:
-        """Return C p C^dagger with exact sign.
-
-        Assembles the image by multiplying the rows selected by p's bits and
-        folding all i phases; a Hermitian input must come out Hermitian, so
-        an odd total i exponent raises :class:`InvariantError`.
-        """
-        if p.n != self.n:
-            raise ValueError(f"qubit count mismatch: {p.n} vs {self.n}")
-        return _Rows.of(self).image(p)
-
-    def compose(self, other: CliffordTableau) -> CliffordTableau:
-        """Tableau of (self after other): ``other`` acts first."""
-        if self.n != other.n:
-            raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
-        image = _Rows.of(self).image
-        return CliffordTableau(
-            self.n, tuple(map(image, other.x_images)), tuple(map(image, other.z_images))
-        )
-
-    def invert(self) -> CliffordTableau:
-        """The inverse Clifford: conjugating by it undoes self exactly.
-
-        The symplectic bit matrix M (rows x|z) inverts as L M^T L, L the
-        off-diagonal form: inverse row X_i (Z_i) is column n+i (i) of M with
-        its halves swapped.  Each sign comes from a forward round trip.
-        """
-        n = self.n
-        rows = _Rows.of(self)
-        cols = _transpose_bits([r.x | r.z << n for r in self.x_images + self.z_images], 2 * n)
-        low = (1 << n) - 1
-        xs, zs = [], []
-        for i in range(n):
-            for col, basis_letter, out in ((cols[n + i], "X", xs), (cols[i], "Z", zs)):
-                candidate = PauliProduct(n, col >> n, col & low, 1)
-                forward = rows.image(candidate)
-                expected = PauliProduct.single(n, i, basis_letter)
-                if not forward.equal_up_to_sign(expected):
-                    raise InvariantError("symplectic inverse does not round-trip")
-                out.append(candidate if forward.sign > 0 else -candidate)
-        return CliffordTableau(n, tuple(xs), tuple(zs))
-
-    # ------------------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check symplectic validity; raises InvariantError on failure."""
-        for i in range(self.n):
-            if self.x_images[i].commutes(self.z_images[i]):
-                raise InvariantError(f"X_{i} and Z_{i} images must anticommute")
-            for j in range(i + 1, self.n):
-                ok = (
-                    self.x_images[i].commutes(self.x_images[j])
-                    and self.z_images[i].commutes(self.z_images[j])
-                    and self.x_images[i].commutes(self.z_images[j])
-                    and self.z_images[i].commutes(self.x_images[j])
-                )
-                if not ok:
-                    raise InvariantError(f"rows for qubits {i},{j} break symplectic form")
-
-    def __str__(self) -> str:
-        lines = [f"CliffordTableau(n={self.n})"]
-        for i in range(self.n):
-            lines.append(f"  X{i} -> {self.x_images[i]}   Z{i} -> {self.z_images[i]}")
-        return "\n".join(lines)
+def inverse_gate(gate: Gate) -> Gate:
+    """The inverse Clifford gate; a self-inverse gate is returned as it is."""
+    kind = _INVERSE_KIND.get(gate.kind)
+    if kind is None:
+        raise UnsupportedGateError(f"{gate.kind} has no Clifford inverse")
+    return gate if kind == gate.kind else Gate(kind, gate.qubits)
 
 
 # ----------------------------------------------------------------------
@@ -441,20 +437,21 @@ def check_independent(paulis: list[PauliProduct]) -> bool:
 
 
 def _diagonalize_with_gates(
-    paulis: list[PauliProduct], carry: list[PauliProduct] | None = None
+    paulis: list[PauliProduct],
+    carry: tuple[list[int], list[int], list[int]] | None = None,
 ) -> list[Gate]:
     """Gates, in application order, of a Clifford C with C P_j C^dagger == +Z_j.
 
-    Symplectic Gaussian elimination over ``work``, a copy of the inputs that
-    every emitted gate conjugates in place.  A gate skips only the Paulis
-    with no support on its qubits, and it fixes those exactly, so ``work[j]``
-    is always input j conjugated by every gate emitted so far.  The
-    post-check "``work[j]`` is exactly +Z_j for every j" is therefore the
-    condition C P_j C^dagger == +Z_j on the gates' tableau, at O(1) per Pauli
-    and with no tableau built.
+    Symplectic Gaussian elimination over a work list, the inputs as int
+    rows, which every emitted gate conjugates in place.  A gate skips only
+    the rows with no support on its qubits, and it fixes those exactly, so
+    row j is always input j conjugated by every gate emitted so far.  The
+    post-check "row j is exactly +Z_j for every j" is therefore the
+    condition C P_j C^dagger == +Z_j on the gates' tableau, at O(1) per
+    Pauli and with no tableau built.
 
-    Each row of ``carry`` rides along as an extra entry that is never a
-    pivot: it is replaced in place by its image under C.
+    ``carry``, int rows (X masks, Z masks, i exponents) that are never a
+    pivot, rides along and is replaced in place by its image under C.
     """
     if not paulis:
         raise ValueError("need at least one Pauli to diagonalize")
@@ -464,11 +461,11 @@ def _diagonalize_with_gates(
             raise ValueError("mixed qubit counts in Pauli set")
         if p.is_identity:
             raise ValueError(f"Pauli {j} is the identity")
-    xmasks = [p.x for p in paulis]
-    zmasks = [p.z for p in paulis]
-    for i, (xi, zi) in enumerate(zip(xmasks, zmasks)):
+    xs = [p.x for p in paulis]
+    zs = [p.z for p in paulis]
+    for i, (xi, zi) in enumerate(zip(xs, zs)):
         for j in range(i + 1, len(paulis)):
-            if ((xi & zmasks[j]) ^ (zi & xmasks[j])).bit_count() & 1:  # anticommute
+            if ((xi & zs[j]) ^ (zi & xs[j])).bit_count() & 1:  # anticommute
                 raise NonCommutingError(
                     f"Paulis {i} ({paulis[i]}) and {j} ({paulis[j]}) anticommute"
                 )
@@ -477,65 +474,67 @@ def _diagonalize_with_gates(
             "a nonempty subset of the Paulis multiplies to the identity"
         )
 
-    work = list(paulis) + (carry or [])
+    ks = [1 - p.sign for p in paulis]
+    if carry is not None:
+        xs += carry[0]
+        zs += carry[1]
+        ks += carry[2]
     gates: list[Gate] = []
 
     def emit(kind: str, *qubits: int) -> None:
         g = Gate(kind, qubits)
         gates.append(g)
-        _conjugate_rows(work, g)
+        _conjugate_rows(xs, zs, ks, g)
 
     for j in range(len(paulis)):
-        p = work[j]
         # Fast path: already exactly +-Z_j.
         zbit = 1 << j
-        if p.x == 0 and p.z == zbit:
-            if p.sign < 0:
+        if xs[j] == 0 and zs[j] == zbit:
+            if ks[j]:
                 emit("X", j)
             continue
 
         hi = ~((1 << j) - 1)  # qubits >= j
-        if p.x & hi == 0:
-            zs = p.z & hi
-            if zs == 0:
+        if xs[j] & hi == 0:
+            zhi = zs[j] & hi
+            if zhi == 0:
                 # Supported only on already-fixed qubits: dependent set.
                 raise DependentSetError(
                     f"Pauli {j} reduces to a product of already-fixed rows"
                 )
-            emit("H", (zs & -zs).bit_length() - 1)
-            p = work[j]
+            emit("H", (zhi & -zhi).bit_length() - 1)
 
         # Make every supported site at qubit >= j a pure X.
         for q in range(j, n):
             b = 1 << q
-            if p.z & b:
-                emit("Sdg" if p.x & b else "H", q)
-                p = work[j]
+            if zs[j] & b:
+                emit("Sdg" if xs[j] & b else "H", q)
 
-        pivot = (p.x & hi & -(p.x & hi)).bit_length() - 1
+        x = xs[j]
+        pivot = (x & hi & -(x & hi)).bit_length() - 1
         for q in range(pivot + 1, n):
-            if p.x & (1 << q):
+            if x & (1 << q):
                 emit("CNOT", pivot, q)
-        p = work[j]
 
         # Clear Z components on already-fixed qubits (< j).
+        z = zs[j]
         for q in range(j):
-            if p.z & (1 << q):
+            if z & (1 << q):
                 emit("CZ", q, pivot)
-        p = work[j]
 
         emit("H", pivot)
         if pivot != j:
             emit("SWAP", pivot, j)
-        if work[j].sign < 0:
+        if ks[j]:
             emit("X", j)
 
     for j in range(len(paulis)):
-        w = work[j]
-        if w.x or w.z != 1 << j or w.sign < 0:
+        if xs[j] or zs[j] != 1 << j or ks[j]:
             raise InvariantError("diagonalization post-check failed")
     if carry is not None:
-        carry[:] = work[len(paulis) :]
+        m = len(paulis)
+        for rows, done in zip(carry, (xs, zs, ks)):
+            rows[:] = done[m:]
     return gates
 
 
@@ -574,32 +573,32 @@ def synthesize_gates(t: CliffordTableau) -> list[Gate]:
     n = t.n
     # d = diag ∘ t: t's X rows ride through the elimination of its Z rows,
     # which the post-check leaves exactly +Z_i.
-    x_rows = list(t.x_images)
-    diag_gates = _diagonalize_with_gates(list(t.z_images), carry=x_rows)
-    d = CliffordTableau(n, x_rows, tuple(PauliProduct.single(n, i, "Z") for i in range(n)))
+    dx, dz, dk = t._x[:n], t._z[:n], t._k[:n]
+    diag_gates = _diagonalize_with_gates(list(t.z_images), carry=(dx, dz, dk))
+    ones = [1 << i for i in range(n)]
+    d = CliffordTableau._from_rows(n, dx + [0] * n, dz + ones, dk + [0] * n)
 
     # d fixes every Z_i exactly, so it is a layer of S/CZ gates up to Pauli-Z
     # sign corrections on the X images.
-    for i in range(n):
-        if d.x_images[i].x != 1 << i:
-            raise InvariantError("X rows acquired extra X support")
+    if dx != ones:
+        raise InvariantError("X rows acquired extra X support")
 
     phase_gates: list[Gate] = []
     for i in range(n):
-        zmask = d.x_images[i].z
+        zmask = dz[i]
         if (zmask >> i) & 1:
             phase_gates.append(Gate("S", (i,)))
         for j in range(i + 1, n):
             if (zmask >> j) & 1:
-                if not (d.x_images[j].z >> i) & 1:
+                if not (dz[j] >> i) & 1:
                     raise InvariantError("asymmetric phase coupling")
                 phase_gates.append(Gate("CZ", (i, j)))
 
     layer = CliffordTableau.from_circuit(Circuit.on_qubits(n, phase_gates))
     for i in range(n):
-        if layer.x_images[i].sign != d.x_images[i].sign:
+        if layer._k[i] != dk[i]:
             phase_gates.append(Gate("Z", (i,)))
-            layer = layer.apply_gate(Gate("Z", (i,)))
+            layer._apply_gate(phase_gates[-1])
     if layer != d:
         raise InvariantError("phase-layer reconstruction failed")
 

@@ -77,6 +77,22 @@ def random_tableau(n: int, rng: random.Random, depth: int | None = None):
     return CliffordTableau.from_circuit(circuit), circuit
 
 
+def count_tableau_calls(monkeypatch, *names: str) -> list[str]:
+    """Log every call of the named ``CliffordTableau`` methods; returns the log."""
+    calls: list[str] = []
+    for name in names:
+        real = getattr(CliffordTableau, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        if isinstance(CliffordTableau.__dict__[name], classmethod):
+            counted = staticmethod(counted)  # ``real`` is already bound
+        monkeypatch.setattr(CliffordTableau, name, counted)
+    return calls
+
+
 def random_commuting_independent_rotations(
     n: int, m: int, rng: random.Random
 ) -> list[Rotation]:

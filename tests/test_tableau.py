@@ -18,7 +18,8 @@ from trotopt import (
     unitary_of,
 )
 from trotopt import ARITY, CLIFFORD_KINDS, tableau
-from trotopt.tableau import _diagonalize_with_gates, _Rows, conjugate_by_gate, inverse_gate
+from trotopt.pauli import _mul_bits
+from trotopt.tableau import _diagonalize_with_gates, _product, conjugate_by_gate, inverse_gate
 
 from _helpers import (
     random_clifford_circuit,
@@ -58,17 +59,30 @@ class TestApplyGate:
         with pytest.raises(UnsupportedGateError):
             CliffordTableau.identity(1).apply_gate(Gate("T", (0,)))
 
-    def test_recomputes_only_rows_meeting_the_gate(self, rng):
+    def test_recomputes_only_rows_meeting_the_gate(self, rng, monkeypatch):
+        lookups = []
+
+        class CountedRule(tuple):
+            def __getitem__(self, key):
+                lookups.append(key)
+                return tuple.__getitem__(self, key)
+
+        rules = {kind: CountedRule(rule) for kind, rule in tableau._FORWARD.items()}
+        monkeypatch.setattr(tableau, "_FORWARD", rules)
         for _ in range(60):
             n = rng.randint(2, 9)
             t, _ = random_tableau(n, rng, depth=rng.randint(0, 3 * n))
             g = random_clifford_circuit(n, 1, rng).gates[0]
-            out = t.apply_gate(g)
+            rows = t.x_images + t.z_images
+            expected = [conjugate_by_gate(g, row) for row in rows]
             mask = sum(1 << q for q in g.qubits)
-            for row, new in zip(t.x_images + t.z_images, out.x_images + out.z_images):
-                assert new == conjugate_by_gate(g, row)
+            lookups.clear()
+            out = t.apply_gate(g)
+            assert len(lookups) == sum(1 for row in rows if (row.x | row.z) & mask)
+            for row, new, want in zip(rows, out.x_images + out.z_images, expected):
+                assert new == want
                 if not (row.x | row.z) & mask:
-                    assert new is row
+                    assert new == row
 
     def test_preserves_symplectic_validity(self, rng):
         for _ in range(50):
@@ -78,6 +92,7 @@ class TestApplyGate:
     def test_all_generators_match_dense(self, rng):
         kinds1 = ["H", "S", "Sdg", "X", "Y", "Z"]
         kinds2 = ["CNOT", "CZ", "SWAP"]
+        assert set(tableau._GATE_IMAGES) == set(kinds1 + kinds2) == CLIFFORD_KINDS
         for kind in kinds1 + kinds2:
             n = 2 if kind in kinds2 else 1
             g = Gate(kind, tuple(range(n)))
@@ -183,15 +198,16 @@ class TestPrecomposeInverse:
                 t, _ = random_tableau(n, rng)
                 g = Gate(kind, tuple(rng.sample(range(n), ARITY[kind])))
                 gate_tab = CliffordTableau.from_circuit(Circuit.on_qubits(n, [g]))
-                before, rows = _Rows.of(t), _Rows.of(t)
-                rows.precompose_inverse(g)
-                assert rows.tableau() == t.compose(gate_tab.invert())
-                changed = {r % n for r in range(2 * n) if rows.row(r) != before.row(r)}
+                rows = t._copy()
+                rows._precompose_inverse(g)
+                assert rows == t.compose(gate_tab.invert())
+                before, after = t.x_images + t.z_images, rows.x_images + rows.z_images
+                changed = {r % n for r in range(2 * n) if after[r] != before[r]}
                 assert changed <= set(g.qubits)
 
     def test_non_clifford_rejected(self):
         with pytest.raises(UnsupportedGateError):
-            _Rows.identity(1).precompose_inverse(Gate("T", (0,)))
+            CliffordTableau.identity(1)._precompose_inverse(Gate("T", (0,)))
 
 
 class TestSRotation:
@@ -236,9 +252,9 @@ class TestSRotation:
             axis = random_pauli(n, rng)
             out = t.apply_s_rotation(axis)
             assert out == CliffordTableau.s_rotation(axis).compose(t)
-            rows = _Rows.of(t)
-            moved = rows.apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
-            assert rows.tableau() == out
+            rows = t._copy()
+            moved = rows._apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
+            assert rows == out
             for r, row in enumerate(t.x_images + t.z_images):
                 assert bool(moved >> r & 1) != row.commutes(axis)
 
@@ -283,12 +299,13 @@ class TestDiagonalize:
             diagonalize_commuting_set([PauliProduct.identity(2)])
 
     def test_post_check_catches_a_broken_gate_rule(self, monkeypatch):
-        real = tableau.conjugate_by_gate
+        real = tableau._conjugate_rows
 
-        def h_does_nothing(gate, p):
-            return p if gate.kind == "H" else real(gate, p)
+        def h_does_nothing(xs, zs, ks, gate):
+            if gate.kind != "H":
+                real(xs, zs, ks, gate)
 
-        monkeypatch.setattr(tableau, "conjugate_by_gate", h_does_nothing)
+        monkeypatch.setattr(tableau, "_conjugate_rows", h_does_nothing)
         with pytest.raises(InvariantError, match="diagonalization post-check failed"):
             diagonalize_commuting_set([P("X")])
         with pytest.raises(InvariantError, match="diagonalization post-check failed"):
@@ -339,3 +356,102 @@ class TestValidate:
         )
         with pytest.raises(InvariantError):
             broken.validate()
+
+
+class TestValueSemantics:
+    def test_public_methods_leave_the_receiver_unchanged(self, rng):
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            t, _ = random_tableau(n, rng)
+            other, _ = random_tableau(n, rng)
+            snapshot = CliffordTableau(n, t.x_images, t.z_images)
+            g = random_clifford_circuit(n, 1, rng).gates[0]
+            axis = random_pauli(n, rng)
+            outputs = [
+                t.apply_gate(g),
+                t.apply_s_rotation(axis),
+                t.compose(other),
+                other.compose(t),
+                t.invert(),
+            ]
+            t.conjugate(random_pauli(n, rng))
+            assert t == snapshot and hash(t) == hash(snapshot)
+            # no output shares rows with its input
+            for out in outputs:
+                out._apply_s_rotation(axis.x, axis.z, 0)
+            assert t == snapshot and str(t) == str(snapshot)
+
+    def test_equal_tableaux_hash_equal_and_key_a_dict(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            t, circuit = random_tableau(n, rng)
+            again = CliffordTableau.from_circuit(circuit)
+            rebuilt = CliffordTableau(n, t.x_images, t.z_images)
+            assert again is not t and again == t == rebuilt
+            assert hash(again) == hash(t) == hash(rebuilt)
+            seen = {t: "t"}
+            assert seen[again] == seen[rebuilt] == seen[t.invert().invert()] == "t"
+            flipped = t.apply_gate(Gate("X", (0,)))
+            assert flipped != t and flipped not in seen
+            assert len({t, again, rebuilt, flipped}) == 2
+
+
+class TestPhaseRule:
+    """``pauli._mul_bits``, ``tableau._product`` and the S-rotation row update
+    each spell out the Pauli product's phase; they must agree."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65])
+    def test_three_copies_agree(self, n, rng):
+        for _ in range(300):
+            p = random_pauli(n, rng, allow_identity=True)
+            q = random_pauli(n, rng, allow_identity=True)
+            kp, kq = 1 - p.sign, 1 - q.sign
+            x, z, k = _mul_bits(p.x, p.z, q.x, q.z)
+            k = (k + kp + kq) % 4
+            rows = CliffordTableau(n, [p] * n, [p] * n)
+            moved = rows._apply_s_rotation(q.x, q.z, kq)
+            if p.commutes(q):
+                assert _product([p.x, q.x], [p.z, q.z], [kp, kq], 0b11, 0) == (x, z, k)
+                assert moved == 0 and rows == CliffordTableau(n, [p] * n, [p] * n)
+            else:
+                # i * p * q, the image of an anticommuting row
+                ik = (k + 1) % 4
+                assert _product([p.x, q.x], [p.z, q.z], [kp, kq], 0b11, 1) == (x, z, ik)
+                assert moved == (1 << 2 * n) - 1
+                assert {(rx, rz, rk) for rx, rz, rk in zip(rows._x, rows._z, rows._k)} == {
+                    (x, z, ik)
+                }
+            if n <= 3:
+                dense = pauli_matrix(p) @ pauli_matrix(q)
+                assert np.allclose(dense, 1j**k * pauli_matrix(PauliProduct(n, x, z)))
+
+
+class TestSafetyChecks:
+    def test_anti_hermitian_row_product_raises(self):
+        # X_0 and Z_0 images that commute: Y = iXZ maps to i times a Pauli
+        broken = CliffordTableau(1, [P("X")], [P("X")])
+        with pytest.raises(InvariantError, match="anti-Hermitian"):
+            broken.conjugate(P("Y"))
+        with pytest.raises(InvariantError, match="anti-Hermitian"):
+            _product([1, 2], [0, 0], [0, 0], 0b11, 1)
+
+    def test_anti_hermitian_s_rotation_raises(self):
+        with pytest.raises(InvariantError, match="anti-Hermitian image in s_rotation"):
+            CliffordTableau.identity(1)._apply_s_rotation(1, 0, 1)
+
+    def test_invert_round_trip_check_raises(self):
+        broken = CliffordTableau(2, [P("XI"), P("XI")], [P("ZI"), P("IZ")])
+        with pytest.raises(InvariantError, match="does not round-trip"):
+            broken.invert()
+
+    def test_phase_layer_reconstruction_check_raises(self, monkeypatch):
+        real = tableau._conjugate_rows
+
+        def z_does_nothing(xs, zs, ks, gate):
+            if gate.kind != "Z":
+                real(xs, zs, ks, gate)
+
+        t = tableau_of(Gate("Z", (0,)))
+        monkeypatch.setattr(tableau, "_conjugate_rows", z_does_nothing)
+        with pytest.raises(InvariantError, match="phase-layer reconstruction failed"):
+            synthesize(t)

@@ -31,6 +31,7 @@ from _helpers import (
     MOD5_4,
     ancilla_safe,
     brute_force_min_layers,
+    count_tableau_calls,
     data_block_on_zero_ancillas,
     is_valid_reordering,
     random_clifford_circuit,
@@ -461,15 +462,7 @@ class TestSynthesizeLayer:
         layers = [extend_with_ancillas([form.rotations[v] for v in layer], 4)]
         for n in (1, 2, 5, 17, 33, 64, 65):
             layers.append(random_commuting_independent_rotations(n, rng.randint(1, n), rng))
-        calls = []
-        for name in ("apply_gate", "__post_init__"):
-            real = getattr(CliffordTableau, name)
-
-            def counted(*args, real=real, name=name):
-                calls.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(CliffordTableau, name, counted)
+        calls = count_tableau_calls(monkeypatch, "__init__", "_from_rows", "apply_gate")
         for layer in layers:
             synthesize_layer(layer)
         assert calls == []
