@@ -28,9 +28,11 @@ rotations = [Rotation(P(s)) for s in ["ZI", "XI", "ZZ", "IZ", "IX"]]
 graph = build_tgraph(rotations)
 print("axes:", [str(r.pauli) for r in rotations])
 print("anticommuting pairs (edges):", graph.edges)
-print("T-depth =", t_depth_bound(graph))
+print("T-depth =", t_depth_bound(rotations))
 
-schedule = layerize(graph)
+# The levels come straight from the packed axes; the edge list above is
+# only for display.
+schedule = layerize(rotations)
 for i, layer in enumerate(schedule.layers, start=1):
     print(f"  layer {i}: rotations {layer}",
           [str(rotations[v].pauli) for v in layer])

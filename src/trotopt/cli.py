@@ -136,8 +136,7 @@ def cmd_tdepth(args: argparse.Namespace) -> int:
     form = to_rotation_form(expanded)
     if not args.no_optimize:
         form = optimize(form).form
-    graph = build_tgraph(form)
-    schedule = layerize(graph, alap=args.alap)
+    schedule = layerize(form, alap=args.alap)
     layered = synthesize_schedule(form, schedule.layers) if args.ancilla else None
     record = {
         "file": args.input,
@@ -149,7 +148,7 @@ def cmd_tdepth(args: argparse.Namespace) -> int:
     }
     _emit(record)
     if args.dot:
-        Path(args.dot).write_text(to_dot(graph), encoding="utf-8")
+        Path(args.dot).write_text(to_dot(build_tgraph(form)), encoding="utf-8")
     if layered is not None:
         text = write_qc(layered)
         if args.output:

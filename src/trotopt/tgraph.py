@@ -1,19 +1,15 @@
 """Anticommutation DAG over extracted rotations and T-depth scheduling.
 
 The graph has one vertex per rotation and an edge (i, j) for every i < j
-whose axes anticommute; the input order is by construction a topological
-order.  Reorderings of the rotation product that use only commuting swaps
-are exactly the topological orders of this graph, the achievable T-depth
-equals its longest path (in vertices), and grouping vertices by that
-longest-path length yields layers of pairwise-commuting rotations that can
-each be realized with a single parallel T layer, with ancillas supplying
-independence when a layer needs it.
+whose axes anticommute.  Reorderings that use only commuting swaps are
+exactly its topological orders, so the achievable T-depth is its longest
+path (in vertices), and grouping by that length yields layers of commuting
+rotations, each one parallel T layer (with ancillas when it is dependent).
 
-Both pair scans, for the edges and for each layer's commutation check,
-pack the axes into uint64 X/Z word arrays and take the symplectic product
-of a whole tile of pairs at once in numpy: O(m^2 n / 64) word operations,
-in tiles sized so that no temporary exceeds 128 KiB.  The longest-path
-DP is a Python loop over the edges.
+The edges, the levels and each layer's commutation check share one tile
+loop: the symplectic product of the axes packed as uint64 X/Z words, a whole
+tile of pairs at once in numpy (O(m^2 n / 64) word operations, temporaries
+of at most 128 KiB).  Only :func:`build_tgraph` lists edges.
 """
 
 from __future__ import annotations
@@ -32,12 +28,7 @@ from .tableau import InvariantError
 
 @dataclass(frozen=True)
 class TGraph:
-    """DAG over rotations; edge (i, j) means axes i and j anticommute.
-
-    Every edge has i < j, and the edges are ordered by j, then by i, as
-    :func:`build_tgraph` emits them.  The longest-path pass relies on that
-    order: every edge into a vertex comes before every edge out of it.
-    """
+    """DAG over rotations; edge (i, j), i < j, means axes i and j anticommute."""
 
     rotations: tuple[Rotation, ...]
     edges: tuple[tuple[int, int], ...]
@@ -63,12 +54,13 @@ class LayerSchedule:
 _BLOCK_WORDS = 1 << 14
 
 
-def _pack(rotations: Sequence[Rotation]) -> tuple[np.ndarray, np.ndarray]:
+def _pack(form: RotationForm | Sequence[Rotation]) -> tuple[np.ndarray, np.ndarray]:
     """The axes' X and Z masks as (ceil(n/64), m) uint64 arrays, low word first.
 
     Word-major, so that each word's product over a tile runs along whole
     contiguous rows of axes.
     """
+    rotations = form.rotations if isinstance(form, RotationForm) else form
     n = rotations[0].pauli.n if rotations else 1
     for r in rotations:
         if r.pauli.n != n:
@@ -105,68 +97,74 @@ def _tile(m: int) -> tuple[int, int]:
     return max(1, _BLOCK_WORDS // cols), cols
 
 
-def build_tgraph(form: RotationForm | Sequence[Rotation]) -> TGraph:
-    """Anticommutation edges from a blocked GF(2) symplectic product.
+def _tiles(x: np.ndarray, z: np.ndarray):
+    """Lower-triangle tiles of the anticommutation matrix, in row order, then column order.
 
-    O(m^2 n / 64) word operations in numpy, over tiles sized so that no
-    temporary exceeds 128 KiB; no Python work per pair.  Edges come out
-    ordered by j, then by i.  Signs are ignored.
+    Yields (start, first, block): block[r, c] is True iff axes first + c < start + r anticommute.
     """
-    rotations = tuple(form.rotations if isinstance(form, RotationForm) else form)
-    x, z = _pack(rotations)
-    m = len(rotations)
+    m = x.shape[1]
     rows, cols = _tile(m)
-    edges: list[tuple[int, int]] = []
     for start in range(0, m, rows):
         stop = min(m, start + rows)
-        # rows j in [start, stop) against columns i < stop; keep i < j
         for first in range(0, stop, cols):
             block = _anticommute(x, z, slice(start, stop), slice(first, min(stop, first + cols)))
-            j, i = np.nonzero(np.tril(block, start - first - 1))
-            edges.extend(zip((i + first).tolist(), (j + start).tolist()))
-    return TGraph(rotations, tuple(edges))
+            yield start, first, np.tril(block, start - first - 1)
 
 
-def _longest_paths(graph: TGraph, reverse: bool = False) -> list[int]:
-    """Vertices on the longest path ending at each vertex, or starting there if ``reverse``.
+def _edges(x: np.ndarray, z: np.ndarray):
+    """Anticommuting pairs (i, j), i < j, ordered by j, then by i."""
+    for start, first, block in _tiles(x, z):
+        j, i = np.nonzero(block)
+        yield from zip((i + first).tolist(), (j + start).tolist())
 
-    One pass over the edges in :class:`TGraph` order: forward, every edge
-    into i is relaxed before any edge (i, j) out of it; reversed, every
-    edge out of j is relaxed before any edge (i, j) into it.
+
+def _levels(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Vertices on the longest anticommuting chain ending at each axis.
+
+    Columns left of a tile's rows hold final levels (one vectorized max);
+    then the tile's diagonal rows with a hit go in row order.
     """
-    length = [1] * graph.m
-    if reverse:
-        for i, j in reversed(graph.edges):
-            if length[i] <= length[j]:
-                length[i] = length[j] + 1
-    else:
-        for i, j in graph.edges:
-            if length[j] <= length[i]:
-                length[j] = length[i] + 1
-    return length
+    level = np.ones(x.shape[1], dtype=np.int64)
+    for start, first, block in _tiles(x, z):
+        rows, left = level[start:start + len(block)], min(start - first, block.shape[1])
+        best = np.where(block[:, :left], level[first:first + left], 0).max(axis=1, initial=0)
+        np.maximum(rows, best + 1, out=rows)
+        diagonal = block[:, left:]  # its columns are the tile's first rows
+        for r in np.flatnonzero(diagonal.any(axis=1)).tolist():
+            rows[r] = max(rows[r], rows[: diagonal.shape[1]][diagonal[r]].max() + 1)
+    return level
 
 
-def t_depth_bound(graph: TGraph) -> int:
+def build_tgraph(form: RotationForm | Sequence[Rotation]) -> TGraph:
+    """Anticommutation edges from the blocked GF(2) symplectic product.
+
+    Edges come out ordered by j, then by i.  Signs are ignored.
+    """
+    rotations = tuple(form.rotations if isinstance(form, RotationForm) else form)
+    return TGraph(rotations, tuple(_edges(*_pack(rotations))))
+
+
+def t_depth_bound(form: RotationForm | Sequence[Rotation]) -> int:
     """Vertices on the longest path; the commutation-only T-depth optimum."""
-    return max(_longest_paths(graph), default=0)
+    return int(_levels(*_pack(form)).max(initial=0))
 
 
-def layerize(graph: TGraph, alap: bool = False) -> LayerSchedule:
-    """Group vertices by longest incoming path (ASAP) or longest outgoing path (ALAP).
+def layerize(form: RotationForm | Sequence[Rotation], alap: bool = False) -> LayerSchedule:
+    """Group rotations by longest incoming path (ASAP) or longest outgoing path (ALAP).
 
-    One longest-path pass gives both the levels and the layer count, which
-    always equals :func:`t_depth_bound`; every layer is checked to be
-    pairwise commuting before returning.
+    One tile pass gives the levels (ALAP's over the reversed axes); every
+    layer's columns of the packed axes are checked to commute pairwise.
     """
-    length = _longest_paths(graph, reverse=alap)
-    depth = max(length, default=0)
+    x, z = _pack(form)
+    level = _levels(x[:, ::-1], z[:, ::-1])[::-1] if alap else _levels(x, z)
+    depth = int(level.max(initial=0))
     layers: list[list[int]] = [[] for _ in range(depth)]
-    for v, k in enumerate(length):
+    for v, k in enumerate(level.tolist()):
         layers[depth - k if alap else k - 1].append(v)
     for members in (layer for layer in layers if len(layer) > 1):
-        edges = build_tgraph([graph.rotations[v] for v in members]).edges
-        if edges:
-            a, b = min(edges)  # the pair a nested loop over a, then b, meets first
+        pair = min(_edges(x[:, members], z[:, members]), default=None)
+        if pair:
+            a, b = pair  # the pair a nested loop over a, then b, meets first
             raise InvariantError(f"vertices {members[a]},{members[b]} share a layer but anticommute")
     return LayerSchedule(tuple(tuple(m) for m in layers))
 

@@ -15,7 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from trotopt import apply_edit_plan, equivalent_up_to_phase, parse_qc, unitary_of, write_qc
+from trotopt import (
+    apply_edit_plan,
+    build_tgraph,
+    cli,
+    equivalent_up_to_phase,
+    parse_qc,
+    unitary_of,
+    write_qc,
+)
 from trotopt.cli import BENCH_COLUMNS, build_parser, main
 
 from _helpers import MOD5_4, data_block_on_zero_ancillas, random_clifford_t_circuit
@@ -262,7 +270,28 @@ class TestTdepth:
         dot = tmp_path / "graph.dot"
         code, _ = run_cli("tdepth", str(path), "--dot", str(dot))
         assert code == 0
-        assert "digraph" in dot.read_text()
+        assert dot.read_text() == (
+            "digraph tgraph {\n"
+            '  r0 [label="+Z @0"];\n'
+            '  r1 [label="+X @2"];\n'
+            '  r2 [label="+Z @4"];\n'
+            "  r0 -> r1;\n"
+            "  r1 -> r2;\n"
+            "}\n"
+        )
+
+    def test_plain_tdepth_builds_no_edge_list(self, monkeypatch, tmp_path):
+        def forbidden(form):
+            raise AssertionError("edge list built without --dot")
+
+        monkeypatch.setattr(cli, "build_tgraph", forbidden)
+        assert run_cli("tdepth", str(MOD5_4))[0] == 0
+        assert run_cli("tdepth", str(MOD5_4), "--alap")[0] == 0
+        assert run_cli("tdepth", str(MOD5_4), "--ancilla", "-o", str(tmp_path / "l.qc"))[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "build_tgraph", lambda form: calls.append(form) or build_tgraph(form))
+        assert run_cli("tdepth", str(MOD5_4), "--dot", str(tmp_path / "g.dot"))[0] == 0
+        assert len(calls) == 1
 
     def test_layered_circuit_is_equivalent(self, tmp_path):
         path = tmp_path / "chain.qc"
@@ -359,21 +388,47 @@ SYNTHESIS_SHA256 = {
     ("r5", "resynth"): "0086e4172acb6aeff5e5a3a120d1ac9600c4103f82fba2bbb03ccaeac13aff19",
 }
 
+# sha256 of `tdepth --dot` per input, with and without folding: the only
+# end-to-end guard of build_tgraph, which plain `tdepth` no longer calls.
+DOT_SHA256 = {
+    ("mod5_4", "asap"): "b16e8b375b1a21cb80284c780bab226d23a38f6418999672b518afbd8835ec03",
+    ("mod5_4", "no-optimize"): "f4fcc702dcc5d363e887ec451d786e4549ce031db71f7c1a4a3d208679385f0d",
+    ("r1", "asap"): "1d14e00a70310635287258f588ef59cfb59d359811c95b0fa8c20555c550378d",
+    ("r1", "no-optimize"): "b7ad6340c29301665d4fe19d60b57d0063c132028e33f2334d2d2253962b7f2e",
+    ("r2", "asap"): "52dc005708526227e20c54394810b84b7a1d961db783671fcf255850ccde9144",
+    ("r2", "no-optimize"): "59e0c2ac39e181523db034a269dfdb309827a964087ba8c242b42345c34bc77d",
+    ("r5", "asap"): "cf35a76293726b360e13602fcce02746bdb9c19fc0402b2553482e889a31f038",
+    ("r5", "no-optimize"): "10b8452071aea5ae4e689faa4586ce4510f98f5f10be5c596d813e92d306d10c",
+}
+
+
+def synthesis_input(name, tmp_path):
+    if SYNTHESIS_INPUTS[name] is None:
+        return MOD5_4
+    seed, n, depth = SYNTHESIS_INPUTS[name]
+    path = tmp_path / f"{name}.qc"
+    path.write_text(write_qc(random_clifford_t_circuit(n, depth, random.Random(seed))))
+    return path
+
 
 @pytest.mark.parametrize("name", SYNTHESIS_INPUTS)
 def test_synthesized_outputs_are_pinned(name, tmp_path):
-    if SYNTHESIS_INPUTS[name] is None:
-        path = MOD5_4
-    else:
-        seed, n, depth = SYNTHESIS_INPUTS[name]
-        path = tmp_path / f"{name}.qc"
-        path.write_text(write_qc(random_clifford_t_circuit(n, depth, random.Random(seed))))
+    path = synthesis_input(name, tmp_path)
     out = tmp_path / "out.qc"
     for form, (command, *flags) in SYNTHESIS_FORMS.items():
         code, _ = run_cli(command, str(path), *flags, "-o", str(out))
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == SYNTHESIS_SHA256[name, form], (name, form)
+
+
+@pytest.mark.parametrize("name", SYNTHESIS_INPUTS)
+def test_dot_outputs_are_pinned(name, tmp_path):
+    path = synthesis_input(name, tmp_path)
+    dot = tmp_path / "graph.dot"
+    for form, flags in {"asap": (), "no-optimize": ("--no-optimize",)}.items():
+        assert run_cli("tdepth", str(path), *flags, "--dot", str(dot))[0] == 0
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == DOT_SHA256[name, form], (name, form)
 
 
 class TestVerify:

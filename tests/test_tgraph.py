@@ -1,6 +1,7 @@
 import io
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from trotopt import tgraph
@@ -12,7 +13,6 @@ from trotopt import (
     PauliProduct,
     Rotation,
     RotationForm,
-    TGraph,
     build_tgraph,
     equivalent_up_to_phase,
     extend_with_ancillas,
@@ -68,6 +68,12 @@ def first_anticommuting_pair(paulis):
     return None
 
 
+@pytest.fixture
+def one_layer(monkeypatch):
+    """Levels that put every rotation in one layer, as a broken pass would."""
+    monkeypatch.setattr(tgraph, "_levels", lambda x, z: np.ones(x.shape[1], dtype=np.int64))
+
+
 def span_rank(paulis):
     """GF(2) rank of the axes' bits by enumerating their span (small n only)."""
     span = {0}
@@ -103,7 +109,7 @@ class TestBuild:
         assert build_tgraph([Rotation(p) for p in paulis]).edges == pairwise_edges(paulis)
 
     @pytest.mark.parametrize("n", [1, 65])
-    def test_column_tiles_keep_edge_order(self, n, rng, monkeypatch):
+    def test_column_tiles_keep_edge_order(self, n, rng, monkeypatch, one_layer):
         # a budget below m splits each row's columns, as m > 2^14 does
         monkeypatch.setattr(tgraph, "_BLOCK_WORDS", 64)
         m = 200
@@ -112,13 +118,13 @@ class TestBuild:
         assert build_tgraph([Rotation(p) for p in paulis]).edges == pairwise_edges(paulis)
         a, b = first_anticommuting_pair(paulis)
         with pytest.raises(InvariantError, match=rf"^vertices {a},{b} share"):
-            layerize(TGraph(tuple(Rotation(p) for p in paulis), ()))
+            layerize([Rotation(p) for p in paulis])
 
-    def test_width_mismatch_rejected(self):
+    def test_width_mismatch_rejected(self, one_layer):
         with pytest.raises(ValueError, match="qubit count mismatch: 1 vs 2"):
             build_tgraph(rots("Z", "X", "ZZ"))
         with pytest.raises(ValueError, match="qubit count mismatch: 1 vs 2"):
-            layerize(TGraph(tuple(rots("Z", "Z", "ZZ")), ()))
+            layerize(rots("Z", "Z", "ZZ"))
 
 
 class TestReordering:
@@ -142,112 +148,113 @@ class TestReordering:
 
 class TestDepthBound:
     def test_chain_of_three(self):
-        assert t_depth_bound(build_tgraph(rots("Z", "X", "Z"))) == 3
+        assert t_depth_bound(rots("Z", "X", "Z")) == 3
 
     def test_edgeless(self):
-        assert t_depth_bound(build_tgraph(rots("ZI", "IZ", "ZZ"))) == 1
+        assert t_depth_bound(rots("ZI", "IZ", "ZZ")) == 1
 
     def test_empty(self):
-        assert t_depth_bound(build_tgraph([])) == 0
+        assert t_depth_bound([]) == 0
 
     def test_matches_brute_force(self, rng):
         for _ in range(150):
             n = rng.randint(1, 4)
             m = rng.randint(0, 12)
             paulis = [random_pauli(n, rng) for _ in range(m)]
-            g = build_tgraph([Rotation(p) for p in paulis])
-            assert t_depth_bound(g) == brute_force_min_layers(paulis)
+            assert t_depth_bound([Rotation(p) for p in paulis]) == brute_force_min_layers(paulis)
 
 
 class TestLayerize:
     def test_chain_gives_singletons(self):
-        schedule = layerize(build_tgraph(rots("Z", "X", "Z")))
+        schedule = layerize(rots("Z", "X", "Z"))
         assert schedule.layers == ((0,), (1,), (2,))
 
     def test_edgeless_gives_one_layer(self):
-        schedule = layerize(build_tgraph(rots("ZI", "IZ", "ZZ")))
+        schedule = layerize(rots("ZI", "IZ", "ZZ"))
         assert schedule.layers == ((0, 1, 2),)
 
     def test_empty(self):
-        assert layerize(build_tgraph([])).layers == ()
+        assert layerize([]).layers == ()
 
     @pytest.mark.parametrize("n", [3, 65])
-    def test_stripped_graph_names_first_anticommuting_pair(self, n, rng):
+    def test_stripped_graph_names_first_anticommuting_pair(self, n, rng, one_layer):
         raised = 0
         for _ in range(30):
             paulis = [random_pauli(n, rng) for _ in range(rng.randint(2, 40))]
             pair = first_anticommuting_pair(paulis)
-            stripped = TGraph(tuple(Rotation(p) for p in paulis), ())
+            rotations = [Rotation(p) for p in paulis]
             if pair is None:
-                assert layerize(stripped).depth == 1
+                assert layerize(rotations).depth == 1
                 continue
             with pytest.raises(InvariantError, match=rf"^vertices {pair[0]},{pair[1]} share"):
-                layerize(stripped)
+                layerize(rotations)
             raised += 1
         assert raised > 20
 
-    def test_stripped_check_reaches_the_last_row_block(self):
+    def test_stripped_check_reaches_the_last_row_block(self, one_layer):
         # 400 diagonal axes off qubit 0, then X and Z on qubit 0: the one
         # anticommuting pair is the last one, past the first row block
         n, m = 10, 402
         assert tgraph._tile(m)[0] < m - 2
         paulis = [PauliProduct(n, 0, (v % 511 + 1) << 1) for v in range(m - 2)]
         paulis += [PauliProduct.single(n, 0, "X"), PauliProduct.single(n, 0, "Z")]
-        stripped = TGraph(tuple(Rotation(p) for p in paulis), ())
         with pytest.raises(InvariantError, match=f"^vertices {m - 2},{m - 1} share"):
-            layerize(stripped)
+            layerize([Rotation(p) for p in paulis])
 
     def test_layer_count_equals_bound(self, rng):
         for _ in range(100):
             n = rng.randint(1, 4)
             m = rng.randint(0, 14)
-            g = build_tgraph([Rotation(random_pauli(n, rng)) for _ in range(m)])
-            schedule = layerize(g)
-            assert schedule.depth == t_depth_bound(g)
+            rotations = [Rotation(random_pauli(n, rng)) for _ in range(m)]
+            assert layerize(rotations).depth == t_depth_bound(rotations)
 
     def test_alap_same_depth(self, rng):
         for _ in range(50):
             n = rng.randint(1, 4)
-            g = build_tgraph(
-                [Rotation(random_pauli(n, rng)) for _ in range(rng.randint(0, 12))]
-            )
-            assert layerize(g, alap=True).depth == layerize(g).depth
+            rotations = [Rotation(random_pauli(n, rng)) for _ in range(rng.randint(0, 12))]
+            assert layerize(rotations, alap=True).depth == layerize(rotations).depth
 
     def test_flattened_schedule_is_topological(self, rng):
         for alap in (False, True):
             for _ in range(50):
                 n = rng.randint(1, 4)
-                g = build_tgraph(
-                    [Rotation(random_pauli(n, rng)) for _ in range(rng.randint(1, 12))]
-                )
-                order = [v for layer in layerize(g, alap=alap).layers for v in layer]
-                assert is_valid_reordering(g, order)
+                rotations = [Rotation(random_pauli(n, rng)) for _ in range(rng.randint(1, 12))]
+                order = [v for layer in layerize(rotations, alap=alap).layers for v in layer]
+                assert is_valid_reordering(build_tgraph(rotations), order)
 
 
 class TestLongestPathPass:
-    @pytest.mark.parametrize("n", [3, 65])
-    def test_matches_adjacency_list_reference(self, n, rng):
-        m = 400
-        assert tgraph._tile(m)[0] < m  # edges from more than one row of tiles
-        for _ in range(3):
-            g = build_tgraph([Rotation(random_pauli(n, rng)) for _ in range(m)])
-            asap = reference_layers(g)
-            assert t_depth_bound(g) == len(asap)
-            assert layerize(g).layers == asap
-            assert layerize(g, alap=True).layers == reference_layers(g, alap=True)
+    # (tile budget in words, m): row tiles with a diagonal part, then column
+    # tiles of 64 and of 7 words, then single-word tiles
+    BUDGETS = [(tgraph._BLOCK_WORDS, 400), (64, 400), (7, 120), (1, 40)]
 
-    def test_tdepth_runs_one_pass(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 3, 65])
+    def test_matches_adjacency_list_reference(self, n, rng, monkeypatch):
+        for words, m in self.BUDGETS:
+            monkeypatch.setattr(tgraph, "_BLOCK_WORDS", words)
+            rows, cols = tgraph._tile(m)
+            assert rows < m and (cols < m) == (words < m), words
+            rotations = [Rotation(random_pauli(n, rng)) for _ in range(m)]
+            g = build_tgraph(rotations)
+            asap = reference_layers(g)
+            assert t_depth_bound(rotations) == len(asap), words
+            assert layerize(rotations).layers == asap, words
+            assert layerize(rotations, alap=True).layers == reference_layers(g, alap=True), words
+
+    def test_tdepth_runs_one_pass(self, monkeypatch, tmp_path):
         calls = []
-        one_pass = tgraph._longest_paths
+        one_pass = tgraph._levels
 
         def counted(*args, **kwargs):
             calls.append(args)
             return one_pass(*args, **kwargs)
 
-        monkeypatch.setattr(tgraph, "_longest_paths", counted)
-        with redirect_stdout(io.StringIO()):
-            assert main(["tdepth", str(MOD5_4), "--ancilla"]) == 0
-        assert len(calls) == 1
+        monkeypatch.setattr(tgraph, "_levels", counted)
+        runs = [["--ancilla"], ["--alap"], ["--dot", str(tmp_path / "g.dot")]]
+        for flags in runs:
+            with redirect_stdout(io.StringIO()):
+                assert main(["tdepth", str(MOD5_4), *flags]) == 0
+        assert len(calls) == len(runs)
 
 
 def test_scans_make_no_per_pair_pauli_calls(monkeypatch, rng):
@@ -266,9 +273,8 @@ def test_scans_make_no_per_pair_pauli_calls(monkeypatch, rng):
     monkeypatch.setattr(PauliProduct, "equal_up_to_sign", forbidden)
     result = optimize(form)
     assert (result.stats.cancellations, result.stats.merges) == (10, 0)
-    graph = build_tgraph(result.form)
-    assert graph.edges
-    assert max(len(layer) for layer in layerize(graph).layers) > 1
+    assert build_tgraph(result.form).edges
+    assert max(len(layer) for layer in layerize(result.form).layers) > 1
 
 
 class TestAncillaExtension:
@@ -342,7 +348,7 @@ class TestSynthesizeSchedule:
             rotations = [Rotation(random_pauli(n, rng)) for _ in range(rng.randint(0, 6))]
             tail_circuit = random_clifford_circuit(n, rng.randint(0, 6), rng)
             form = RotationForm(n, tuple(rotations), CliffordTableau.from_circuit(tail_circuit))
-            layers = layerize(build_tgraph(form), alap=rng.random() < 0.5).layers
+            layers = layerize(form, alap=rng.random() < 0.5).layers
             t = max(
                 (len(layer) - span_rank([rotations[v].pauli for v in layer]) for layer in layers),
                 default=0,
@@ -458,7 +464,7 @@ class TestSynthesizeLayer:
 
     def test_builds_no_tableau(self, monkeypatch, rng):
         form = optimize(to_rotation_form(parse_qc(MOD5_4.read_text()).expand())).form
-        (layer,) = layerize(build_tgraph(form)).layers
+        (layer,) = layerize(form).layers
         layers = [extend_with_ancillas([form.rotations[v] for v in layer], 4)]
         for n in (1, 2, 5, 17, 33, 64, 65):
             layers.append(random_commuting_independent_rotations(n, rng.randint(1, n), rng))

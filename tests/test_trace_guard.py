@@ -80,3 +80,27 @@ def test_traced_optimize_keeps_the_stage_split(tracing):
     info = {s.name: s.info for s in tracer.spans}
     assert info["rotations.extract"]["t_in"] == 28
     assert info["optimizer.fold"]["t_out"] == 8
+
+
+def test_traced_tdepth_feeds_the_layer_metrics(tracing, tmp_path):
+    # The benchmark's tgraph metrics read these spans; plain tdepth builds no
+    # edge list, so only --dot records a build span.
+    tracer = tracing.Tracer()
+    requests, records = {}, {}
+    tracer.install()
+    try:
+        for kind, flags in {"plain": [], "dot": ["--dot", str(tmp_path / "g.dot")]}.items():
+            buf = io.StringIO()
+            with tracer.request(kind) as sid, redirect_stdout(buf):
+                assert main(["tdepth", str(MOD5_4), *flags]) == 0
+            requests[kind] = sid
+            records[kind] = json.loads(buf.getvalue())
+    finally:
+        tracer.uninstall()
+    spans = {kind: [(s.name, s.info) for s in tracer.spans if s.request == sid]
+             for kind, sid in requests.items()}
+    for kind in spans:
+        (layerize,) = [info for name, info in spans[kind] if name == "tgraph.layerize"]
+        assert layerize["layers"] == records[kind]["t_depth"] == 1
+    assert [info for name, info in spans["plain"] if name == "tgraph.build"] == []
+    assert [info for name, info in spans["dot"] if name == "tgraph.build"] == [{"edges": 0}]
