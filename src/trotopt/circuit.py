@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 # gate kind -> number of qubit operands
@@ -73,7 +74,16 @@ class Gate:
         return self.kind in CLIFFORD_KINDS
 
 
+@lru_cache(maxsize=1 << 16)
 def _g(kind: str, *qubits: int) -> Gate:
+    """The gate ``kind`` on ``qubits``, interned: the constructor that
+    parsing, expansion, editing and synthesis build their gates with.
+
+    Equal arguments return the same validated :class:`Gate`, so each
+    distinct (kind, qubits) runs ``__post_init__`` once while it stays in
+    the bounded memo.  An invalid gate is not memoized and raises on every
+    call.
+    """
     return Gate(kind, qubits)
 
 
@@ -107,11 +117,12 @@ class Circuit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit_names", tuple(self.qubit_names))
         object.__setattr__(self, "gates", tuple(self.gates))
-        if len(set(self.qubit_names)) != len(self.qubit_names):
+        n = len(self.qubit_names)
+        if len(set(self.qubit_names)) != n:
             raise ValueError("duplicate qubit names")
-        for g in self.gates:
-            if max(g.qubits) >= self.n:
-                raise ValueError(f"gate {g} references qubit outside register of {self.n}")
+        if max([q for g in self.gates for q in g.qubits], default=-1) >= n:
+            g = next(g for g in self.gates if max(g.qubits) >= n)
+            raise ValueError(f"gate {g} references qubit outside register of {n}")
         for names in (self.inputs, self.outputs):
             if names is not None:
                 unknown = set(names) - set(self.qubit_names)
@@ -329,8 +340,10 @@ def write_qc(circuit: Circuit) -> str:
         lines.append(".o " + " ".join(circuit.outputs))
     lines.append("")
     lines.append("BEGIN")
-    for g in circuit.gates:
-        ops = " ".join(circuit.qubit_names[q] for q in g.qubits)
-        lines.append(f"{_WRITE_MNEMONIC[g.kind]} {ops}")
+    names = circuit.qubit_names
+    lines += [
+        _WRITE_MNEMONIC[g.kind] + " " + " ".join([names[q] for q in g.qubits])
+        for g in circuit.gates
+    ]
     lines.append("END")
     return "\n".join(lines) + "\n"

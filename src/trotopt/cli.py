@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .circuit import Circuit, ParseError, UnsupportedGateError, parse_qc, write_qc
@@ -264,9 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process and reused by every call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help (0) or a usage error (1), both already printed
         return exc.code
     try:

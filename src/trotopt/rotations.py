@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import count, islice
 from typing import Callable, Sequence
 
-from .circuit import Circuit, Gate, UnsupportedGateError
+from .circuit import Circuit, Gate, UnsupportedGateError, _g
 from .pauli import PauliProduct
 from .tableau import (
     CliffordTableau,
@@ -178,7 +178,7 @@ def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
     basis_gates = _diagonalize_with_gates([r.pauli.unsigned() for r in rotations])
     gates: list[Gate] = [low for g in basis_gates for low in _lower_gate(g)]
     for j, rotation in enumerate(rotations):
-        gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (j,)))
+        gates.append(_g("T" if rotation.pauli.sign > 0 else "Tdg", j))
     gates.extend(low for g in _adjoint_gates(basis_gates) for low in _lower_gate(g))
     return Circuit.on_qubits(n, gates)
 
@@ -230,7 +230,7 @@ def apply_edit_plan(circuit: Circuit, plan: EditPlan) -> Circuit:
         if index in plan.deletions:
             continue
         if index in plan.replacements:
-            out.append(Gate(_REPLACEMENT[gate.kind], gate.qubits))
+            out.append(_g(_REPLACEMENT[gate.kind], *gate.qubits))
         else:
             out.append(gate)
     return circuit.with_gates(out)

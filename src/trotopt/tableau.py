@@ -11,6 +11,9 @@ commuting sets, and synthesis back to gates all live here.
 Each Clifford gate kind is defined once, by its own small tableau in
 :data:`_GATE_IMAGES`; the forward rule that conjugates a row and the
 preimage patterns that precompose a gate's inverse are both read off it.
+The forward rule is precomputed at import as one 16-entry table per kind
+(:data:`_RULES`), which a gate places on its qubits in constant time, and
+every gate that synthesis emits is interned (:func:`~trotopt.circuit._g`).
 Public methods return new tableaux.  The underscored in-place updates
 (``_apply_gate``, ``_apply_s_rotation``, ``_precompose_inverse``) are for
 callers that own the array: extraction's inverse prefix, the fold's frame
@@ -23,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import Circuit, Gate, UnsupportedGateError
+from .circuit import Circuit, Gate, UnsupportedGateError, _g
 from .pauli import PauliProduct
 
 
@@ -74,28 +77,24 @@ def _product(
 def _conjugate_rows(xs: list[int], zs: list[int], ks: list[int], gate: Gate) -> None:
     """Conjugate the rows by ``gate`` in place; a gate fixes every row off its qubits.
 
-    A row's bits on the gate's qubits, X bits then Z bits in operand order,
-    index the kind's forward rule, which gives the bits to flip there and
-    the phase to add.
+    The kind's rule (:data:`_RULES`) is placed on the gate's first and last
+    qubits p and q, the same qubit for a 1-qubit gate.  A meeting row's
+    bits there, x_p x_q z_p z_q from the low bit up, index the rule once,
+    which gives the slot bits to flip and the phase to add.
     """
-    rule = _FORWARD.get(gate.kind)
+    rule = _RULES.get(gate.kind)
     if rule is None:
         raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
-    qubits = gate.qubits
-    a = len(qubits)
-    spread = [0]  # local bits -> the same bits on the gate's qubits
-    for q in qubits:
-        spread += [s | 1 << q for s in spread]
-    mask = spread[-1]
+    p, q = gate.qubits[0], gate.qubits[-1]
+    place = (0, 1 << p, 1 << q, 1 << p | 1 << q)  # slot bits -> qubit bits
+    mask = place[3]
     for r, x in enumerate(xs):
         z = zs[r]
         if (x | z) & mask:
-            key = 0
-            for j, q in enumerate(qubits):
-                key |= (x >> q & 1) << j | (z >> q & 1) << (a + j)
+            key = x >> p & 1 | (x >> q & 1) << 1 | (z >> p & 1) << 2 | (z >> q & 1) << 3
             dx, dz, dk = rule[key]
-            xs[r] = x ^ spread[dx]
-            zs[r] = z ^ spread[dz]
+            xs[r] = x ^ place[dx]
+            zs[r] = z ^ place[dz]
             ks[r] = (ks[r] + dk) & 3
 
 
@@ -385,6 +384,12 @@ def _preimage_pattern(inverse: CliffordTableau) -> tuple[tuple[int, tuple[int, .
 
 _LOCAL = {kind: _local_tableau(images) for kind, images in _GATE_IMAGES.items()}
 _FORWARD = {kind: _forward_rule(local) for kind, local in _LOCAL.items()}
+# _FORWARD keyed on two qubit slots (see _conjugate_rows); a 1-qubit gate
+# fills both, so its keys repeat the X bit in bits 0-1 and the Z bit in 2-3
+_RULES = {
+    kind: rule if len(rule) == 16 else tuple(rule[key & 1 | key >> 1 & 2] for key in range(16))
+    for kind, rule in _FORWARD.items()
+}
 _PREIMAGES = {kind: _preimage_pattern(local.invert()) for kind, local in _LOCAL.items()}
 _INVERSE_KIND = {
     kind: next(other for other, t in _LOCAL.items() if t == local.invert())
@@ -404,7 +409,7 @@ def inverse_gate(gate: Gate) -> Gate:
     kind = _INVERSE_KIND.get(gate.kind)
     if kind is None:
         raise UnsupportedGateError(f"{gate.kind} has no Clifford inverse")
-    return gate if kind == gate.kind else Gate(kind, gate.qubits)
+    return gate if kind == gate.kind else _g(kind, *gate.qubits)
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +487,7 @@ def _diagonalize_with_gates(
     gates: list[Gate] = []
 
     def emit(kind: str, *qubits: int) -> None:
-        g = Gate(kind, qubits)
+        g = _g(kind, *qubits)
         gates.append(g)
         _conjugate_rows(xs, zs, ks, g)
 
@@ -552,20 +557,20 @@ def _adjoint_gates(gates: list[Gate]) -> list[Gate]:
     return [inverse_gate(g) for g in reversed(gates)]
 
 
-def _lower_gate(g: Gate) -> list[Gate]:
-    """Rewrite onto the {H, S, CNOT, X, Z} synthesis target set."""
+def _lower_gate(g: Gate) -> tuple[Gate, ...]:
+    """Rewrite onto the {H, S, CNOT, X, Z} synthesis target set, as interned gates."""
     if g.kind == "Sdg":
-        s = Gate("S", g.qubits)
-        return [s, s, s]
+        s = _g("S", *g.qubits)
+        return (s, s, s)
     if g.kind == "CZ":
         c, t = g.qubits
-        return [Gate("H", (t,)), Gate("CNOT", (c, t)), Gate("H", (t,))]
+        return (_g("H", t), _g("CNOT", c, t), _g("H", t))
     if g.kind == "SWAP":
         a, b = g.qubits
-        return [Gate("CNOT", (a, b)), Gate("CNOT", (b, a)), Gate("CNOT", (a, b))]
+        return (_g("CNOT", a, b), _g("CNOT", b, a), _g("CNOT", a, b))
     if g.kind == "Y":
-        return [Gate("Z", g.qubits), Gate("X", g.qubits)]
-    return [g]
+        return (_g("Z", *g.qubits), _g("X", *g.qubits))
+    return (g,)
 
 
 def synthesize_gates(t: CliffordTableau) -> list[Gate]:
@@ -587,17 +592,17 @@ def synthesize_gates(t: CliffordTableau) -> list[Gate]:
     for i in range(n):
         zmask = dz[i]
         if (zmask >> i) & 1:
-            phase_gates.append(Gate("S", (i,)))
+            phase_gates.append(_g("S", i))
         for j in range(i + 1, n):
             if (zmask >> j) & 1:
                 if not (dz[j] >> i) & 1:
                     raise InvariantError("asymmetric phase coupling")
-                phase_gates.append(Gate("CZ", (i, j)))
+                phase_gates.append(_g("CZ", i, j))
 
     layer = CliffordTableau.from_circuit(Circuit.on_qubits(n, phase_gates))
     for i in range(n):
         if layer._k[i] != dk[i]:
-            phase_gates.append(Gate("Z", (i,)))
+            phase_gates.append(_g("Z", i))
             layer._apply_gate(phase_gates[-1])
     if layer != d:
         raise InvariantError("phase-layer reconstruction failed")

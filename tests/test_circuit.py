@@ -10,6 +10,7 @@ from trotopt import (
     Circuit,
     Gate,
     ParseError,
+    circuit,
     equivalent_up_to_phase,
     parse_qc,
     unitary_of,
@@ -36,6 +37,16 @@ class TestGate:
 
     def test_target_is_last(self):
         assert Gate("CCZ", (0, 1, 2)).target == 2
+
+    def test_interned_gate_is_built_once(self):
+        g = circuit._g("CNOT", 3, 70)
+        assert g == Gate("CNOT", (3, 70))
+        assert circuit._g("CNOT", 3, 70) is g
+
+    def test_interning_never_memoizes_an_invalid_gate(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="repeated qubit"):
+                circuit._g("CNOT", 1, 1)
 
 
 class TestParse:

@@ -16,8 +16,10 @@ from pathlib import Path
 import pytest
 
 from trotopt import (
+    Gate,
     apply_edit_plan,
     build_tgraph,
+    circuit,
     cli,
     equivalent_up_to_phase,
     parse_qc,
@@ -88,6 +90,53 @@ def test_usage_errors_are_input_errors(argv, capsys):
 def test_help_exits_zero(argv, capsys):
     assert main(argv) == 0
     assert "usage: trotopt" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert [main(["optimize"]), main(["--help"]), main(["optimize"])] == [1, 0, 1]
+        assert main(["stats", str(MOD5_4)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert len(error_lines(capsys.readouterr().err)) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["tdepth", str(MOD5_4), "--ancilla", "-o"],
+    ["optimize", str(MOD5_4), "--mode", "resynth", "-o"],
+], ids=["tdepth-ancilla", "resynth"])
+def test_emitted_gates_are_validated_once_each(argv, tmp_path, monkeypatch):
+    """Interned gates: one ``Gate`` validation per distinct (kind, qubits),
+    not one per emitted gate."""
+    validated = []
+    real = Gate.__post_init__
+
+    def counted(self):
+        validated.append((self.kind, tuple(self.qubits)))
+        real(self)
+
+    out = tmp_path / "out.qc"
+    circuit._g.cache_clear()
+    monkeypatch.setattr(Gate, "__post_init__", counted)
+    code, _ = run_cli(*argv, str(out))
+    monkeypatch.undo()
+    assert code == 0
+    assert len(validated) == len(set(validated))
+
+    def distinct(c):
+        return {(g.kind, g.qubits) for g in c.gates}
+
+    source = parse_qc(MOD5_4.read_text(encoding="utf-8"))
+    written = parse_qc(out.read_text(encoding="utf-8"))
+    # The diagonalizer validates its CZ/SWAP/Sdg/Y before lowering them onto
+    # the written CNOT/H/S/X/Z, so the written gates get a second allowance.
+    bound = len(distinct(source) | distinct(source.expand())) + 2 * len(distinct(written))
+    assert len(validated) <= bound < len(written.gates) + len(source.expand().gates)
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["optimize"], 1)],

@@ -22,6 +22,7 @@ from trotopt.pauli import _mul_bits
 from trotopt.tableau import _diagonalize_with_gates, _product, conjugate_by_gate, inverse_gate
 
 from _helpers import (
+    gate_matrix,
     random_clifford_circuit,
     random_commuting_independent_rotations,
     random_pauli,
@@ -67,8 +68,8 @@ class TestApplyGate:
                 lookups.append(key)
                 return tuple.__getitem__(self, key)
 
-        rules = {kind: CountedRule(rule) for kind, rule in tableau._FORWARD.items()}
-        monkeypatch.setattr(tableau, "_FORWARD", rules)
+        rules = {kind: CountedRule(rule) for kind, rule in tableau._RULES.items()}
+        monkeypatch.setattr(tableau, "_RULES", rules)
         for _ in range(60):
             n = rng.randint(2, 9)
             t, _ = random_tableau(n, rng, depth=rng.randint(0, 3 * n))
@@ -104,6 +105,49 @@ class TestApplyGate:
                 assert np.allclose(
                     u @ pauli_matrix(p) @ u.conj().T, pauli_matrix(t.conjugate(p))
                 ), f"{kind} disagrees with dense conjugation"
+
+
+def _place(bits: int, slots: tuple[int, ...]) -> int:
+    """Local bit j moved to qubit ``slots[j]``."""
+    return sum(1 << q for j, q in enumerate(slots) if bits >> j & 1)
+
+
+class TestPlacedRule:
+    """The per-kind rule ``_conjugate_rows`` places on a gate's qubits, on
+    both operand orders and on qubits either side of bit 64."""
+
+    @pytest.mark.parametrize("kind", sorted(CLIFFORD_KINDS))
+    @pytest.mark.parametrize("slots", [(0, 1), (1, 0), (3, 70), (70, 3)])
+    def test_matches_the_local_tableau(self, kind, slots):
+        local = tableau._LOCAL[kind]
+        a = local.n
+        g = Gate(kind, slots[:a])
+        n = max(slots) + 1
+        on_gate = (1 << a) - 1  # local bits on the gate's qubits; a 1-qubit gate leaves slot 1
+        for key in range(16):
+            lx, lz = key & 3, key >> 2
+            for sign in (1, -1):
+                image = local.conjugate(PauliProduct(a, lx & on_gate, lz & on_gate, sign))
+                want = PauliProduct(
+                    n,
+                    _place(image.x | lx & ~on_gate, slots),
+                    _place(image.z | lz & ~on_gate, slots),
+                    image.sign,
+                )
+                p = PauliProduct(n, _place(lx, slots), _place(lz, slots), sign)
+                assert conjugate_by_gate(g, p) == want, f"{kind} on {slots[:a]}: {p}"
+
+    @pytest.mark.parametrize("kind", sorted(CLIFFORD_KINDS))
+    @pytest.mark.parametrize("slots", [(0, 1), (1, 0), (0, 2), (2, 0)])
+    def test_matches_dense_conjugation(self, kind, slots):
+        n = 3
+        g = Gate(kind, slots[: ARITY[kind]])
+        u = gate_matrix(g, n)
+        for key in range(1 << 2 * n):
+            p = PauliProduct(n, key & 7, key >> 3, -1 if key & 1 else 1)
+            assert np.allclose(
+                u @ pauli_matrix(p) @ u.conj().T, pauli_matrix(conjugate_by_gate(g, p))
+            ), f"{kind} on {g.qubits} disagrees with dense conjugation of {p}"
 
 
 class TestConjugate:
