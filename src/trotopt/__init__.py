@@ -27,7 +27,6 @@ from .tableau import (
     DependentSetError,
     InvariantError,
     NonCommutingError,
-    diagonalize_commuting_set,
     synthesize,
 )
 from .rotations import (
@@ -88,7 +87,6 @@ __all__ = [
     "UnsupportedGateError",
     "apply_edit_plan",
     "build_tgraph",
-    "diagonalize_commuting_set",
     "equivalent_up_to_phase",
     "extend_with_ancillas",
     "from_rotation_form_resynth",

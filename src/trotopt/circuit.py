@@ -66,10 +66,6 @@ class Gate:
             raise ValueError(f"negative qubit index in {self.qubits}")
 
     @property
-    def target(self) -> int:
-        return self.qubits[-1]
-
-    @property
     def is_clifford(self) -> bool:
         return self.kind in CLIFFORD_KINDS
 
@@ -191,43 +187,38 @@ def _ccz_network(a: int, b: int, t: int) -> list[Gate]:
 # .qc format
 
 
+# .qc mnemonic, upper-cased -> the gate kind it names with k operands, at
+# entry k - 1; None marks an operand count the mnemonic does not take
+_KINDS_OF_MNEMONIC = {
+    "H": ("H",),
+    "X": ("X",),
+    "Y": ("Y",),
+    "S": ("S",),
+    "T": ("T",),
+    "S*": ("Sdg",),
+    "T*": ("Tdg",),
+    "Z": ("Z", "CZ", "CCZ"),
+    "TOF": ("X", "CNOT", "TOFFOLI"),
+    "CNOT": (None, "CNOT"),
+    "SWAP": (None, "SWAP"),
+}
+
+
 def _parse_gate_tokens(mnemonic: str, operands: Sequence[int], line: int) -> Gate:
-    upper = mnemonic.upper()
+    kinds = _KINDS_OF_MNEMONIC.get(mnemonic.upper())
+    if kinds is None:
+        raise ParseError(f"unsupported gate mnemonic {mnemonic!r}", line)
     k = len(operands)
-    if upper in ("H", "Y", "S", "T", "S*", "T*"):
-        if k != 1:
-            raise ParseError(f"{mnemonic} takes one qubit, got {k}", line)
-        kind = {"S*": "Sdg", "T*": "Tdg"}.get(upper, upper)
-        return _g(kind, operands[0])
-    if upper == "X":
-        if k != 1:
-            raise ParseError(f"X takes one qubit, got {k}", line)
-        return _g("X", operands[0])
-    if upper == "Z":
-        if k == 1:
-            return _g("Z", operands[0])
-        if k == 2:
-            return _g("CZ", *operands)
-        if k == 3:
-            return _g("CCZ", *operands)
-        raise ParseError(f"Z with {k - 1} controls is not supported (max 2)", line)
-    if upper == "TOF":
-        if k == 1:
-            return _g("X", operands[0])
-        if k == 2:
-            return _g("CNOT", *operands)
-        if k == 3:
-            return _g("TOFFOLI", *operands)
-        raise ParseError(f"tof with {k - 1} controls is not supported (max 2)", line)
-    if upper == "CNOT":
-        if k != 2:
-            raise ParseError(f"cnot takes two qubits, got {k}", line)
-        return _g("CNOT", *operands)
-    if upper == "SWAP":
-        if k != 2:
-            raise ParseError(f"swap takes two qubits, got {k}", line)
-        return _g("SWAP", *operands)
-    raise ParseError(f"unsupported gate mnemonic {mnemonic!r}", line)
+    kind = kinds[k - 1] if 0 < k <= len(kinds) else None
+    if kind is not None:
+        return _g(kind, *operands)
+    takes = [count for count, named in enumerate(kinds, start=1) if named]
+    if len(takes) > 1 and k > takes[-1]:
+        raise ParseError(
+            f"{mnemonic} with {k - 1} controls is not supported (max {takes[-1] - 1})", line
+        )
+    counts = f"{takes[0]} to {takes[-1]}" if len(takes) > 1 else f"{takes[0]}"
+    raise ParseError(f"{mnemonic} takes {counts} qubit(s), got {k}", line)
 
 
 def parse_qc(text: str) -> Circuit:
@@ -284,13 +275,18 @@ def parse_qc(text: str) -> Circuit:
             elif head in (".i", ".o"):
                 if names is None:
                     raise ParseError(f"{head} before .v header", lineno)
-                unknown = [t for t in tokens[1:] if t not in index]
+                if (inputs if head == ".i" else outputs) is not None:
+                    raise ParseError(f"duplicate {head} header", lineno)
+                listed = tuple(tokens[1:])
+                unknown = [t for t in listed if t not in index]
                 if unknown:
                     raise ParseError(f"undeclared qubit(s) {unknown} in {head}", lineno)
+                if len(set(listed)) != len(listed):
+                    raise ParseError(f"duplicate qubit name in {head}", lineno)
                 if head == ".i":
-                    inputs = tuple(tokens[1:])
+                    inputs = listed
                 else:
-                    outputs = tuple(tokens[1:])
+                    outputs = listed
             else:
                 raise ParseError(f"unexpected directive or gate outside BEGIN/END: {head!r}", lineno)
             continue

@@ -2,44 +2,31 @@
 
 An n-qubit Pauli product is stored as two bit masks (one X bit and one Z
 bit per qubit; both set means Y) plus an overall sign of +1 or -1.  Masks
-are plain Python ints, so commutation checks and products cost one bitwise
-op per machine word of register width.
+are plain Python ints, so a commutation check costs a few bitwise ops per
+machine word of register width.
 
 Phase convention: the unsigned operator encoded by masks ``(x, z)`` is
 ``prod_q i^(x_q z_q) X_q^(x_q) Z_q^(z_q)``, i.e. the Hermitian letter
-I/X/Y/Z on each qubit.  Products of two such operators pick up a power of
-i, which :meth:`PauliProduct.mul` reports instead of silently dropping.
+I/X/Y/Z on each qubit.  Products of such operators pick up powers of i,
+which only the tableau's row algebra forms and tracks
+(:func:`trotopt.tableau._product`, and its copy inlined in the S-rotation
+row update).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 _LETTER_OF_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_OF_LETTER = {v: k for k, v in _LETTER_OF_BITS.items()}
-
-
-def _mul_bits(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
-    """Multiply unsigned Pauli bit patterns: P(x1,z1)·P(x2,z2) = i^k·P(x,z)."""
-    x = x1 ^ x2
-    z = z1 ^ z2
-    k = (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        - (x & z).bit_count()
-        + 2 * (z1 & x2).bit_count()
-    ) % 4
-    return x, z, k
 
 
 @dataclass(frozen=True, slots=True)
 class PauliProduct:
     """A Hermitian n-qubit Pauli operator with an explicit +/-1 sign.
 
-    The sign domain is restricted to +-1: any i-phase produced by algebra is
-    surfaced through :meth:`mul`'s exponent return rather than stored, so a
-    PauliProduct is always a Hermitian operator.
+    The sign domain is restricted to +-1, so a PauliProduct is always a
+    Hermitian operator; i phases live only in the tableau's row exponents.
     """
 
     n: int
@@ -60,10 +47,6 @@ class PauliProduct:
     # constructors
 
     @classmethod
-    def identity(cls, n: int) -> PauliProduct:
-        return cls(n, 0, 0, 1)
-
-    @classmethod
     def from_label(cls, label: str) -> PauliProduct:
         """Parse a label like ``"XIZ"``, ``"+YY"`` or ``"-ZZ"`` (qubit 0 first)."""
         sign = 1
@@ -82,14 +65,6 @@ class PauliProduct:
             x |= xb << q
             z |= zb << q
         return cls(len(body), x, z, sign)
-
-    @classmethod
-    def single(cls, n: int, qubit: int, letter: str, sign: int = 1) -> PauliProduct:
-        """The single-site operator ``letter`` on ``qubit``, identity elsewhere."""
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} out of range for n={n}")
-        xb, zb = _BITS_OF_LETTER[letter.upper()]
-        return cls(n, xb << qubit, zb << qubit, sign)
 
     # ------------------------------------------------------------------
     # queries
@@ -116,64 +91,23 @@ class PauliProduct:
         occupied = self.x | self.z
         return tuple(q for q in range(self.n) if (occupied >> q) & 1)
 
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     # ------------------------------------------------------------------
     # algebra
-
-    def _require_same_n(self, other: PauliProduct) -> None:
-        if self.n != other.n:
-            raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
 
     def commutes(self, other: PauliProduct) -> bool:
         """True iff the two operators commute (symplectic inner product = 0).
 
         Signs never affect commutation and are ignored.
         """
-        self._require_same_n(other)
+        if self.n != other.n:
+            raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
         return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
-
-    def mul(self, other: PauliProduct) -> tuple[PauliProduct, int]:
-        """Return ``(p, k)`` with ``self * other == i^k * p`` and p.sign == +1.
-
-        Both operand signs and the per-qubit i factors are folded into k.
-        An odd k means the true product is anti-Hermitian; whether that is
-        an error is the caller's call.
-        """
-        self._require_same_n(other)
-        x, z, k = _mul_bits(self.x, self.z, other.x, other.z)
-        if self.sign < 0:
-            k += 2
-        if other.sign < 0:
-            k += 2
-        return PauliProduct(self.n, x, z, 1), k % 4
-
-    def restrict(self, qubits: Iterable[int]) -> PauliProduct:
-        """The factor supported on ``qubits`` (in the given order), sign +1.
-
-        The sign stays with the whole product and is never carried into a
-        restriction.
-        """
-        picked: Sequence[int] = tuple(qubits)
-        if not picked:
-            raise ValueError("cannot restrict to an empty qubit set")
-        x = z = 0
-        for slot, q in enumerate(picked):
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} out of range for n={self.n}")
-            x |= ((self.x >> q) & 1) << slot
-            z |= ((self.z >> q) & 1) << slot
-        return PauliProduct(len(picked), x, z, 1)
 
     def unsigned(self) -> PauliProduct:
         return self if self.sign > 0 else PauliProduct(self.n, self.x, self.z, 1)
 
     def __neg__(self) -> PauliProduct:
         return PauliProduct(self.n, self.x, self.z, -self.sign)
-
-    def equal_up_to_sign(self, other: PauliProduct) -> bool:
-        return self.n == other.n and self.x == other.x and self.z == other.z
 
     def extend(self, extra: int) -> PauliProduct:
         """Append ``extra`` identity qubits at the end of the register."""

@@ -100,9 +100,6 @@ class RotationForm:
             raise ValueError("tail Clifford width does not match qubit count")
         return tail
 
-    def t_count(self) -> int:
-        return len(self.rotations)
-
     def dump(self) -> str:
         """One rotation per line: ``+-PAULI @gate_index``."""
         return "\n".join(str(r) for r in self.rotations)

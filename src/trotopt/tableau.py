@@ -5,8 +5,9 @@ under conjugation as 2n integer rows, in the row layout of Aaronson and
 Gottesman (quant-ph/0406196): row r < n is the image of X_r and row n + q
 the image of Z_q, each an X mask, a Z mask and an i exponent.  Signs are
 load-bearing: they distinguish a +P rotation axis from a -P one
-downstream.  Gate application, composition, inversion, diagonalization of
-commuting sets, and synthesis back to gates all live here.
+downstream.  Conjugation, composition, inversion, the diagonalization of
+commuting sets that layer synthesis runs, and synthesis back to gates all
+live here.
 
 Each Clifford gate kind is defined once, by its own small tableau in
 :data:`_GATE_IMAGES`; the forward rule that conjugates a row and the
@@ -147,7 +148,11 @@ class CliffordTableau:
     @classmethod
     def s_rotation(cls, axis: PauliProduct) -> CliffordTableau:
         """Tableau of the square of the quarter-rotation about ``axis``."""
-        return cls.identity(axis.n).apply_s_rotation(axis)
+        if axis.is_identity:
+            raise ValueError("rotation axis must not be the identity")
+        t = cls.identity(axis.n)
+        t._apply_s_rotation(axis.x, axis.z, 1 - axis.sign)
+        return t
 
     # ------------------------------------------------------------------
     # rows
@@ -239,25 +244,6 @@ class CliffordTableau:
 
     # ------------------------------------------------------------------
     # core operations
-
-    def apply_gate(self, gate: Gate) -> CliffordTableau:
-        """Tableau of (gate applied after self); only rows meeting the gate change."""
-        out = self._copy()
-        out._apply_gate(gate)
-        return out
-
-    def apply_s_rotation(self, axis: PauliProduct) -> CliffordTableau:
-        """Tableau of (the square of the quarter-rotation about ``axis``) after self.
-
-        Only the rows that anticommute with the axis change: O(n) row work.
-        """
-        if axis.is_identity:
-            raise ValueError("rotation axis must not be the identity")
-        if axis.n != self.n:
-            raise ValueError(f"qubit count mismatch: {axis.n} vs {self.n}")
-        out = self._copy()
-        out._apply_s_rotation(axis.x, axis.z, 1 - axis.sign)
-        return out
 
     def conjugate(self, p: PauliProduct) -> PauliProduct:
         """Return C p C^dagger with exact sign.
@@ -397,13 +383,6 @@ _INVERSE_KIND = {
 }
 
 
-def conjugate_by_gate(gate: Gate, p: PauliProduct) -> PauliProduct:
-    """Return gate * p * gate^dagger for a single Clifford generator."""
-    xs, zs, ks = [p.x], [p.z], [1 - p.sign]
-    _conjugate_rows(xs, zs, ks, gate)
-    return PauliProduct(p.n, xs[0], zs[0], 1 - ks[0])
-
-
 def inverse_gate(gate: Gate) -> Gate:
     """The inverse Clifford gate; a self-inverse gate is returned as it is."""
     kind = _INVERSE_KIND.get(gate.kind)
@@ -434,11 +413,6 @@ def _dependent_indices(paulis: list[PauliProduct]) -> list[int]:
         else:
             dependent.append(j)
     return dependent
-
-
-def check_independent(paulis: list[PauliProduct]) -> bool:
-    """True iff no nonempty subset has bit product equal to the identity."""
-    return not _dependent_indices(paulis)
 
 
 def _diagonalize_with_gates(
@@ -474,7 +448,7 @@ def _diagonalize_with_gates(
                 raise NonCommutingError(
                     f"Paulis {i} ({paulis[i]}) and {j} ({paulis[j]}) anticommute"
                 )
-    if not check_independent(paulis):
+    if _dependent_indices(paulis):
         raise DependentSetError(
             "a nonempty subset of the Paulis multiplies to the identity"
         )
@@ -541,16 +515,6 @@ def _diagonalize_with_gates(
         for rows, done in zip(carry, (xs, zs, ks)):
             rows[:] = done[m:]
     return gates
-
-
-def diagonalize_commuting_set(paulis: list[PauliProduct]) -> CliffordTableau:
-    """A Clifford C with C P_j C^dagger == +Z_j for every input P_j.
-
-    Inputs must pairwise commute and be independent (no nonempty subset with
-    bit product identity); built by symplectic Gaussian elimination.
-    """
-    gates = _diagonalize_with_gates(paulis)
-    return CliffordTableau.from_circuit(Circuit.on_qubits(paulis[0].n, gates))
 
 
 def _adjoint_gates(gates: list[Gate]) -> list[Gate]:

@@ -33,10 +33,6 @@ class TGraph:
     rotations: tuple[Rotation, ...]
     edges: tuple[tuple[int, int], ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.rotations)
-
 
 @dataclass(frozen=True)
 class LayerSchedule:

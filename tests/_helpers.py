@@ -18,7 +18,7 @@ from trotopt import (
     RotationForm,
     TGraph,
 )
-from trotopt.tableau import conjugate_by_gate
+from trotopt.tableau import _dependent_indices
 from trotopt.verify import _ONE_QUBIT
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -200,30 +200,31 @@ def reference_layers(graph: TGraph, alap: bool = False) -> tuple[tuple[int, ...]
     lists in input order; ALAP levels mirror the longest path starting there,
     from successor lists in reverse order.  No edge order is assumed.
     """
-    preds: list[list[int]] = [[] for _ in range(graph.m)]
-    succs: list[list[int]] = [[] for _ in range(graph.m)]
+    m = len(graph.rotations)
+    preds: list[list[int]] = [[] for _ in range(m)]
+    succs: list[list[int]] = [[] for _ in range(m)]
     for i, j in graph.edges:
         preds[j].append(i)
         succs[i].append(j)
-    head = [0] * graph.m
-    for v in range(graph.m):
+    head = [0] * m
+    for v in range(m):
         head[v] = 1 + max((head[u] for u in preds[v]), default=0)
     depth = max(head, default=0)
     level = head
     if alap:
-        tail = [0] * graph.m
-        for v in reversed(range(graph.m)):
+        tail = [0] * m
+        for v in reversed(range(m)):
             tail[v] = 1 + max((tail[w] for w in succs[v]), default=0)
-        level = [depth - tail[v] + 1 for v in range(graph.m)]
+        level = [depth - tail[v] + 1 for v in range(m)]
     layers: list[list[int]] = [[] for _ in range(depth)]
-    for v in range(graph.m):
+    for v in range(m):
         layers[level[v] - 1].append(v)
     return tuple(tuple(layer) for layer in layers)
 
 
 def is_valid_reordering(graph: TGraph, perm: Sequence[int]) -> bool:
     """True iff ``perm`` (a permutation of 0..m-1) is a topological order."""
-    if sorted(perm) != list(range(graph.m)):
+    if sorted(perm) != list(range(len(graph.rotations))):
         raise ValueError("not a permutation of the graph's vertices")
     position = {v: i for i, v in enumerate(perm)}
     return all(position[i] < position[j] for i, j in graph.edges)
@@ -239,14 +240,19 @@ def ancilla_safe(form: RotationForm, t: int) -> bool:
         raise ValueError(f"ancilla count {t} out of range for n={form.n}")
     if t == 0:
         return True
-    ancillas = range(form.n - t, form.n)
-    return all(r.pauli.restrict(ancillas).x == 0 for r in form.rotations)
+    ancillas = ((1 << t) - 1) << (form.n - t)
+    return all(r.pauli.x & ancillas == 0 for r in form.rotations)
+
+
+def check_independent(paulis: list[PauliProduct]) -> bool:
+    """True iff no nonempty subset has bit product equal to the identity."""
+    return not _dependent_indices(paulis)
 
 
 def unmasked_diagonalize(paulis):
     """Reference elimination for valid inputs: every emitted gate conjugates
-    every Pauli, whether or not it touches the gate's qubits.  Returns the
-    gates' tableau, built one ``apply_gate`` at a time, and the gates."""
+    every Pauli through the gate's whole tableau, whether or not it touches
+    the gate's qubits.  Returns the gates."""
     n = paulis[0].n
     work = list(paulis)
     gates = []
@@ -254,7 +260,8 @@ def unmasked_diagonalize(paulis):
     def emit(kind, *qubits):
         g = Gate(kind, qubits)
         gates.append(g)
-        work[:] = [conjugate_by_gate(g, w) for w in work]
+        tableau = CliffordTableau.from_circuit(Circuit.on_qubits(n, [g]))
+        work[:] = [tableau.conjugate(w) for w in work]
 
     for j in range(len(work)):
         p = work[j]
@@ -284,7 +291,4 @@ def unmasked_diagonalize(paulis):
             emit("SWAP", pivot, j)
         if work[j].sign < 0:
             emit("X", j)
-    tableau = CliffordTableau.identity(n)
-    for g in gates:
-        tableau = tableau.apply_gate(g)
-    return tableau, gates
+    return gates

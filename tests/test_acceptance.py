@@ -37,11 +37,11 @@ from trotopt import (
     unitary_of,
 )
 from trotopt.cli import main as cli_main
-from trotopt.tableau import check_independent
 
 from _helpers import (
     MOD5_4,
     brute_force_min_layers,
+    check_independent,
     data_block_on_zero_ancillas,
     non_phase_gates,
     random_clifford_t_circuit,

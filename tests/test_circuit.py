@@ -35,9 +35,6 @@ class TestGate:
         with pytest.raises(ValueError):
             Gate("RZ", (0,))
 
-    def test_target_is_last(self):
-        assert Gate("CCZ", (0, 1, 2)).target == 2
-
     def test_interned_gate_is_built_once(self):
         g = circuit._g("CNOT", 3, 70)
         assert g == Gate("CNOT", (3, 70))
@@ -89,6 +86,27 @@ class TestParse:
             parse_qc(".v a b c d\nBEGIN\nZ a b c d\nEND\n")
         with pytest.raises(ParseError, match="not supported"):
             parse_qc(".v a b c d e\nBEGIN\ntof a b c d e\nEND\n")
+
+    def test_gate_line_without_operands_names_the_count_it_takes(self):
+        for line, takes in [("Z", "1 to 3"), ("tof", "1 to 3"), ("H", "1"), ("cnot", "2")]:
+            with pytest.raises(ParseError, match=rf"^line 3: {line} takes {takes} qubit\(s\), got 0$"):
+                parse_qc(f".v a b\nBEGIN\n{line}\nEND\n")
+        with pytest.raises(ParseError, match=r"^line 3: swap takes 2 qubit\(s\), got 3$"):
+            parse_qc(".v a b c\nBEGIN\nswap a b c\nEND\n")
+        with pytest.raises(ParseError, match="^line 3: unsupported gate mnemonic 'ccx'$"):
+            parse_qc(".v a b c\nBEGIN\nccx a b c\nEND\n")
+
+    def test_repeated_io_header_or_name_rejected(self):
+        cases = [
+            (".v a b\n.i a\n.i b\nBEGIN\nEND\n", "line 3: duplicate .i header"),
+            (".v a b\n.o a\n.i a\n.o b\nBEGIN\nEND\n", "line 4: duplicate .o header"),
+            (".v a b\n.i\n.i a\nBEGIN\nEND\n", "line 3: duplicate .i header"),
+            (".v a b\n.o a a\nBEGIN\nEND\n", "line 2: duplicate qubit name in .o"),
+            (".v a b\n.i b a b\nBEGIN\nEND\n", "line 2: duplicate qubit name in .i"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ParseError, match=f"^{message}$"):
+                parse_qc(text)
 
     def test_structural_errors(self):
         with pytest.raises(ParseError):

@@ -143,10 +143,10 @@ def eager_fold(form):
         i = len(processed) - 1
         while i >= 0:
             comparisons += 1
-            if processed[i][0].equal_up_to_sign(axis) or not processed[i][0].commutes(axis):
+            if processed[i][0].unsigned() == axis.unsigned() or not processed[i][0].commutes(axis):
                 break
             i -= 1
-        if i >= 0 and processed[i][0].equal_up_to_sign(axis):
+        if i >= 0 and processed[i][0].unsigned() == axis.unsigned():
             partner, origin = processed.pop(i)
             deletions.add(rotation.origin)
             if partner.sign == axis.sign:
@@ -257,7 +257,7 @@ class TestSoundness:
             axes = [r.pauli for r in form.rotations]
             for j in range(len(axes)):
                 for i in range(j):
-                    if not axes[i].equal_up_to_sign(axes[j]):
+                    if axes[i].unsigned() != axes[j].unsigned():
                         continue
                     between = axes[i + 1 : j]
                     assert any(not q.commutes(axes[j]) for q in between)

@@ -1,4 +1,12 @@
+import ast
+import importlib
+import re
+from pathlib import Path
+
 import trotopt
+
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "trotopt"
 
 
 def test_every_exported_name_resolves():
@@ -8,3 +16,55 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from trotopt import *", namespace)
     assert set(trotopt.__all__) <= namespace.keys()
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name a module reads, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_exported_name_has_a_user(monkeypatch):
+    """A name stays in ``__all__`` only while the pipeline, a demo, the README
+    or the benchmark's traced spans use it; a definition is not a use."""
+    used: set[str] = set()
+    for path in [p for p in SRC.glob("*.py") if p.name != "__init__.py"]:
+        used |= referenced_names(path)
+    for path in (ROOT / "demos").glob("*.py"):
+        used |= referenced_names(path)
+    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    monkeypatch.syspath_prepend(str(ROOT / "trotbench"))
+    for _, attr in importlib.import_module("tracing").TRACED:
+        used |= set(attr.split("."))
+    assert sorted(set(trotopt.__all__) - used) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Imports marked ``# noqa: F401`` are re-exports and exempt; in
+    ``__init__.py`` a name listed in ``__all__`` counts as used."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = referenced_names(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= {element.value for element in node.value.elts}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -161,7 +161,7 @@ class TestResynth:
         def per_rotation_gates(form):
             gates = []
             for rotation in form.rotations:
-                _, w_gates = unmasked_diagonalize([rotation.pauli.unsigned()])
+                w_gates = unmasked_diagonalize([rotation.pauli.unsigned()])
                 gates.extend(low for g in w_gates for low in _lower_gate(g))
                 gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (0,)))
                 gates.extend(low for g in _adjoint_gates(w_gates) for low in _lower_gate(g))
@@ -210,7 +210,7 @@ class TestEditPlan:
 class TestRotationType:
     def test_identity_axis_rejected(self):
         with pytest.raises(ValueError):
-            Rotation(PauliProduct.identity(2))
+            Rotation(PauliProduct(2, 0, 0))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):

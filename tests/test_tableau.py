@@ -11,15 +11,13 @@ from trotopt import (
     PauliProduct,
     Rotation,
     UnsupportedGateError,
-    diagonalize_commuting_set,
     pauli_matrix,
     synthesize,
     synthesize_layer,
     unitary_of,
 )
 from trotopt import ARITY, CLIFFORD_KINDS, tableau
-from trotopt.pauli import _mul_bits
-from trotopt.tableau import _diagonalize_with_gates, _product, conjugate_by_gate, inverse_gate
+from trotopt.tableau import _conjugate_rows, _diagonalize_with_gates, _product, inverse_gate
 
 from _helpers import (
     gate_matrix,
@@ -36,6 +34,20 @@ P = PauliProduct.from_label
 def tableau_of(*gates: Gate) -> CliffordTableau:
     n = max(q for g in gates for q in g.qubits) + 1 if gates else 1
     return CliffordTableau.from_circuit(Circuit.on_qubits(n, gates))
+
+
+def conjugate_by_gate(gate: Gate, p: PauliProduct) -> PauliProduct:
+    """gate p gate^dagger, from ``_conjugate_rows`` on a one-row list."""
+    xs, zs, ks = [p.x], [p.z], [1 - p.sign]
+    _conjugate_rows(xs, zs, ks, gate)
+    return PauliProduct(p.n, xs[0], zs[0], 1 - ks[0])
+
+
+def diagonalizer(paulis: list[PauliProduct]) -> CliffordTableau:
+    """The tableau of the gates ``_diagonalize_with_gates`` emits."""
+    return CliffordTableau.from_circuit(
+        Circuit.on_qubits(paulis[0].n, _diagonalize_with_gates(paulis))
+    )
 
 
 class TestApplyGate:
@@ -58,7 +70,7 @@ class TestApplyGate:
 
     def test_non_clifford_rejected(self):
         with pytest.raises(UnsupportedGateError):
-            CliffordTableau.identity(1).apply_gate(Gate("T", (0,)))
+            tableau_of(Gate("T", (0,)))
 
     def test_recomputes_only_rows_meeting_the_gate(self, rng, monkeypatch):
         lookups = []
@@ -75,13 +87,14 @@ class TestApplyGate:
             t, _ = random_tableau(n, rng, depth=rng.randint(0, 3 * n))
             g = random_clifford_circuit(n, 1, rng).gates[0]
             rows = t.x_images + t.z_images
-            expected = [conjugate_by_gate(g, row) for row in rows]
+            expected = CliffordTableau.from_circuit(Circuit.on_qubits(n, [g])).compose(t)
             mask = sum(1 << q for q in g.qubits)
+            out = t._copy()
             lookups.clear()
-            out = t.apply_gate(g)
+            _conjugate_rows(out._x, out._z, out._k, g)
             assert len(lookups) == sum(1 for row in rows if (row.x | row.z) & mask)
-            for row, new, want in zip(rows, out.x_images + out.z_images, expected):
-                assert new == want
+            assert out == expected
+            for row, new in zip(rows, out.x_images + out.z_images):
                 if not (row.x | row.z) & mask:
                     assert new == row
 
@@ -285,17 +298,14 @@ class TestSRotation:
 
     def test_identity_axis_rejected(self):
         with pytest.raises(ValueError):
-            CliffordTableau.s_rotation(PauliProduct.identity(2))
-        with pytest.raises(ValueError):
-            CliffordTableau.identity(2).apply_s_rotation(PauliProduct.identity(2))
+            CliffordTableau.s_rotation(PauliProduct(2, 0, 0))
 
     def test_row_update_matches_compose(self, rng):
         for _ in range(120):
             n = rng.randint(1, 7)
             t, _ = random_tableau(n, rng)
             axis = random_pauli(n, rng)
-            out = t.apply_s_rotation(axis)
-            assert out == CliffordTableau.s_rotation(axis).compose(t)
+            out = CliffordTableau.s_rotation(axis).compose(t)
             rows = t._copy()
             moved = rows._apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
             assert rows == out
@@ -305,19 +315,19 @@ class TestSRotation:
 
 class TestDiagonalize:
     def test_z_gives_identity(self):
-        assert diagonalize_commuting_set([P("Z")]) == CliffordTableau.identity(1)
+        assert diagonalizer([P("Z")]) == CliffordTableau.identity(1)
 
     def test_x_gives_hadamard(self):
-        assert diagonalize_commuting_set([P("X")]) == tableau_of(Gate("H", (0,)))
+        assert diagonalizer([P("X")]) == tableau_of(Gate("H", (0,)))
 
     def test_zz_xx(self):
         paulis = [P("ZZ"), P("XX")]
-        c = diagonalize_commuting_set(paulis)
+        c = diagonalizer(paulis)
         assert c.conjugate(paulis[0]) == P("ZI")
         assert c.conjugate(paulis[1]) == P("IZ")
 
     def test_negative_signs_folded(self):
-        c = diagonalize_commuting_set([P("-Z"), ])
+        c = diagonalizer([P("-Z"), ])
         assert c.conjugate(P("-Z")) == P("Z")
 
     def test_random_sets(self, rng):
@@ -326,21 +336,21 @@ class TestDiagonalize:
             m = rng.randint(1, n)
             rotations = random_commuting_independent_rotations(n, m, rng)
             paulis = [r.pauli for r in rotations]
-            c = diagonalize_commuting_set(paulis)
+            c = diagonalizer(paulis)
             for j, p in enumerate(paulis):
-                assert c.conjugate(p) == PauliProduct.single(n, j, "Z")
+                assert c.conjugate(p) == PauliProduct(n, 0, 1 << j)
 
     def test_noncommuting_pair_named(self):
         with pytest.raises(NonCommutingError, match="0.*1"):
-            diagonalize_commuting_set([P("X"), P("Z")])
+            diagonalizer([P("X"), P("Z")])
 
     def test_dependent_set_rejected(self):
         with pytest.raises(DependentSetError):
-            diagonalize_commuting_set([P("ZI"), P("IZ"), P("ZZ")])
+            diagonalizer([P("ZI"), P("IZ"), P("ZZ")])
 
     def test_identity_input_rejected(self):
         with pytest.raises(ValueError):
-            diagonalize_commuting_set([PauliProduct.identity(2)])
+            diagonalizer([PauliProduct(2, 0, 0)])
 
     def test_post_check_catches_a_broken_gate_rule(self, monkeypatch):
         real = tableau._conjugate_rows
@@ -351,7 +361,7 @@ class TestDiagonalize:
 
         monkeypatch.setattr(tableau, "_conjugate_rows", h_does_nothing)
         with pytest.raises(InvariantError, match="diagonalization post-check failed"):
-            diagonalize_commuting_set([P("X")])
+            diagonalizer([P("X")])
         with pytest.raises(InvariantError, match="diagonalization post-check failed"):
             synthesize_layer([Rotation(P("X"))])
 
@@ -362,9 +372,7 @@ class TestMaskedDiagonalize:
             n = rng.randint(1, 9)
             m = rng.randint(1, n)
             paulis = [r.pauli for r in random_commuting_independent_rotations(n, m, rng)]
-            tableau, gates = unmasked_diagonalize(paulis)
-            assert _diagonalize_with_gates(paulis) == gates
-            assert diagonalize_commuting_set(paulis) == tableau
+            assert _diagonalize_with_gates(paulis) == unmasked_diagonalize(paulis)
 
 
 class TestSynthesize:
@@ -409,11 +417,8 @@ class TestValueSemantics:
             t, _ = random_tableau(n, rng)
             other, _ = random_tableau(n, rng)
             snapshot = CliffordTableau(n, t.x_images, t.z_images)
-            g = random_clifford_circuit(n, 1, rng).gates[0]
             axis = random_pauli(n, rng)
             outputs = [
-                t.apply_gate(g),
-                t.apply_s_rotation(axis),
                 t.compose(other),
                 other.compose(t),
                 t.invert(),
@@ -435,14 +440,32 @@ class TestValueSemantics:
             assert hash(again) == hash(t) == hash(rebuilt)
             seen = {t: "t"}
             assert seen[again] == seen[rebuilt] == seen[t.invert().invert()] == "t"
-            flipped = t.apply_gate(Gate("X", (0,)))
+            flipped = CliffordTableau.from_circuit(circuit.with_gates(circuit.gates + (Gate("X", (0,)),)))
             assert flipped != t and flipped not in seen
             assert len({t, again, rebuilt, flipped}) == 2
 
 
+def letterwise_product(p: PauliProduct, q: PauliProduct) -> tuple[int, int, int]:
+    """(x, z, k) with p q = i^k P(x, z), one qubit at a time: XY = iZ, YZ = iX
+    and ZX = iY, the reverse orders take -i, and equal letters give I."""
+    k = (2 - p.sign - q.sign) % 4
+    letters = []
+    for site in range(p.n):
+        a, b = p.letter(site), q.letter(site)
+        if a == b:
+            letters.append("I")
+        elif "I" in (a, b):
+            letters.append(a if b == "I" else b)
+        else:
+            letters.append(({"X", "Y", "Z"} - {a, b}).pop())
+            k += 1 if a + b in "XYZX" else 3
+    image = P("".join(letters))
+    return image.x, image.z, k % 4
+
+
 class TestPhaseRule:
-    """``pauli._mul_bits``, ``tableau._product`` and the S-rotation row update
-    each spell out the Pauli product's phase; they must agree."""
+    """``tableau._product`` and the S-rotation row update each spell out the
+    Pauli product's phase; they must agree with a letter-by-letter rule."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65])
     def test_three_copies_agree(self, n, rng):
@@ -450,8 +473,7 @@ class TestPhaseRule:
             p = random_pauli(n, rng, allow_identity=True)
             q = random_pauli(n, rng, allow_identity=True)
             kp, kq = 1 - p.sign, 1 - q.sign
-            x, z, k = _mul_bits(p.x, p.z, q.x, q.z)
-            k = (k + kp + kq) % 4
+            x, z, k = letterwise_product(p, q)
             rows = CliffordTableau(n, [p] * n, [p] * n)
             moved = rows._apply_s_rotation(q.x, q.z, kq)
             if p.commutes(q):

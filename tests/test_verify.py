@@ -144,7 +144,7 @@ class TestRotationMatrix:
         assert np.allclose(rotation_matrix(p), OMEGA * np.eye(2))
 
     def test_positive_identity_is_identity(self):
-        assert np.allclose(rotation_matrix(PauliProduct.identity(1)), np.eye(2))
+        assert np.allclose(rotation_matrix(PauliProduct(1, 0, 0)), np.eye(2))
 
     def test_square_of_z_rotation_is_s(self):
         rz = rotation_matrix(P("Z"))
