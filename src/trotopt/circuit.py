@@ -124,6 +124,8 @@ class Circuit:
                 unknown = set(names) - set(self.qubit_names)
                 if unknown:
                     raise ValueError(f"undeclared qubits in .i/.o: {sorted(unknown)}")
+                if len(set(names)) != len(names):
+                    raise ValueError("repeated qubit name in .i/.o")
 
     @classmethod
     def on_qubits(cls, n: int, gates: Iterable[Gate] = ()) -> Circuit:

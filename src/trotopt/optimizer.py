@@ -9,10 +9,11 @@ the leftover square of the rotation (an S-like Clifford) into the frame.
 Every hit lowers the T-count by exactly 2.
 
 Total scan work is at most one commutation/equality check per ordered
-rotation pair, each O(n) bit operations: O(n k^2) overall.  The scan keeps
-the processed axes' X and Z masks in two plain int lists and checks a pair
-inline, an equality test and the parity of one popcount, with no method
-call per pair.
+rotation pair, each O(n) bit operations: O(n k^2) overall.  The processed
+list is four plain lists, the axes' X masks, Z masks and i exponents and
+the rotations' origins; the scan checks a pair inline, an equality test
+and the parity of one popcount, with no method call per pair, and only
+the survivors become ``Rotation`` objects.
 
 The frame is one tableau that the fold owns and updates in place: a
 merge rewrites only the integer rows (X mask, Z mask and i exponent per
@@ -69,10 +70,11 @@ def optimize(form: RotationForm) -> OptimizeResult:
     n = form.n
     frame = CliffordTableau.identity(n)  # maps raw axes into the analysis frame
     moved = 0  # bit r set once frame row r (X_r, or Z_{r-n}) has been rewritten
-    processed: list[tuple[PauliProduct, int | None]] = []
-    # the processed axes' X and Z masks, index for index with ``processed``
+    # the processed axes as int rows (X mask, Z mask, i exponent) and origins
     xs: list[int] = []
     zs: list[int] = []
+    ks: list[int] = []
+    origins: list[int | None] = []
 
     deletions: set[int] = set()
     replacements: set[int] = set()
@@ -81,10 +83,9 @@ def optimize(form: RotationForm) -> OptimizeResult:
     for rotation in form.rotations:
         axis = rotation.pauli
         origin = rotation.origin
-        ax, az = axis.x, axis.z
+        ax, az, k = axis.x, axis.z, 1 - axis.sign
         if (ax | az << n) & moved:
-            ax, az, k = frame._conjugate(ax, az, 1 - axis.sign)
-            axis = PauliProduct(n, ax, az, 1 - k)
+            ax, az, k = frame._conjugate(ax, az, k)
 
         match = -1
         for i in range(len(xs) - 1, -1, -1):
@@ -99,21 +100,22 @@ def optimize(form: RotationForm) -> OptimizeResult:
         stats.comparisons += len(xs) - max(i, 0)  # entries scanned
 
         if match < 0:
-            processed.append((axis, origin))
             xs.append(ax)
             zs.append(az)
+            ks.append(k)
+            origins.append(origin)
             continue
 
         del xs[match], zs[match]
-        partner, partner_origin = processed.pop(match)
+        partner_k, partner_origin = ks.pop(match), origins.pop(match)
         if partner_origin is None or origin is None:
             plan_complete = False
-        if partner.sign == axis.sign:
+        if partner_k == k:
             stats.merges += 1
             # The pair leaves the square of the rotation behind; absorb its
             # inverse into the frame so later raw axes map correctly, and
             # square the earlier physical gate in place (T**2 == S).
-            moved |= frame._apply_s_rotation(ax, az, 1 + axis.sign)  # -axis
+            moved |= frame._apply_s_rotation(ax, az, k ^ 2)  # -axis
             if plan_complete:
                 replacements.add(partner_origin)
                 deletions.add(origin)
@@ -128,7 +130,10 @@ def optimize(form: RotationForm) -> OptimizeResult:
             return form.tail_clifford
         return form.tail_clifford.compose(frame.invert())
 
-    surviving = tuple(Rotation(axis, origin=orig) for axis, orig in processed)
+    surviving = tuple(
+        Rotation(PauliProduct(n, x, z, 1 - k), origin=orig)
+        for x, z, k, orig in zip(xs, zs, ks, origins)
+    )
     out_form = RotationForm(form.n, surviving, tail, source=form.source)
 
     plan = EditPlan(frozenset(deletions), frozenset(replacements)) if plan_complete else None

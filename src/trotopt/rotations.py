@@ -145,12 +145,12 @@ def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:
     rotations = list(layer)
     if not rotations:
         return []
-    dependent = _dependent_indices([r.pauli for r in rotations])
+    n = rotations[0].pauli.n
+    dependent = _dependent_indices([r.pauli.x | r.pauli.z << n for r in rotations])
     if len(dependent) > t:
         raise DependentSetError(
             f"{t} ancilla(s) cannot make {len(rotations)} rotations independent"
         )
-    n = rotations[0].pauli.n
     tags = {j: 1 << (n + a) for a, j in enumerate(dependent)}
     extended: list[Rotation] = []
     for j, rotation in enumerate(rotations):
@@ -168,14 +168,16 @@ def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
     C maps axis j onto Z of qubit j.  Dependent sets raise; extend with
     ancillas first.
     """
-    rotations = list(layer)
-    if not rotations:
+    axes = [r.pauli for r in layer]
+    if not axes:
         return Circuit.on_qubits(0)
-    n = rotations[0].pauli.n
-    basis_gates = _diagonalize_with_gates([r.pauli.unsigned() for r in rotations])
+    n = axes[0].n
+    if any(p.n != n for p in axes):
+        raise ValueError("mixed qubit counts in Pauli set")
+    xs, zs = [p.x for p in axes], [p.z for p in axes]
+    basis_gates = _diagonalize_with_gates(xs, zs, [0] * len(axes), n, len(axes))
     gates: list[Gate] = [low for g in basis_gates for low in _lower_gate(g)]
-    for j, rotation in enumerate(rotations):
-        gates.append(_g("T" if rotation.pauli.sign > 0 else "Tdg", j))
+    gates.extend(_g("T" if p.sign > 0 else "Tdg", j) for j, p in enumerate(axes))
     gates.extend(low for g in _adjoint_gates(basis_gates) for low in _lower_gate(g))
     return Circuit.on_qubits(n, gates)
 
@@ -190,7 +192,8 @@ def synthesize_schedule(form: RotationForm, layers: Sequence[Sequence[int]]) -> 
     .i line lists the data qubits, so a reader starts the ancillas in |0>.
     """
     members = [[form.rotations[v] for v in layer] for layer in layers]
-    t = max((len(_dependent_indices([r.pauli for r in m])) for m in members), default=0)
+    bits = [[r.pauli.x | r.pauli.z << form.n for r in m] for m in members]
+    t = max((len(_dependent_indices(b)) for b in bits), default=0)
     gates: list[Gate] = []
     for m in members:
         gates.extend(synthesize_layer(extend_with_ancillas(m, t)).gates)

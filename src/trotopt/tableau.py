@@ -168,9 +168,6 @@ class CliffordTableau:
     def z_images(self) -> tuple[PauliProduct, ...]:
         return tuple(map(self._row, range(self.n, 2 * self.n)))
 
-    def _copy(self) -> CliffordTableau:
-        return CliffordTableau._from_rows(self.n, self._x[:], self._z[:], self._k[:])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CliffordTableau):
             return NotImplemented
@@ -376,10 +373,11 @@ _RULES = {
     kind: rule if len(rule) == 16 else tuple(rule[key & 1 | key >> 1 & 2] for key in range(16))
     for kind, rule in _FORWARD.items()
 }
-_PREIMAGES = {kind: _preimage_pattern(local.invert()) for kind, local in _LOCAL.items()}
+_LOCAL_INVERSE = {kind: local.invert() for kind, local in _LOCAL.items()}
+_PREIMAGES = {kind: _preimage_pattern(inverse) for kind, inverse in _LOCAL_INVERSE.items()}
 _INVERSE_KIND = {
-    kind: next(other for other, t in _LOCAL.items() if t == local.invert())
-    for kind, local in _LOCAL.items()
+    kind: next(other for other, t in _LOCAL.items() if t == inverse)
+    for kind, inverse in _LOCAL_INVERSE.items()
 }
 
 
@@ -395,15 +393,14 @@ def inverse_gate(gate: Gate) -> Gate:
 # diagonalization and synthesis
 
 
-def _dependent_indices(paulis: list[PauliProduct]) -> list[int]:
-    """Indices of the Paulis whose bits are a product of earlier ones' bits.
+def _dependent_indices(rows: list[int]) -> list[int]:
+    """Indices of the rows (``x | z << n`` bits) that are a product of earlier ones.
 
-    Signs are ignored; the count is ``len(paulis)`` minus the GF(2) rank.
+    Signs do not enter; the count is ``len(rows)`` minus the GF(2) rank.
     """
     pivots: dict[int, int] = {}
     dependent: list[int] = []
-    for j, p in enumerate(paulis):
-        v = p.x | (p.z << p.n)
+    for j, v in enumerate(rows):
         while v:
             top = v.bit_length() - 1
             if top not in pivots:
@@ -416,48 +413,36 @@ def _dependent_indices(paulis: list[PauliProduct]) -> list[int]:
 
 
 def _diagonalize_with_gates(
-    paulis: list[PauliProduct],
-    carry: tuple[list[int], list[int], list[int]] | None = None,
+    xs: list[int], zs: list[int], ks: list[int], n: int, m: int
 ) -> list[Gate]:
-    """Gates, in application order, of a Clifford C with C P_j C^dagger == +Z_j.
+    """Gates, in application order, of a Clifford C with C R_j C^dagger == +Z_j
+    for the first ``m`` int rows R_j = i^ks[j] P(xs[j], zs[j]) on ``n`` qubits.
 
-    Symplectic Gaussian elimination over a work list, the inputs as int
-    rows, which every emitted gate conjugates in place.  A gate skips only
-    the rows with no support on its qubits, and it fixes those exactly, so
-    row j is always input j conjugated by every gate emitted so far.  The
-    post-check "row j is exactly +Z_j for every j" is therefore the
-    condition C P_j C^dagger == +Z_j on the gates' tableau, at O(1) per
-    Pauli and with no tableau built.
-
-    ``carry``, int rows (X masks, Z masks, i exponents) that are never a
-    pivot, rides along and is replaced in place by its image under C.
+    Symplectic Gaussian elimination on the rows, which every emitted gate
+    conjugates in place; rows m and up are never a pivot and ride along,
+    so they end as their images under C.  A gate skips only the rows with
+    no support on its qubits, and it fixes those exactly, so row j is
+    always input j conjugated by every gate emitted so far.  The
+    post-check "row j is exactly +Z_j for every j < m" is therefore the
+    condition C R_j C^dagger == +Z_j on the gates' tableau, at O(1) per
+    row and with no tableau built.
     """
-    if not paulis:
+    if not m:
         raise ValueError("need at least one Pauli to diagonalize")
-    n = paulis[0].n
-    for j, p in enumerate(paulis):
-        if p.n != n:
-            raise ValueError("mixed qubit counts in Pauli set")
-        if p.is_identity:
+    for j in range(m):
+        if not xs[j] | zs[j]:
             raise ValueError(f"Pauli {j} is the identity")
-    xs = [p.x for p in paulis]
-    zs = [p.z for p in paulis]
-    for i, (xi, zi) in enumerate(zip(xs, zs)):
-        for j in range(i + 1, len(paulis)):
+    for i in range(m):
+        xi, zi = xs[i], zs[i]
+        for j in range(i + 1, m):
             if ((xi & zs[j]) ^ (zi & xs[j])).bit_count() & 1:  # anticommute
-                raise NonCommutingError(
-                    f"Paulis {i} ({paulis[i]}) and {j} ({paulis[j]}) anticommute"
-                )
-    if _dependent_indices(paulis):
+                a, b = (PauliProduct(n, xs[r], zs[r], 1 - ks[r]) for r in (i, j))
+                raise NonCommutingError(f"Paulis {i} ({a}) and {j} ({b}) anticommute")
+    if _dependent_indices([xs[j] | zs[j] << n for j in range(m)]):
         raise DependentSetError(
             "a nonempty subset of the Paulis multiplies to the identity"
         )
 
-    ks = [1 - p.sign for p in paulis]
-    if carry is not None:
-        xs += carry[0]
-        zs += carry[1]
-        ks += carry[2]
     gates: list[Gate] = []
 
     def emit(kind: str, *qubits: int) -> None:
@@ -465,7 +450,7 @@ def _diagonalize_with_gates(
         gates.append(g)
         _conjugate_rows(xs, zs, ks, g)
 
-    for j in range(len(paulis)):
+    for j in range(m):
         # Fast path: already exactly +-Z_j.
         zbit = 1 << j
         if xs[j] == 0 and zs[j] == zbit:
@@ -507,13 +492,9 @@ def _diagonalize_with_gates(
         if ks[j]:
             emit("X", j)
 
-    for j in range(len(paulis)):
+    for j in range(m):
         if xs[j] or zs[j] != 1 << j or ks[j]:
             raise InvariantError("diagonalization post-check failed")
-    if carry is not None:
-        m = len(paulis)
-        for rows, done in zip(carry, (xs, zs, ks)):
-            rows[:] = done[m:]
     return gates
 
 
@@ -542,8 +523,9 @@ def synthesize_gates(t: CliffordTableau) -> list[Gate]:
     n = t.n
     # d = diag ∘ t: t's X rows ride through the elimination of its Z rows,
     # which the post-check leaves exactly +Z_i.
-    dx, dz, dk = t._x[:n], t._z[:n], t._k[:n]
-    diag_gates = _diagonalize_with_gates(list(t.z_images), carry=(dx, dz, dk))
+    xs, zs, ks = (rows[n:] + rows[:n] for rows in (t._x, t._z, t._k))
+    diag_gates = _diagonalize_with_gates(xs, zs, ks, n, n)
+    dx, dz, dk = xs[n:], zs[n:], ks[n:]
     ones = [1 << i for i in range(n)]
     d = CliffordTableau._from_rows(n, dx + [0] * n, dz + ones, dk + [0] * n)
 

@@ -1,9 +1,11 @@
-"""Ground-truth dense-unitary oracle for small registers.
+"""Ground-truth dense-unitary oracle for small circuits.
 
 Everything here is built directly from 2x2 matrix definitions, independent
-of the tableau machinery, so it can arbitrate sign and phase conventions.
-Qubit 0 is the most significant bit of the basis index (the leftmost
-Kronecker factor).
+of the tableau machinery, so it can arbitrate sign and phase conventions:
+the oracle takes a :class:`~trotopt.circuit.Circuit` only, and this module
+imports nothing from the rotation or tableau code it checks.  Qubit 0 is
+the most significant bit of the basis index (the leftmost Kronecker
+factor).
 
 :func:`unitary_of` holds the unitary as a tensor of shape ``(2,)*n + (2^n,)``
 and applies each gate to its own qubit axes only: a 2x2 contraction for H
@@ -23,8 +25,6 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .pauli import PauliProduct
-from .rotations import RotationForm
-from .tableau import synthesize
 
 DEFAULT_QUBIT_CAP = 10
 
@@ -112,15 +112,15 @@ def _apply(u: np.ndarray, gate: Gate) -> np.ndarray:
     return u
 
 
-def unitary_of(obj: Circuit | RotationForm, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """Exact gate-by-gate (or rotation-by-rotation) dense unitary.
+def unitary_of(circuit: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+    """Exact gate-by-gate dense unitary of a circuit.
 
     Each gate touches only its own tensor axes, so it costs O(4^n) rather
     than the O(8^n) of a full matrix product.
     """
-    if not isinstance(obj, (Circuit, RotationForm)):
-        raise TypeError(f"cannot build a unitary from {type(obj).__name__}")
-    n, dim = obj.n, 1 << obj.n
+    if not isinstance(circuit, Circuit):
+        raise TypeError(f"cannot build a unitary from {type(circuit).__name__}")
+    n, dim = circuit.n, 1 << circuit.n
     if n > max_qubits:
         raise VerificationCapError(f"{n} qubits exceeds the verification cap of {max_qubits}")
     try:
@@ -129,19 +129,7 @@ def unitary_of(obj: Circuit | RotationForm, max_qubits: int = DEFAULT_QUBIT_CAP)
         u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     except (ValueError, MemoryError):
         raise VerificationCapError(f"cannot allocate the 2^{n} x 2^{n} unitary") from None
-    if isinstance(obj, Circuit):
-        gates = obj.gates
-    else:
-        w = np.exp(1j * math.pi / 4)
-        for rotation in obj.rotations:
-            # R(P) U = (1+w)/2 U + (1-w)/2 P U, with P applied letter by letter.
-            p = rotation.pauli
-            pu = u.copy()
-            for q in p.support():
-                pu = _apply(pu, Gate(p.letter(q), (q,)))
-            u = (1 + w) / 2 * u + (1 - w) / 2 * p.sign * pu
-        gates = synthesize(obj.tail_clifford).gates
-    for gate in gates:
+    for gate in circuit.gates:
         u = _apply(u, gate)
     return _check_unitary(u.reshape(dim, dim))
 

@@ -17,6 +17,7 @@ from trotopt import (
     Rotation,
     RotationForm,
     TGraph,
+    synthesize,
 )
 from trotopt.tableau import _dependent_indices
 from trotopt.verify import _ONE_QUBIT
@@ -145,14 +146,29 @@ def gate_matrix(gate: Gate, n: int) -> np.ndarray:
     raise ValueError(f"no dense matrix for gate kind {gate.kind!r}")
 
 
-def rotations_product_matrix(rotations) -> np.ndarray:
+def dense_product(gates, n: int) -> np.ndarray:
+    """Reference: the gates' full Kronecker matrices multiplied in order."""
+    u = np.eye(1 << n, dtype=complex)
+    for g in gates:
+        u = gate_matrix(g, n) @ u
+    return u
+
+
+def rotations_product_matrix(rotations, n: int | None = None) -> np.ndarray:
+    """The rotations' dense matrices multiplied in order (index 0 acts first)."""
     from trotopt import rotation_matrix
 
-    n = rotations[0].pauli.n
-    u = np.eye(1 << n, dtype=complex)
+    u = np.eye(1 << (rotations[0].pauli.n if n is None else n), dtype=complex)
     for r in rotations:
         u = rotation_matrix(r.pauli) @ u
     return u
+
+
+def form_unitary(form: RotationForm) -> np.ndarray:
+    """Reference unitary of a rotation form, rotation by rotation: the
+    rotations' matrices, then the synthesized tail's gate matrices."""
+    tail = dense_product(synthesize(form.tail_clifford).gates, form.n)
+    return tail @ rotations_product_matrix(form.rotations, form.n)
 
 
 def data_block_on_zero_ancillas(u: np.ndarray, n_data: int, t: int) -> np.ndarray:
@@ -246,7 +262,7 @@ def ancilla_safe(form: RotationForm, t: int) -> bool:
 
 def check_independent(paulis: list[PauliProduct]) -> bool:
     """True iff no nonempty subset has bit product equal to the identity."""
-    return not _dependent_indices(paulis)
+    return not _dependent_indices([p.x | p.z << p.n for p in paulis])
 
 
 def unmasked_diagonalize(paulis):

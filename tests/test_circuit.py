@@ -225,6 +225,14 @@ class TestWriteQc:
         c = Circuit(("a",))
         assert parse_qc(write_qc(c)) == c
 
+    def test_repeated_io_name_rejected_at_construction(self):
+        # parse_qc rejects ".i a a", so a Circuit that could write it must not exist
+        for inputs, outputs in [(("a", "a"), None), (None, ("b", "a", "b"))]:
+            with pytest.raises(ValueError, match=r"^repeated qubit name in \.i/\.o$"):
+                Circuit(("a", "b"), (), inputs, outputs)
+        c = Circuit(("a", "b"), (), ("b", "a"), ("a",))
+        assert parse_qc(write_qc(c)) == c
+
     def test_adjoint_mnemonics(self):
         c = Circuit.on_qubits(1, [Gate("Sdg", (0,)), Gate("Tdg", (0,))])
         text = write_qc(c)

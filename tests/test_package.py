@@ -68,3 +68,17 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_private_function_has_a_caller_in_src():
+    """An underscored function or method that nothing in ``src/`` reads is
+    dead code kept alive by tests; a definition is not a use."""
+    used: set[str] = set()
+    defined: list[tuple[str, str]] = []
+    for path in sorted(SRC.glob("*.py")):
+        used |= referenced_names(path)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((path.name, node.name))
+    assert [f"{module}:{name}" for module, name in defined if name not in used] == []

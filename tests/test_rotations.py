@@ -25,7 +25,7 @@ from trotopt import (
 )
 from trotopt.tableau import _adjoint_gates, _lower_gate
 
-from _helpers import random_clifford_t_circuit, unmasked_diagonalize
+from _helpers import form_unitary, random_clifford_t_circuit, unmasked_diagonalize
 
 P = PauliProduct.from_label
 
@@ -67,7 +67,7 @@ class TestToRotationForm:
             n = rng.randint(1, 5)
             c = random_clifford_t_circuit(n, rng.randint(0, 30), rng)
             rf = to_rotation_form(c)
-            assert equivalent_up_to_phase(unitary_of(rf), unitary_of(c))
+            assert equivalent_up_to_phase(form_unitary(rf), unitary_of(c))
 
     def test_cz_in_disguise_same_multiset(self):
         # A CZ and its CNOT+S rewrite produce identical rotation axes and tail.

@@ -43,11 +43,15 @@ def conjugate_by_gate(gate: Gate, p: PauliProduct) -> PauliProduct:
     return PauliProduct(p.n, xs[0], zs[0], 1 - ks[0])
 
 
+def diagonalize(paulis: list[PauliProduct]) -> list[Gate]:
+    """``_diagonalize_with_gates`` on the Paulis' int rows, every row a pivot."""
+    xs, zs, ks = [p.x for p in paulis], [p.z for p in paulis], [1 - p.sign for p in paulis]
+    return _diagonalize_with_gates(xs, zs, ks, paulis[0].n, len(paulis))
+
+
 def diagonalizer(paulis: list[PauliProduct]) -> CliffordTableau:
     """The tableau of the gates ``_diagonalize_with_gates`` emits."""
-    return CliffordTableau.from_circuit(
-        Circuit.on_qubits(paulis[0].n, _diagonalize_with_gates(paulis))
-    )
+    return CliffordTableau.from_circuit(Circuit.on_qubits(paulis[0].n, diagonalize(paulis)))
 
 
 class TestApplyGate:
@@ -89,7 +93,7 @@ class TestApplyGate:
             rows = t.x_images + t.z_images
             expected = CliffordTableau.from_circuit(Circuit.on_qubits(n, [g])).compose(t)
             mask = sum(1 << q for q in g.qubits)
-            out = t._copy()
+            out = CliffordTableau(n, t.x_images, t.z_images)
             lookups.clear()
             _conjugate_rows(out._x, out._z, out._k, g)
             assert len(lookups) == sum(1 for row in rows if (row.x | row.z) & mask)
@@ -255,7 +259,7 @@ class TestPrecomposeInverse:
                 t, _ = random_tableau(n, rng)
                 g = Gate(kind, tuple(rng.sample(range(n), ARITY[kind])))
                 gate_tab = CliffordTableau.from_circuit(Circuit.on_qubits(n, [g]))
-                rows = t._copy()
+                rows = CliffordTableau(n, t.x_images, t.z_images)
                 rows._precompose_inverse(g)
                 assert rows == t.compose(gate_tab.invert())
                 before, after = t.x_images + t.z_images, rows.x_images + rows.z_images
@@ -306,7 +310,7 @@ class TestSRotation:
             t, _ = random_tableau(n, rng)
             axis = random_pauli(n, rng)
             out = CliffordTableau.s_rotation(axis).compose(t)
-            rows = t._copy()
+            rows = CliffordTableau(n, t.x_images, t.z_images)
             moved = rows._apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
             assert rows == out
             for r, row in enumerate(t.x_images + t.z_images):
@@ -372,7 +376,7 @@ class TestMaskedDiagonalize:
             n = rng.randint(1, 9)
             m = rng.randint(1, n)
             paulis = [r.pauli for r in random_commuting_independent_rotations(n, m, rng)]
-            assert _diagonalize_with_gates(paulis) == unmasked_diagonalize(paulis)
+            assert diagonalize(paulis) == unmasked_diagonalize(paulis)
 
 
 class TestSynthesize:

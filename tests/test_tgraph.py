@@ -460,6 +460,10 @@ class TestSynthesizeLayer:
     def test_empty_layer(self):
         assert synthesize_layer([]).gates == ()
 
+    def test_mixed_widths_rejected(self):
+        with pytest.raises(ValueError, match="^mixed qubit counts in Pauli set$"):
+            synthesize_layer(rots("ZI") + rots("Z"))
+
     def test_builds_no_tableau(self, monkeypatch, rng):
         form = optimize(to_rotation_form(parse_qc(MOD5_4.read_text()).expand())).form
         (layer,) = layerize(form).layers

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,18 +17,17 @@ from trotopt import (
     equivalent_up_to_phase,
     pauli_matrix,
     rotation_matrix,
-    synthesize,
     unitary_of,
 )
 from trotopt.verify import VerificationCapError
 
 from _helpers import (
     brute_force_min_layers,
+    dense_product,
     gate_matrix,
     random_clifford_t_circuit,
     random_pauli,
     random_tableau,
-    rotations_product_matrix,
 )
 
 P = PauliProduct.from_label
@@ -77,19 +78,27 @@ class TestUnitaryOf:
         with pytest.raises(TypeError):
             unitary_of(42)
 
+    def test_rejects_a_rotation_form(self, rng):
+        # The oracle checks circuits only: a form's tail would have to be
+        # synthesized by the very code the oracle is meant to check.
+        tail, _ = random_tableau(2, rng)
+        form = RotationForm(2, [Rotation(random_pauli(2, rng))], tail)
+        with pytest.raises(TypeError, match="RotationForm"):
+            unitary_of(form)
 
-def dense_product(gates, n):
-    """Reference: the gates' full Kronecker matrices multiplied in order."""
-    u = np.eye(1 << n, dtype=complex)
-    for g in gates:
-        u = gate_matrix(g, n) @ u
-    return u
-
-
-def random_form(rng, n):
-    rotations = [Rotation(random_pauli(n, rng)) for _ in range(rng.randint(1, 8))]
-    tail, _ = random_tableau(n, rng)
-    return RotationForm(n, rotations, tail)
+    def test_imports_only_circuits_and_paulis(self):
+        # The oracle arbitrates the rotation and tableau code, so it must not use it.
+        tree = ast.parse(Path(trotopt.verify.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [("trotopt." if node.level else "") + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            imported |= {name for name in names if name.startswith("trotopt")}
+        assert imported == {"trotopt.circuit", "trotopt.pauli"}
 
 
 class TestContractionKernel:
@@ -110,29 +119,19 @@ class TestContractionKernel:
                 unitary_of(c), dense_product(c.gates, n), rtol=0, atol=1e-12
             )
 
-    def test_form_matches_rotation_matrix_product(self, rng):
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            form = random_form(rng, n)
-            tail = dense_product(synthesize(form.tail_clifford).gates, n)
-            expected = tail @ rotations_product_matrix(form.rotations)
-            np.testing.assert_allclose(unitary_of(form), expected, rtol=0, atol=1e-12)
-
     def test_builds_no_dense_matrices(self, rng, monkeypatch):
         circuit = random_clifford_t_circuit(4, 40, rng)
         circuit = circuit.with_gates(
             circuit.gates + (Gate("TOFFOLI", (3, 0, 2)), Gate("CCZ", (2, 3, 1)))
         )
-        form = random_form(rng, 4)
-        expected = unitary_of(circuit), unitary_of(form)
+        expected = unitary_of(circuit)
 
         def forbidden(*args):
             raise AssertionError("dense reference matrix built")
 
         for name in ("rotation_matrix", "pauli_matrix"):
             monkeypatch.setattr(trotopt.verify, name, forbidden)
-        assert np.array_equal(unitary_of(circuit), expected[0])
-        assert np.array_equal(unitary_of(form), expected[1])
+        assert np.array_equal(unitary_of(circuit), expected)
 
 
 class TestRotationMatrix:
