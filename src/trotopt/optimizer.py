@@ -15,6 +15,15 @@ the rotations' origins; the scan checks a pair inline, an equality test
 and the parity of one popcount, with no method call per pair, and only
 the survivors become ``Rotation`` objects.
 
+The scan is skipped when it could only run to exhaustion: when the
+incoming axis has no X bit among the Z bits of any axis processed so far,
+no Z bit among their X bits, and no equal axis in the list (a count per
+listed axis).  Then nothing listed anticommutes with it or equals it, so
+it is appended at once; on phase polynomials, where every axis is
+diagonal, that is every axis with no equal partner listed.
+``comparisons`` still counts the entries the paper's scan reads, whether
+or not the scan ran, so it equals the count of a plain backward scan.
+
 The frame is one tableau that the fold owns and updates in place: a
 merge rewrites only the integer rows (X mask, Z mask and i exponent per
 generator image) that anticommute with its axis, and the fold keeps the
@@ -75,6 +84,10 @@ def optimize(form: RotationForm) -> OptimizeResult:
     zs: list[int] = []
     ks: list[int] = []
     origins: list[int | None] = []
+    # the OR of every processed X mask and Z mask (they only grow, so they
+    # cover every axis still listed) and the count of each listed axis
+    xseen = zseen = 0
+    live: dict[int, int] = {}
 
     deletions: set[int] = set()
     replacements: set[int] = set()
@@ -84,28 +97,39 @@ def optimize(form: RotationForm) -> OptimizeResult:
         axis = rotation.pauli
         origin = rotation.origin
         ax, az, k = axis.x, axis.z, 1 - axis.sign
-        if (ax | az << n) & moved:
+        key = ax | az << n
+        if key & moved:
             ax, az, k = frame._conjugate(ax, az, k)
+            key = ax | az << n
 
-        match = -1
-        for i in range(len(xs) - 1, -1, -1):
-            px, pz = xs[i], zs[i]
-            if px == ax and pz == az:
-                match = i
-                break
-            if ((px & az) ^ (pz & ax)).bit_count() & 1:  # anticommutes
-                break
-        else:
-            i = -1
-        stats.comparisons += len(xs) - max(i, 0)  # entries scanned
+        # With no shared bit to anticommute on and no equal axis listed,
+        # the scan would read every entry and stop at none: skip it.
+        i = match = -1
+        if ax & zseen or az & xseen or key in live:
+            for i in range(len(xs) - 1, -1, -1):
+                px, pz = xs[i], zs[i]
+                if px == ax and pz == az:
+                    match = i
+                    break
+                if ((px & az) ^ (pz & ax)).bit_count() & 1:  # anticommutes
+                    break
+            else:
+                i = -1
+        stats.comparisons += len(xs) - max(i, 0)  # entries the scan reads
 
         if match < 0:
             xs.append(ax)
             zs.append(az)
             ks.append(k)
             origins.append(origin)
+            xseen |= ax
+            zseen |= az
+            live[key] = live.get(key, 0) + 1
             continue
 
+        live[key] -= 1
+        if not live[key]:
+            del live[key]
         del xs[match], zs[match]
         partner_k, partner_origin = ks.pop(match), origins.pop(match)
         if partner_origin is None or origin is None:

@@ -87,10 +87,6 @@ class PauliProduct:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    def support(self) -> tuple[int, ...]:
-        occupied = self.x | self.z
-        return tuple(q for q in range(self.n) if (occupied >> q) & 1)
-
     # ------------------------------------------------------------------
     # algebra
 
@@ -102,9 +98,6 @@ class PauliProduct:
         if self.n != other.n:
             raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
         return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
-
-    def unsigned(self) -> PauliProduct:
-        return self if self.sign > 0 else PauliProduct(self.n, self.x, self.z, 1)
 
     def __neg__(self) -> PauliProduct:
         return PauliProduct(self.n, self.x, self.z, -self.sign)

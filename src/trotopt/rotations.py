@@ -112,14 +112,15 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
     reads its axis straight off the Z row for q (a Tdg flips its sign).  The
     tail, the prefix itself, is that tableau's inverse, built on first read.
     """
-    inverse_prefix = CliffordTableau.identity(circuit.n)
+    n = circuit.n
+    inverse_prefix = CliffordTableau.identity(n)
+    xs, zs, ks = inverse_prefix._x, inverse_prefix._z, inverse_prefix._k
     rotations: list[Rotation] = []
     for index, gate in enumerate(circuit.gates):
         if gate.kind in ("T", "Tdg"):
-            axis = inverse_prefix._row(circuit.n + gate.qubits[0])
-            if gate.kind == "Tdg":
-                axis = -axis
-            rotations.append(Rotation(axis, origin=index))
+            r = n + gate.qubits[0]
+            k = ks[r] ^ 2 if gate.kind == "Tdg" else ks[r]
+            rotations.append(Rotation(PauliProduct(n, xs[r], zs[r], 1 - k), origin=index))
         elif gate.is_clifford:
             inverse_prefix._precompose_inverse(gate)
         else:

@@ -25,6 +25,7 @@ from _helpers import (
     form_unitary,
     non_phase_gates,
     random_clifford_t_circuit,
+    random_pauli,
 )
 
 P = PauliProduct.from_label
@@ -135,6 +136,11 @@ class TestFrame:
         assert form.tail_clifford == CliffordTableau.s_rotation(P("Z"))
 
 
+def same_axis(a, b):
+    """Equal up to sign."""
+    return (a.x, a.z) == (b.x, b.z)
+
+
 def eager_fold(form):
     """Reference fold: rebuilds the whole frame tableau on every merge and
     the tail eagerly, as ``tail.compose(frame.invert())``, counts each
@@ -148,10 +154,10 @@ def eager_fold(form):
         i = len(processed) - 1
         while i >= 0:
             comparisons += 1
-            if processed[i][0].unsigned() == axis.unsigned() or not processed[i][0].commutes(axis):
+            if same_axis(processed[i][0], axis) or not processed[i][0].commutes(axis):
                 break
             i -= 1
-        if i >= 0 and processed[i][0].unsigned() == axis.unsigned():
+        if i >= 0 and same_axis(processed[i][0], axis):
             partner, origin = processed.pop(i)
             deletions.add(rotation.origin)
             if partner.sign == axis.sign:
@@ -166,6 +172,33 @@ def eager_fold(form):
     return [axis for axis, _ in processed], tail, comparisons, plan
 
 
+def assert_matches_eager_fold(form):
+    """Survivors, tail, scan count and plan all equal :func:`eager_fold`'s."""
+    result = optimize(form)
+    axes, tail, comparisons, plan = eager_fold(form)
+    assert [r.pauli for r in result.form.rotations] == axes
+    assert result.form.tail_clifford == tail
+    assert result.stats.comparisons == comparisons
+    assert result.plan == plan
+    return result.stats
+
+
+def phase_polynomial(n, size, rng):
+    """A CNOT+T+X circuit: every extracted axis is diagonal."""
+    kinds = ["CNOT", "X", "T", "Tdg", "T"]
+    gates = []
+    for _ in range(size):
+        kind = rng.choice(kinds)
+        qubits = rng.sample(range(n), 2) if kind == "CNOT" else [rng.randrange(n)]
+        gates.append(Gate(kind, tuple(qubits)))
+    return Circuit.on_qubits(n, gates)
+
+
+def diagonal_label(n, rng):
+    letters = "".join(rng.choice("IZ") for _ in range(n - 1)) + "Z"
+    return rng.choice("+-") + "".join(rng.sample(letters, n))
+
+
 class TestLazyFrameTail:
     def test_matches_eager_frame_and_tail(self):
         rng = random.Random(0xFA11)
@@ -177,14 +210,61 @@ class TestLazyFrameTail:
                                           t_weight=0.5)
             if n > 8:
                 assert {g.kind for g in c.gates} == CLIFFORD_KINDS | {"T", "Tdg"}
-            result = optimize(to_rotation_form(c))
-            axes, tail, comparisons, plan = eager_fold(to_rotation_form(c))
-            assert [r.pauli for r in result.form.rotations] == axes
-            assert result.form.tail_clifford == tail
-            assert result.stats.comparisons == comparisons
-            assert result.plan == plan
-            merges += result.stats.merges
+            merges += assert_matches_eager_fold(to_rotation_form(c)).merges
         assert merges > 50
+
+    def test_matches_eager_fold_on_phase_polynomials(self):
+        # All axes diagonal: nothing anticommutes, so an axis with no equal
+        # partner listed skips the scan and still counts every entry.
+        rng = random.Random(0x9A5E)
+        merges = cancellations = 0
+        for n in [rng.randint(2, 10) for _ in range(30)] + [32, 64, 65]:
+            stats = assert_matches_eager_fold(
+                to_rotation_form(phase_polynomial(n, rng.randint(20, 12 * n), rng)))
+            merges += stats.merges
+            cancellations += stats.cancellations
+        assert merges > 50 and cancellations > 50
+
+    def test_matches_eager_fold_after_non_diagonal_axes_leave(self):
+        # Runs of diagonal axes with a non-diagonal axis that later cancels
+        # or merges: its X bits stay in the fold's seen masks after it
+        # leaves the list, so later diagonal axes are scanned in full.
+        rng = random.Random(0x0E4)
+        merges = cancellations = 0
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            labels = []
+            for _ in range(rng.randint(1, 5)):
+                labels += [diagonal_label(n, rng) for _ in range(rng.randint(0, 8))]
+                axis = random_pauli(n, rng)
+                while not axis.x:
+                    axis = random_pauli(n, rng)
+                between = [P(diagonal_label(n, rng)) for _ in range(6)]
+                labels.append(axis.label())
+                labels += [q.label() for q in between if q.commutes(axis)][:3]
+                labels.append(rng.choice([axis, -axis]).label())
+            labels += [diagonal_label(n, rng) for _ in range(rng.randint(1, 8))]
+            stats = assert_matches_eager_fold(synthetic_form(labels))
+            merges += stats.merges
+            cancellations += stats.cancellations
+        assert merges > 20 and cancellations > 20
+
+    def test_axis_returns_after_its_partner_left(self):
+        # Z0 cancels, returns with nothing listed to stop it, then merges
+        # with its own return.
+        stats = assert_matches_eager_fold(
+            synthetic_form(["+ZI", "+IZ", "-ZI", "+ZI", "+ZI"]))
+        assert (stats.cancellations, stats.merges, stats.t_after) == (1, 1, 1)
+        # Z0 listed twice (an X0 between): each match takes one copy away.
+        stats = assert_matches_eager_fold(
+            synthetic_form(["+ZI", "+XI", "+ZI", "-ZI", "+ZI", "+ZI", "+ZI"]))
+        assert (stats.cancellations, stats.merges) == (1, 1)
+        # Small alphabets repeat axes often, in every sign and order.
+        rng = random.Random(0x2E7)
+        for _ in range(300):
+            labels = [rng.choice("+-") + rng.choice(["ZI", "IZ", "ZZ", "XI", "XX"])
+                      for _ in range(rng.randint(1, 14))]
+            assert_matches_eager_fold(synthetic_form(labels))
 
     def test_builds_no_tableau_until_the_tail_is_read(self, monkeypatch):
         # Extraction's inverse prefix and the fold's frame are the only two
@@ -201,14 +281,8 @@ class TestLazyFrameTail:
         # On CNOT+T+X circuits every axis is diagonal: merges move only X
         # rows of the frame, so no axis ever needs conjugating.
         conjugations = count_tableau_calls(monkeypatch, "_conjugate")
-        rng = random.Random(0xD1A)
-        kinds = ["CNOT", "X", "T", "Tdg", "T"]
-        gates = []
-        for _ in range(400):
-            kind = rng.choice(kinds)
-            qubits = rng.sample(range(6), 2) if kind == "CNOT" else [rng.randrange(6)]
-            gates.append(Gate(kind, tuple(qubits)))
-        phase_poly = optimize(to_rotation_form(Circuit.on_qubits(6, gates)))
+        c = phase_polynomial(6, 400, random.Random(0xD1A))
+        phase_poly = optimize(to_rotation_form(c))
         assert phase_poly.stats.merges > 10
         assert conjugations == []
         mixed = optimize(to_rotation_form(
@@ -262,7 +336,7 @@ class TestSoundness:
             axes = [r.pauli for r in form.rotations]
             for j in range(len(axes)):
                 for i in range(j):
-                    if axes[i].unsigned() != axes[j].unsigned():
+                    if not same_axis(axes[i], axes[j]):
                         continue
                     between = axes[i + 1 : j]
                     assert any(not q.commutes(axes[j]) for q in between)
@@ -278,6 +352,20 @@ class TestComplexity:
             for value in range(1, k + 1):
                 letters = "".join("Z" if (value >> b) & 1 else "I" for b in range(n))
                 labels.append("+" + letters)
+            form, _, stats = optimize(synthetic_form(labels, n=n))
+            assert len(form.rotations) == k
+            assert stats.comparisons == k * (k - 1) // 2
+
+    def test_comparison_bound_when_masks_overlap(self):
+        # X0X1·Z_S and Z0Z1·Z_T (S, T on qubits 2 and up) pairwise commute,
+        # but every axis shares bits with the X and Z masks already seen:
+        # each insertion scans the whole processed list.
+        n = 8
+        for k in (64, 128):
+            labels = []
+            for value in range(k // 2):
+                rest = "".join("Z" if (value >> b) & 1 else "I" for b in range(n - 2))
+                labels += ["+XX" + rest, "+ZZ" + rest]
             form, _, stats = optimize(synthetic_form(labels, n=n))
             assert len(form.rotations) == k
             assert stats.comparisons == k * (k - 1) // 2

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import inspect
 import re
+from functools import cached_property
 from pathlib import Path
 
 import trotopt
@@ -27,9 +29,9 @@ def referenced_names(path: Path) -> set[str]:
     }
 
 
-def test_every_exported_name_has_a_user(monkeypatch):
-    """A name stays in ``__all__`` only while the pipeline, a demo, the README
-    or the benchmark's traced spans use it; a definition is not a use."""
+def names_users_read(monkeypatch) -> set[str]:
+    """Every name read by the pipeline, a demo, the README or the
+    benchmark's traced spans."""
     used: set[str] = set()
     for path in [p for p in SRC.glob("*.py") if p.name != "__init__.py"]:
         used |= referenced_names(path)
@@ -39,7 +41,31 @@ def test_every_exported_name_has_a_user(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "trotbench"))
     for _, attr in importlib.import_module("tracing").TRACED:
         used |= set(attr.split("."))
-    assert sorted(set(trotopt.__all__) - used) == []
+    return used
+
+
+def test_every_exported_name_has_a_user(monkeypatch):
+    """A name stays in ``__all__`` only while it has a user; a definition is
+    not a use."""
+    assert sorted(set(trotopt.__all__) - names_users_read(monkeypatch)) == []
+
+
+def test_every_public_method_has_a_user(monkeypatch):
+    """A public method or property of an exported class stays only while it
+    has a user or the acceptance criteria read it; a definition is not a use."""
+    used = names_users_read(monkeypatch) | referenced_names(ROOT / "tests" / "test_acceptance.py")
+    unused = []
+    for name in trotopt.__all__:
+        cls = getattr(trotopt, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, value in vars(cls).items():
+            kinds = (property, cached_property, classmethod, staticmethod)
+            if attr.startswith("_") or not (inspect.isfunction(value) or isinstance(value, kinds)):
+                continue
+            if attr not in used:
+                unused.append(f"{name}.{attr}")
+    assert unused == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -32,9 +32,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             P("+AB")
 
-    def test_support(self):
-        assert P("-XIZY").support() == (0, 2, 3)
-
 
 class TestCommutes:
     def test_single_qubit_anticommutation(self):
@@ -62,9 +59,6 @@ class TestMisc:
     def test_negate(self):
         assert (-P("XZ")).sign == -1
         assert -(-P("XZ")) == P("XZ")
-
-    def test_unsigned(self):
-        assert P("-YY").unsigned() == P("YY")
 
     def test_extend(self):
         assert P("-XZ").extend(2) == P("-XZII")

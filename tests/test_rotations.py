@@ -161,7 +161,8 @@ class TestResynth:
         def per_rotation_gates(form):
             gates = []
             for rotation in form.rotations:
-                w_gates = unmasked_diagonalize([rotation.pauli.unsigned()])
+                axis = rotation.pauli
+                w_gates = unmasked_diagonalize([PauliProduct(axis.n, axis.x, axis.z)])
                 gates.extend(low for g in w_gates for low in _lower_gate(g))
                 gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (0,)))
                 gates.extend(low for g in _adjoint_gates(w_gates) for low in _lower_gate(g))
