@@ -65,10 +65,6 @@ class Gate:
         if any(q < 0 for q in self.qubits):
             raise ValueError(f"negative qubit index in {self.qubits}")
 
-    @property
-    def is_clifford(self) -> bool:
-        return self.kind in CLIFFORD_KINDS
-
 
 @lru_cache(maxsize=1 << 16)
 def _g(kind: str, *qubits: int) -> Gate:
@@ -229,13 +225,15 @@ def parse_qc(text: str) -> Circuit:
     Gate lines name a mnemonic followed by qubit identifiers; for
     multi-qubit gates the rightmost identifier is the target and the rest
     are controls.  ``#`` starts a comment.  Rotation-angle gates and more
-    than two controls are rejected.
+    than two controls are rejected.  A gate line repeated in the body, up to
+    comments and the whitespace around it, is tokenized only once.
     """
     names: list[str] | None = None
     inputs: tuple[str, ...] | None = None
     outputs: tuple[str, ...] | None = None
     gates: list[Gate] = []
     index: dict[str, int] = {}
+    parsed: dict[str, Gate] = {}  # gate line text -> its gate, for lines that parsed
     in_body = False
     body_done = False
 
@@ -243,6 +241,11 @@ def parse_qc(text: str) -> Circuit:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if in_body:
+            gate = parsed.get(line)
+            if gate is not None:
+                gates.append(gate)
+                continue
         tokens = line.split()
         head = tokens[0]
 
@@ -301,7 +304,8 @@ def parse_qc(text: str) -> Circuit:
             operands.append(index[tok])
         if len(set(operands)) != len(operands):
             raise ParseError("repeated qubit operand", lineno)
-        gates.append(_parse_gate_tokens(head, operands, lineno))
+        gate = parsed[line] = _parse_gate_tokens(head, operands, lineno)
+        gates.append(gate)
 
     if names is None:
         raise ParseError("missing .v header")

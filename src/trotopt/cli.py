@@ -16,7 +16,7 @@ from functools import cache
 from pathlib import Path
 
 from .circuit import Circuit, ParseError, UnsupportedGateError, parse_qc, write_qc
-from .optimizer import optimize, t_count_reduction
+from .optimizer import _reduction, optimize
 from .rotations import (
     apply_edit_plan,
     from_rotation_form_resynth,
@@ -76,7 +76,7 @@ def _optimize_circuit(circuit: Circuit, mode: str):
     before, after = expanded.counts(), out.counts()
     record = {
         **result.stats.as_dict(),
-        **t_count_reduction(expanded, out).as_dict(),
+        **_reduction(before, after).as_dict(),
         "cnot_before": before.cnot_count,
         "cnot_after": after.cnot_count,
         "h_before": before.h_count,
@@ -142,7 +142,7 @@ def cmd_tdepth(args: argparse.Namespace) -> int:
     record = {
         "file": args.input,
         "qubits": circuit.n,
-        "t_count": len(form.rotations),
+        "t_count": len(form._x),
         "t_depth": schedule.depth,
         "layer_sizes": [len(layer) for layer in schedule.layers],
         "ancillas": layered.n - form.n if layered is not None else 0,

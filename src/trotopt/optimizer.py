@@ -9,11 +9,13 @@ the leftover square of the rotation (an S-like Clifford) into the frame.
 Every hit lowers the T-count by exactly 2.
 
 Total scan work is at most one commutation/equality check per ordered
-rotation pair, each O(n) bit operations: O(n k^2) overall.  The processed
-list is four plain lists, the axes' X masks, Z masks and i exponents and
-the rotations' origins; the scan checks a pair inline, an equality test
-and the parity of one popcount, with no method call per pair, and only
-the survivors become ``Rotation`` objects.
+rotation pair, each O(n) bit operations: O(n k^2) overall.  The fold
+reads the input form's int rows (X masks, Z masks, i exponents and
+origins) and keeps the processed list as four plain lists of the same
+kind, which become the surviving form's rows as they are: no ``Rotation``
+or ``PauliProduct`` is built on either side.  The scan checks a pair
+inline, an equality test and the parity of one popcount, with no method
+call per pair.
 
 The scan is skipped when it could only run to exhaustion: when the
 incoming axis has no X bit among the Z bits of any axis processed so far,
@@ -40,9 +42,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .circuit import Circuit
-from .pauli import PauliProduct
-from .rotations import EditPlan, Rotation, RotationForm
+from .circuit import Circuit, GateCounts
+from .rotations import EditPlan, RotationForm
 from .tableau import CliffordTableau
 
 
@@ -70,11 +71,12 @@ def optimize(form: RotationForm) -> OptimizeResult:
     """Run one folding pass; returns the surviving form, edits, and stats.
 
     The returned plan applies against ``form.source`` and is None when any
-    rotation lacks an origin.  The surviving form's tail is ``form``'s tail
-    after the inverse of the accumulated frame Clifford; it is built, with
-    one ``invert()`` of the frame, only when first read.
+    rotation lacks an origin.  The surviving form holds the survivors as
+    rows; its ``rotations`` view is built only when read.  Its tail is
+    ``form``'s tail after the inverse of the accumulated frame Clifford;
+    it is built, with one ``invert()`` of the frame, only when first read.
     """
-    stats = OptimizeStats(t_before=len(form.rotations))
+    stats = OptimizeStats(t_before=len(form._x))
 
     n = form.n
     frame = CliffordTableau.identity(n)  # maps raw axes into the analysis frame
@@ -93,10 +95,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
     replacements: set[int] = set()
     plan_complete = True
 
-    for rotation in form.rotations:
-        axis = rotation.pauli
-        origin = rotation.origin
-        ax, az, k = axis.x, axis.z, 1 - axis.sign
+    for ax, az, k, origin in zip(form._x, form._z, form._k, form._origins):
         key = ax | az << n
         if key & moved:
             ax, az, k = frame._conjugate(ax, az, k)
@@ -154,14 +153,9 @@ def optimize(form: RotationForm) -> OptimizeResult:
             return form.tail_clifford
         return form.tail_clifford.compose(frame.invert())
 
-    surviving = tuple(
-        Rotation(PauliProduct(n, x, z, 1 - k), origin=orig)
-        for x, z, k, orig in zip(xs, zs, ks, origins)
-    )
-    out_form = RotationForm(form.n, surviving, tail, source=form.source)
-
+    out_form = RotationForm._from_rows(n, xs, zs, ks, origins, tail, form.source)
     plan = EditPlan(frozenset(deletions), frozenset(replacements)) if plan_complete else None
-    stats.t_after = len(surviving)
+    stats.t_after = len(xs)
     return OptimizeResult(out_form, plan, stats)
 
 
@@ -181,7 +175,11 @@ class ReductionReport:
 
 def t_count_reduction(before: Circuit, after: Circuit) -> ReductionReport:
     """Compare T-counts; percent is 0 when the input had no T gates."""
-    t_before = before.counts().t_count
-    t_after = after.counts().t_count
+    return _reduction(before.counts(), after.counts())
+
+
+def _reduction(before: GateCounts, after: GateCounts) -> ReductionReport:
+    """:func:`t_count_reduction` from gate counts already taken."""
+    t_before, t_after = before.t_count, after.t_count
     percent = 0.0 if t_before == 0 else 100.0 * (t_before - t_after) / t_before
     return ReductionReport(t_before, t_after, percent)

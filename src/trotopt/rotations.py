@@ -6,11 +6,17 @@ T contributes one rotation whose axis is the prefix-conjugated Z of its
 target qubit, and all Clifford gates accumulate into the tail.  Extraction
 keeps the inverse Clifford prefix as one tableau, whose integer rows (X
 mask, Z mask and i exponent per generator image) it rewrites in place, at
-most four per Clifford gate; it inverts that tableau once, only when the
-tail is read.  The way back is layer synthesis: each layer of commuting
-rotations becomes one parallel T layer, with ancillas for dependent
-layers; resynthesis is the schedule of singleton layers.  Global phase is
-dropped throughout; equivalence is always modulo phase.
+most four per Clifford gate, by the gate kind's plan compiled at import;
+it inverts that tableau once, only when the tail is read.  A
+:class:`RotationForm` holds its rotations as int rows of the same kind,
+which extraction copies off the prefix and the fold reads and returns, so
+neither builds a :class:`Rotation` or a :class:`~trotopt.pauli.PauliProduct`;
+``RotationForm.rotations`` builds them on first read, for the public edges
+(layer synthesis, the DOT dump, the public constructor's callers).  The
+way back is layer synthesis: each layer of commuting rotations becomes one
+parallel T layer, with ancillas for dependent layers; resynthesis is the
+schedule of singleton layers.  Global phase is dropped throughout;
+equivalence is always modulo phase.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .circuit import Circuit, Gate, UnsupportedGateError, _g
 from .pauli import PauliProduct
@@ -72,26 +78,52 @@ class EditPlan:
             raise ValueError("a gate index cannot be both deleted and replaced")
 
 
-@dataclass(frozen=True)
 class RotationForm:
     """Ordered rotations (index 0 acts first) plus the absorbed tail Clifford.
 
+    The rotations are held as int rows, as in a tableau: X masks, Z masks,
+    i exponents (0 for a +axis, 2 for a -axis) and origins.
+    :attr:`rotations` views them as :class:`Rotation` objects, built on
+    first read; a form built from rotations keeps the tuple it was given.
     ``tail`` is the tableau or a no-argument function that builds it, called
     once, on the first read of :attr:`tail_clifford`: an unread tail is free.
     """
 
-    n: int
-    rotations: tuple[Rotation, ...]
-    tail: CliffordTableau | Callable[[], CliffordTableau]
-    source: Circuit | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rotations", tuple(self.rotations))
-        for r in self.rotations:
-            if r.pauli.n != self.n:
+    def __init__(
+        self,
+        n: int,
+        rotations: Iterable[Rotation],
+        tail: CliffordTableau | Callable[[], CliffordTableau],
+        source: Circuit | None = None,
+    ) -> None:
+        rotations = tuple(rotations)
+        for r in rotations:
+            if r.pauli.n != n:
                 raise ValueError("rotation width does not match qubit count")
-        if not callable(self.tail):
+        self.n, self.tail, self.source = n, tail, source
+        self._x = [r.pauli.x for r in rotations]
+        self._z = [r.pauli.z for r in rotations]
+        self._k = [1 - r.pauli.sign for r in rotations]
+        self._origins = [r.origin for r in rotations]
+        self.rotations = rotations
+        if not callable(tail):
             self.tail_clifford  # a given tableau is checked at once
+
+    @classmethod
+    def _from_rows(cls, n, xs, zs, ks, origins, tail, source) -> RotationForm:
+        """A form that takes ownership of the row lists, unchecked."""
+        form = cls.__new__(cls)
+        form.n, form.tail, form.source = n, tail, source
+        form._x, form._z, form._k, form._origins = xs, zs, ks, origins
+        return form
+
+    @cached_property
+    def rotations(self) -> tuple[Rotation, ...]:
+        n = self.n
+        return tuple(
+            Rotation(PauliProduct(n, x, z, 1 - k), origin)
+            for x, z, k, origin in zip(self._x, self._z, self._k, self._origins)
+        )
 
     @cached_property
     def tail_clifford(self) -> CliffordTableau:
@@ -109,26 +141,37 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
     """Single left-to-right pass over one tableau, the inverse Clifford prefix.
 
     A Clifford gate rewrites only its qubits' rows in place; a T on qubit q
-    reads its axis straight off the Z row for q (a Tdg flips its sign).  The
-    tail, the prefix itself, is that tableau's inverse, built on first read.
+    copies its axis straight off the Z row for q (a Tdg flips its sign) into
+    the form's rows.  The tail, the prefix itself, is that tableau's
+    inverse, built on first read.
     """
     n = circuit.n
     inverse_prefix = CliffordTableau.identity(n)
+    precompose = inverse_prefix._precompose_inverse
     xs, zs, ks = inverse_prefix._x, inverse_prefix._z, inverse_prefix._k
-    rotations: list[Rotation] = []
+    axes_x: list[int] = []
+    axes_z: list[int] = []
+    axes_k: list[int] = []
+    origins: list[int | None] = []
     for index, gate in enumerate(circuit.gates):
-        if gate.kind in ("T", "Tdg"):
+        kind = gate.kind
+        if kind == "T" or kind == "Tdg":
             r = n + gate.qubits[0]
-            k = ks[r] ^ 2 if gate.kind == "Tdg" else ks[r]
-            rotations.append(Rotation(PauliProduct(n, xs[r], zs[r], 1 - k), origin=index))
-        elif gate.is_clifford:
-            inverse_prefix._precompose_inverse(gate)
-        else:
+            axes_x.append(xs[r])
+            axes_z.append(zs[r])
+            axes_k.append(ks[r] ^ 2 if kind == "Tdg" else ks[r])
+            origins.append(index)
+            continue
+        try:
+            precompose(gate)
+        except UnsupportedGateError:
             raise UnsupportedGateError(
-                f"{gate.kind} at index {index}: expand() the circuit first"
-            )
+                f"{kind} at index {index}: expand() the circuit first"
+            ) from None
 
-    return RotationForm(circuit.n, tuple(rotations), inverse_prefix.invert, source=circuit)
+    return RotationForm._from_rows(
+        n, axes_x, axes_z, axes_k, origins, inverse_prefix.invert, circuit
+    )
 
 
 def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:
@@ -192,12 +235,14 @@ def synthesize_schedule(form: RotationForm, layers: Sequence[Sequence[int]]) -> 
     names and .i/.o come from ``form.source``; with ancillas and no .i, the
     .i line lists the data qubits, so a reader starts the ancillas in |0>.
     """
-    members = [[form.rotations[v] for v in layer] for layer in layers]
-    bits = [[r.pauli.x | r.pauli.z << form.n for r in m] for m in members]
+    n, xs, zs = form.n, form._x, form._z
+    bits = ([xs[v] | zs[v] << n for v in layer] for layer in layers)
     t = max((len(_dependent_indices(b)) for b in bits), default=0)
+    rotations = form.rotations
     gates: list[Gate] = []
-    for m in members:
-        gates.extend(synthesize_layer(extend_with_ancillas(m, t)).gates)
+    for layer in layers:
+        members = [rotations[v] for v in layer]
+        gates.extend(synthesize_layer(extend_with_ancillas(members, t)).gates)
     gates.extend(synthesize(form.tail_clifford).gates)
     source = form.source if form.source is not None else Circuit.on_qubits(form.n)
     spare = (f"anc{i}" for i in count() if f"anc{i}" not in source.qubit_names)

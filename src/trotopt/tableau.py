@@ -11,10 +11,12 @@ live here.
 
 Each Clifford gate kind is defined once, by its own small tableau in
 :data:`_GATE_IMAGES`; the forward rule that conjugates a row and the
-preimage patterns that precompose a gate's inverse are both read off it.
-The forward rule is precomputed at import as one 16-entry table per kind
-(:data:`_RULES`), which a gate places on its qubits in constant time, and
-every gate that synthesis emits is interned (:func:`~trotopt.circuit._g`).
+preimage plan that precomposes a gate's inverse are both read off it, at
+import.  The forward rule is one 16-entry table per kind (:data:`_RULES`),
+which a gate places on its qubits in constant time; the preimage plan
+(:data:`_PREIMAGES`) lists each changed row as one or two old rows and an
+i exponent, so extraction's per-gate update runs no generic product loop.
+Every gate that synthesis emits is interned (:func:`~trotopt.circuit._g`).
 Public methods return new tableaux.  The underscored in-place updates
 (``_apply_gate``, ``_apply_s_rotation``, ``_precompose_inverse``) are for
 callers that own the array: extraction's inverse prefix, the fold's frame
@@ -223,19 +225,32 @@ class CliffordTableau:
         """Make C into C composed with gate^-1 applied first.
 
         Only the X and Z rows of the gate's qubits change (at most four),
-        each to a product of at most two old rows (see :data:`_PREIMAGES`).
+        each to i^k times one old row or the product of two, as the kind's
+        plan in :data:`_PREIMAGES` says; a product's phase is
+        :func:`_product`'s, written out for two rows.  The plan's slots are
+        the rows X_p, X_q, Z_p, Z_q of the gate's first and last qubits p
+        and q, the same qubit for a 1-qubit gate.
         """
-        pattern = _PREIMAGES.get(gate.kind)
-        if pattern is None:
+        plan = _PREIMAGES.get(gate.kind)
+        if plan is None:
             raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
         xs, zs, ks = self._x, self._z, self._k
-        at = gate.qubits + tuple([self.n + q for q in gate.qubits])
+        p, q, n = gate.qubits[0], gate.qubits[-1], self.n
+        at = (p, q, p + n, q + n)
         new = []
-        for j, factors, k in pattern:
-            selected = 0
-            for f in factors:
-                selected |= 1 << at[f]
-            new.append((at[j], *_product(xs, zs, ks, selected, k)))
+        for dst, a, b, k in plan:
+            a = at[a]
+            x, z, k = xs[a], zs[a], ks[a] + k
+            if b:
+                b = at[b]
+                xb, zb = xs[b], zs[b]
+                k += ks[b] + (x & z).bit_count() + (xb & zb).bit_count() + 2 * (z & xb).bit_count()
+                x ^= xb
+                z ^= zb
+                k -= (x & z).bit_count()
+                if k & 1:
+                    raise InvariantError("conjugation produced an anti-Hermitian phase")
+            new.append((at[dst], x, z, k & 3))
         for r, x, z, k in new:
             xs[r], zs[r], ks[r] = x, z, k
 
@@ -346,23 +361,29 @@ def _forward_rule(local: CliffordTableau) -> tuple[tuple[int, int, int], ...]:
     return tuple(rule)
 
 
-def _preimage_pattern(inverse: CliffordTableau) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+def _preimage_plan(inverse: CliffordTableau) -> tuple[tuple[int, int, int, int], ...]:
     """How precomposing a gate's inverse rewrites its qubits' rows.
 
-    Local row j < a is X on the gate's qubit j and a + j is Z on it.  An
-    entry (j, factors, k) says: new row j is i^k times the product of the
-    old rows ``factors``, in ascending order, which are the bits and phase
-    of the inverse's local row j.  Rows the gate fixes have no entry.
+    Local row j < a is X on the gate's qubit j and a + j is Z on it; each
+    is placed on its slot among X_p, X_q, Z_p, Z_q (see
+    :meth:`CliffordTableau._precompose_inverse`).  An entry (d, f, g, k)
+    says: the row in slot d becomes i^k times the old row in slot f, or
+    times the product of the old rows in slots f < g when g is nonzero,
+    which are the bits and phase of the inverse's local row.  Rows the
+    gate fixes have no entry.
     """
     a = inverse.n
-    pattern = []
+    slot = (0, 1, 2, 3) if a == 2 else (0, 2)
+    plan = []
     for j in range(2 * a):
         x, z = inverse._x[j], inverse._z[j]
-        factors = tuple(f for f in range(2 * a) if (x | z << a) >> f & 1)
+        f, *rest = [slot[f] for f in range(2 * a) if (x | z << a) >> f & 1]
         k = ((x & z).bit_count() + inverse._k[j]) % 4
-        if factors != (j,) or k:
-            pattern.append((j, factors, k))
-    return tuple(pattern)
+        if len(rest) > 1:
+            raise InvariantError("a gate's preimage row is a product of more than two rows")
+        if rest or f != slot[j] or k:
+            plan.append((slot[j], f, *(rest or [0]), k))
+    return tuple(plan)
 
 
 _LOCAL = {kind: _local_tableau(images) for kind, images in _GATE_IMAGES.items()}
@@ -374,7 +395,7 @@ _RULES = {
     for kind, rule in _FORWARD.items()
 }
 _LOCAL_INVERSE = {kind: local.invert() for kind, local in _LOCAL.items()}
-_PREIMAGES = {kind: _preimage_pattern(inverse) for kind, inverse in _LOCAL_INVERSE.items()}
+_PREIMAGES = {kind: _preimage_plan(inverse) for kind, inverse in _LOCAL_INVERSE.items()}
 _INVERSE_KIND = {
     kind: next(other for other, t in _LOCAL.items() if t == inverse)
     for kind, inverse in _LOCAL_INVERSE.items()

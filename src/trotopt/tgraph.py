@@ -56,18 +56,21 @@ def _pack(form: RotationForm | Sequence[Rotation]) -> tuple[np.ndarray, np.ndarr
     Word-major, so that each word's product over a tile runs along whole
     contiguous rows of axes.
     """
-    rotations = form.rotations if isinstance(form, RotationForm) else form
-    n = rotations[0].pauli.n if rotations else 1
-    for r in rotations:
-        if r.pauli.n != n:
-            raise ValueError(f"qubit count mismatch: {n} vs {r.pauli.n}")
-    nbytes = 8 * ((n + 63) // 64)
+    if isinstance(form, RotationForm):
+        n, xmasks, zmasks = form.n, form._x, form._z
+    else:
+        n = form[0].pauli.n if form else 1
+        for r in form:
+            if r.pauli.n != n:
+                raise ValueError(f"qubit count mismatch: {n} vs {r.pauli.n}")
+        xmasks, zmasks = [r.pauli.x for r in form], [r.pauli.z for r in form]
+    nbytes = 8 * ((n + 63) // 64 or 1)
 
     def words(masks: list[int]) -> np.ndarray:
         data = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
         return np.ascontiguousarray(np.frombuffer(data, dtype="<u8").reshape(-1, nbytes // 8).T)
 
-    return words([r.pauli.x for r in rotations]), words([r.pauli.z for r in rotations])
+    return words(xmasks), words(zmasks)
 
 
 def _anticommute(x: np.ndarray, z: np.ndarray, rows: slice, cols: slice) -> np.ndarray:

@@ -123,6 +123,37 @@ class TestParse:
             parse_qc(".v a b\nBEGIN\ntof a a\nEND\n")  # repeated operand
 
 
+class TestParseCache:
+    """A gate line repeated in the body is tokenized once per ``parse_qc`` call."""
+
+    def test_repeats_yield_the_same_interned_gate(self, monkeypatch):
+        tokenized = []
+        real = circuit._parse_gate_tokens
+        monkeypatch.setattr(
+            circuit, "_parse_gate_tokens",
+            lambda *args: tokenized.append(args[0]) or real(*args),
+        )
+        text = ".v a b\nBEGIN\ntof a b\ntof a b # again\n  tof a b\t\ntof  a   b\nH b\ntof a b\nEND\n"
+        gates = parse_qc(text).gates
+        assert [g.kind for g in gates] == ["CNOT"] * 4 + ["H", "CNOT"]
+        assert all(g is gates[0] for g in gates[:4] + gates[5:])
+        assert tokenized == ["tof", "tof", "H"]  # "tof  a   b" is other text: parsed again
+
+    def test_bad_line_after_repeats_keeps_its_line_number(self):
+        good = "T a\n" * 5
+        with pytest.raises(ParseError, match="^line 8: undeclared qubit 'c'$"):
+            parse_qc(f".v a b\nBEGIN\n{good}T c\nEND\n")
+        with pytest.raises(ParseError, match="^line 6: repeated qubit operand$"):
+            parse_qc(".v a b\nBEGIN\ncnot a b\ncnot a b\ncnot a b\ncnot a a\nEND\n")
+
+    def test_begin_and_end_inside_the_body_are_still_caught(self):
+        with pytest.raises(ParseError, match="^line 5: duplicate BEGIN$"):
+            parse_qc(".v a\nBEGIN\nT a\nT a\nBEGIN\nEND\n")
+        with pytest.raises(ParseError, match="^line 5: content after END$"):
+            parse_qc(".v a\nBEGIN\nT a\nEND\nT a\n")
+        assert len(parse_qc(".v a\nBEGIN\nT a\nT a\nEND\n").gates) == 2
+
+
 class TestExpand:
     def test_mod5_4_counts(self, mod5_4_text):
         c = parse_qc(mod5_4_text).expand()

@@ -471,6 +471,37 @@ def test_synthesized_outputs_are_pinned(name, tmp_path):
         assert digest == SYNTHESIS_SHA256[name, form], (name, form)
 
 
+# sha256 of the in-place `optimize` .qc text and of its JSON record less
+# `wall_time_s` (run from the input's directory, so `file` is its bare name),
+# per input of SYNTHESIS_INPUTS: the edit plan and the fold counters.
+INPLACE_SHA256 = {
+    "mod5_4": ("6e609c333ca84bd1664408fc7c8c5d0cc61ba31653bda03552f6f5e03da43669",
+               "8543bf92f792b60254f1fd53ce0ac6f835b786a12fd501ce9a3e6456b317f27f"),
+    "r1": ("c53634f89cb6e4381c2dab97fb57871c62f4d7e2c758388077b0df40265a3e6c",
+           "7ff279ab836f5ea675afe3040bfcf6b9aa6188f19a41a54e4ff6401782f8ea49"),
+    "r2": ("27513ae61a15a557320b2e4939fa92b64c7410ea96c74a8b510838070fbdeaa1",
+           "86d0358a2c405908efd62ec87f841daf157e447d9c86877effd9c3edce48dde1"),
+    "r5": ("5fd51947add12defa8b7583ef393673dbb0ae87581b2cd8609eab6bf9bf8afb1",
+           "5a4ecb6122a18c73636e04f80cb57a6de4c931ea8d59c4d450d53eff1d34fe4b"),
+}
+
+
+@pytest.mark.parametrize("name", SYNTHESIS_INPUTS)
+def test_inplace_outputs_are_pinned(name, tmp_path, monkeypatch):
+    path = tmp_path / f"{name}.qc"
+    path.write_bytes(synthesis_input(name, tmp_path).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, stdout = run_cli("optimize", path.name, "-o", "out.qc")
+    assert code == 0
+    record = json.loads(stdout)
+    del record["wall_time_s"]
+    digests = (
+        hashlib.sha256((tmp_path / "out.qc").read_bytes()).hexdigest(),
+        hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest(),
+    )
+    assert digests == INPLACE_SHA256[name], record
+
+
 @pytest.mark.parametrize("name", SYNTHESIS_INPUTS)
 def test_dot_outputs_are_pinned(name, tmp_path):
     path = synthesis_input(name, tmp_path)

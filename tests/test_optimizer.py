@@ -1,4 +1,7 @@
+import gc
 import random
+import statistics
+import time
 
 import pytest
 
@@ -19,8 +22,10 @@ from trotopt import (
     to_rotation_form,
     unitary_of,
 )
+from trotopt.cli import main
 
 from _helpers import (
+    MOD5_4,
     count_tableau_calls,
     form_unitary,
     non_phase_gates,
@@ -342,6 +347,42 @@ class TestSoundness:
                     assert any(not q.commutes(axes[j]) for q in between)
 
 
+class TestRowForm:
+    """Extraction and the fold work on the form's int rows; the ``rotations``
+    view is built only when read."""
+
+    def test_inplace_cli_builds_no_pauli_or_rotation(self, monkeypatch, tmp_path):
+        built = []
+        for cls in (PauliProduct, Rotation):
+            real = cls.__post_init__
+
+            def counted(self, real=real, name=cls.__name__):
+                built.append(name)
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert main(["optimize", str(MOD5_4), "-o", str(tmp_path / "out.qc")]) == 0
+        monkeypatch.undo()
+        assert built == []
+
+    def test_views_build_on_the_soundness_sweep(self):
+        # The acceptance suite's 500 circuits (same seed and draws): every
+        # extracted and folded form's view runs the objects' own checks,
+        # masks inside the register and no identity axis, and agrees with
+        # the rows.
+        rng = random.Random(20250809)
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            circuit = random_clifford_t_circuit(n, rng.randint(0, 60), rng)
+            extracted = to_rotation_form(circuit)
+            for form in (extracted, optimize(extracted).form):
+                rows = list(zip(form._x, form._z, form._k, form._origins))
+                view = form.rotations
+                assert form.rotations is view
+                assert [(r.pauli.x, r.pauli.z, 1 - r.pauli.sign, r.origin) for r in view] == rows
+                assert all(r.pauli.n == n for r in view)
+
+
 class TestComplexity:
     def test_comparison_bound_on_all_commuting_lists(self):
         # k distinct pairwise-commuting diagonal axes: every insertion scans
@@ -369,6 +410,37 @@ class TestComplexity:
             form, _, stats = optimize(synthetic_form(labels, n=n))
             assert len(form.rotations) == k
             assert stats.comparisons == k * (k - 1) // 2
+
+    def test_walk_time_envelope_when_masks_overlap(self):
+        # The overlapping-mask input above, which walks the whole list on
+        # every insertion, timed with the acceptance envelope's estimator:
+        # sizes interleaved per round, the median of the per-round ratios,
+        # the garbage collector off.
+        n = 11  # 512 distinct Z_S tails for k = 1024
+        sizes = (256, 512, 1024)
+        forms = {}
+        for k in sizes:
+            labels = []
+            for value in range(k // 2):
+                rest = "".join("Z" if (value >> b) & 1 else "I" for b in range(n - 2))
+                labels += ["+XX" + rest, "+ZZ" + rest]
+            forms[k] = synthetic_form(labels, n=n)
+        wall = {k: [] for k in sizes}
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(9):
+                for k in sizes:
+                    started = time.perf_counter()
+                    result = optimize(forms[k])
+                    wall[k].append(time.perf_counter() - started)
+                    assert result.stats.comparisons == k * (k - 1) // 2
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        for k in (512, 1024):
+            ratio = statistics.median(b / a for a, b in zip(wall[k // 2], wall[k]))
+            assert ratio <= 5.0, (k, ratio)
 
     def test_quadratic_growth(self):
         counts = {}

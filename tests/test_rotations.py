@@ -218,3 +218,17 @@ class TestRotationType:
             RotationForm(2, (Rotation(P("Z")),), CliffordTableau.identity(2))
         with pytest.raises(ValueError):
             RotationForm(2, (), CliffordTableau.identity(3))
+
+    def test_width_errors_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^rotation width does not match qubit count$"):
+            RotationForm(2, [Rotation(P("ZI")), Rotation(P("Z"))], CliffordTableau.identity(2))
+        with pytest.raises(ValueError, match="^tail Clifford width does not match qubit count$"):
+            RotationForm(2, (), CliffordTableau.identity(3))
+
+    def test_public_form_keeps_the_rotations_it_was_given(self):
+        rotations = (Rotation(P("-XZ"), origin=4), Rotation(P("YI")))
+        form = RotationForm(2, rotations, CliffordTableau.identity(2))
+        assert form.rotations is rotations
+        assert RotationForm(2, list(rotations), CliffordTableau.identity(2)).rotations == rotations
+        folded = optimize(form).form
+        assert folded.rotations == rotations  # nothing folds: the rows round-trip

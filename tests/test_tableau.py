@@ -266,9 +266,30 @@ class TestPrecomposeInverse:
                 changed = {r % n for r in range(2 * n) if after[r] != before[r]}
                 assert changed <= set(g.qubits)
 
+    @pytest.mark.parametrize("n", [3, 64, 65])
+    @pytest.mark.parametrize("kind", sorted(tableau._GATE_IMAGES))
+    def test_plan_matches_compose_with_the_inverse_gate(self, kind, n, rng):
+        """The compiled plan against the generic product, across word widths."""
+        for _ in range(4):
+            t, _ = random_tableau(n, rng, depth=2 * n)
+            g = Gate(kind, tuple(rng.sample(range(n), ARITY[kind])))
+            inverse = CliffordTableau.from_circuit(Circuit.on_qubits(n, [inverse_gate(g)]))
+            rows = CliffordTableau(n, t.x_images, t.z_images)
+            rows._precompose_inverse(g)
+            assert rows == t.compose(inverse)
+
+    def test_plan_reads_at_most_two_rows_in_ascending_order(self):
+        for kind, plan in tableau._PREIMAGES.items():
+            for dst, a, b, k in plan:
+                assert b == 0 or a < b, kind
+                assert 0 <= k < 4
+
     def test_non_clifford_rejected(self):
         with pytest.raises(UnsupportedGateError):
             CliffordTableau.identity(1)._precompose_inverse(Gate("T", (0,)))
+        for kind in ("Tdg", "CCZ", "TOFFOLI"):
+            with pytest.raises(UnsupportedGateError, match=f"^{kind} is not a Clifford"):
+                CliffordTableau.identity(3)._precompose_inverse(Gate(kind, (0, 1, 2)[:ARITY[kind]]))
 
 
 class TestSRotation:
