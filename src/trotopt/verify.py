@@ -11,10 +11,13 @@ factor).
 and applies each gate to its own qubit axes only: a 2x2 contraction for H
 and Y, a block phase for diagonal gates, a block swap for X/CNOT/Toffoli and
 an axis swap for SWAP.  That is O(4^n) work per gate and never forms a
-2^n x 2^n gate matrix.  A unitary over ``_MAX_UNITARY_BYTES`` (1 GiB, so
-n <= 13) is refused before anything is allocated.  :func:`pauli_matrix` and
-:func:`rotation_matrix` build full matrices from Kronecker products; they are
-references the kernel is tested against.
+2^n x 2^n gate matrix.  Toffoli and CCZ are applied as written, one block op
+each, never through their Clifford+T network, so a circuit compared with its
+optimized form also checks the expansion the optimizer started from.  A
+unitary over ``_MAX_UNITARY_BYTES`` (1 GiB, so n <= 13) is refused before
+anything is allocated.  :func:`pauli_matrix` and :func:`rotation_matrix`
+build full matrices from Kronecker products; they are references the kernel
+is tested against.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def rotation_matrix(p: PauliProduct) -> np.ndarray:
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     dim = u.shape[0]
     err = np.linalg.norm(u.conj().T @ u - np.eye(dim), "fro")
-    if err > 1e-9:
+    if not err <= 1e-9:  # a NaN defect compares False both ways, so it fails here
         raise ValueError(f"matrix is not unitary (Frobenius defect {err:.2e})")
     return u
 

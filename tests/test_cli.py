@@ -531,6 +531,69 @@ class TestVerify:
         assert code == 1
 
 
+TOFFOLI_QC = ".v a b c d\nBEGIN\nH a\ntof a b c\nT c\ntof d c a\nS b\ntof b a d\nEND\n"
+
+
+def flip_first_t(c):
+    """``c`` with its first T made a Tdg: a circuit the oracle must tell apart."""
+    i = next(i for i, g in enumerate(c.gates) if g.kind == "T")
+    return c.with_gates(c.gates[:i] + (Gate("Tdg", c.gates[i].qubits),) + c.gates[i + 1:])
+
+
+class TestOracleTakesTheCircuitAsWritten:
+    """Toffoli and CCZ reach the oracle as block ops, so the expansion is checked too."""
+
+    @pytest.fixture
+    def broken_expansion(self, monkeypatch):
+        real = circuit._ccz_network
+
+        def broken(a, b, t):
+            gates = real(a, b, t)
+            i = next(i for i, g in enumerate(gates) if g.kind == "Tdg")
+            return gates[:i] + [Gate("T", gates[i].qubits)] + gates[i + 1:]
+
+        monkeypatch.setattr(circuit, "_ccz_network", broken)
+
+    def test_optimize_catches_a_broken_expansion(self, broken_expansion, tmp_path, capsys):
+        out = tmp_path / "out.qc"
+        code, stdout = run_cli("optimize", str(MOD5_4), "--verify", "-o", str(out))
+        assert code == 2
+        assert json.loads(stdout)["verified"] is False
+        assert error_lines(capsys.readouterr().err) == [
+            "error: optimized circuit is NOT equivalent to the input"
+        ]
+        code, stdout = run_cli("verify", str(MOD5_4), str(out))
+        assert code == 2
+        assert json.loads(stdout)["equivalent"] is False
+
+    @pytest.mark.parametrize("text", [MOD5_4.read_text(encoding="utf-8"), TOFFOLI_QC],
+                             ids=["mod5_4", "toffoli"])
+    def test_verify_expands_nothing(self, text, tmp_path, monkeypatch):
+        source = tmp_path / "source.qc"
+        source.write_text(text)
+        parsed = parse_qc(text)
+        assert {"CCZ", "TOFFOLI"} & {g.kind for g in parsed.gates}
+        expanded, flipped = tmp_path / "expanded.qc", tmp_path / "flipped.qc"
+        expanded.write_text(write_qc(parsed.expand()))
+        flipped.write_text(write_qc(flip_first_t(parsed.expand())))
+
+        def forbidden(self):
+            raise AssertionError("Circuit.expand called")
+
+        monkeypatch.setattr(circuit.Circuit, "expand", forbidden)
+        for other, code in ((source, 0), (expanded, 0), (flipped, 2)):
+            got, stdout = run_cli("verify", str(source), str(other))
+            assert (got, json.loads(stdout)["equivalent"]) == (code, code == 0), other.name
+
+    def test_optimize_expands_once_for_the_pipeline(self, monkeypatch):
+        calls = []
+        real = circuit.Circuit.expand
+        monkeypatch.setattr(circuit.Circuit, "expand", lambda self: calls.append(1) or real(self))
+        code, stdout = run_cli("optimize", str(MOD5_4), "--verify")
+        assert (code, json.loads(stdout)["verified"]) == (0, True)
+        assert len(calls) == 1
+
+
 class TestBench:
     def test_mod5_4_report(self, tmp_path):
         bench_dir = tmp_path / "suite"

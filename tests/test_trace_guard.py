@@ -104,3 +104,19 @@ def test_traced_tdepth_feeds_the_layer_metrics(tracing, tmp_path):
         assert layerize["layers"] == records[kind]["t_depth"] == 1
     assert [info for name, info in spans["plain"] if name == "tgraph.build"] == []
     assert [info for name, info in spans["dot"] if name == "tgraph.build"] == [{"edges": 0}]
+
+
+def test_traced_verify_feeds_the_oracle_metrics(tracing):
+    # The benchmark's verify metrics read these spans: one unitary per side,
+    # built on the circuit as written, and one comparison.
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.request("verify"), redirect_stdout(io.StringIO()):
+            assert main(["verify", str(MOD5_4), str(MOD5_4)]) == 0
+    finally:
+        tracer.uninstall()
+    names = [s.name for s in tracer.spans]
+    assert [s.info for s in tracer.spans if s.name == "verify.unitary"] == [{"n": 5}, {"n": 5}]
+    assert names.count("verify.compare") == 1
+    assert "circuit.expand" not in names

@@ -19,7 +19,7 @@ from trotopt import (
     rotation_matrix,
     unitary_of,
 )
-from trotopt.verify import VerificationCapError
+from trotopt.verify import VerificationCapError, _check_unitary
 
 from _helpers import (
     brute_force_min_layers,
@@ -99,6 +99,23 @@ class TestUnitaryOf:
                 continue
             imported |= {name for name in names if name.startswith("trotopt")}
         assert imported == {"trotopt.circuit", "trotopt.pauli"}
+
+
+class TestCheckUnitary:
+    def test_unitary_passes(self):
+        u = unitary_of(Circuit.on_qubits(2, [Gate("H", (0,)), Gate("CNOT", (0, 1))]))
+        assert _check_unitary(u) is u
+
+    def test_non_unitary_raises(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            _check_unitary(2 * np.eye(2, dtype=complex))
+
+    def test_nan_entry_raises(self):
+        # NaN > tol is False, so a check written as "raise if err > tol" lets it through.
+        u = np.eye(2, dtype=complex)
+        u[0, 0] = np.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            _check_unitary(u)
 
 
 class TestContractionKernel:
