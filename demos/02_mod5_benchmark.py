@@ -3,6 +3,7 @@
 Run:  python demos/02_mod5_benchmark.py
 """
 
+import tempfile
 import time
 from pathlib import Path
 
@@ -60,6 +61,9 @@ print("  non-phase gates disturbed:", len(moved))
 print("\noracle says the circuits match:",
       equivalent_up_to_phase(unitary_of(optimized), unitary_of(circuit)))
 
-out_path = Path("/tmp/mod5_4.optimized.qc")
-out_path.write_text(write_qc(optimized))
-print("optimized circuit written to", out_path)
+# Write the result as a .qc file and read it back.
+with tempfile.TemporaryDirectory() as tmp:
+    out_path = Path(tmp) / "mod5_4.optimized.qc"
+    out_path.write_text(write_qc(optimized))
+    reread = parse_qc(out_path.read_text())
+print("optimized circuit round-trips through", out_path.name + ":", reread == optimized)

@@ -7,17 +7,22 @@ imports nothing from the rotation or tableau code it checks.  Qubit 0 is
 the most significant bit of the basis index (the leftmost Kronecker
 factor).
 
-:func:`unitary_of` holds the unitary as a tensor of shape ``(2,)*n + (2^n,)``
-and applies each gate to its own qubit axes only: a 2x2 contraction for H
-and Y, a block phase for diagonal gates, a block swap for X/CNOT/Toffoli and
-an axis swap for SWAP.  That is O(4^n) work per gate and never forms a
-2^n x 2^n gate matrix.  Toffoli and CCZ are applied as written, one block op
-each, never through their Clifford+T network, so a circuit compared with its
-optimized form also checks the expansion the optimizer started from.  A
-unitary over ``_MAX_UNITARY_BYTES`` (1 GiB, so n <= 13) is refused before
-anything is allocated.  :func:`pauli_matrix` and :func:`rotation_matrix`
-build full matrices from Kronecker products; they are references the kernel
-is tested against.
+:func:`unitary_of` uses the fact that every gate but H sends a basis
+state to one basis state times a power of omega = e^{i pi/4}.  A run of
+such gates (T/Tdg, S/Sdg, X, Y, Z, CNOT, CZ, SWAP, Toffoli, CCZ) is held as
+one pending phased permutation, O(2^n) work per gate; each gate's power of
+omega is read off its 2x2 definition.  Only an H, and the end of the
+circuit, touch the 2^n x 2^n matrix: one row gather that applies the
+pending permutation and phases, then for an H an add and a subtract of the
+two half-blocks of its qubit, O(4^n) each, between two preallocated
+buffers.  No gate matrix is ever formed.  Toffoli and CCZ are applied as
+written, one update of the pending permutation or phase each, never through
+their Clifford+T network, so a circuit compared with its optimized form
+also checks the expansion the optimizer started from.  A unitary over
+``_MAX_UNITARY_BYTES`` (1 GiB, so n <= 13) is refused before anything is
+allocated.  :func:`pauli_matrix` and :func:`rotation_matrix` build full
+matrices from Kronecker products; they are references the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 from .pauli import PauliProduct
 
 DEFAULT_QUBIT_CAP = 10
@@ -57,6 +62,26 @@ _ONE_QUBIT = {
 _PHASE = {kind: _ONE_QUBIT[kind][1, 1] for kind in ("Z", "S", "Sdg", "T", "Tdg")}
 _PHASE.update(CZ=-1, CCZ=-1)
 
+_SQRT_HALF = 1 / math.sqrt(2)
+_OMEGA = (1 + 1j) * _SQRT_HALF
+# omega^k for k = 0..7, each entry exact in floating point.
+_OMEGA_POWERS = np.array([1, _OMEGA, 1j, 1j * _OMEGA, -1, -_OMEGA, -1j, -1j * _OMEGA])
+
+
+def _eighth_root_exponent(z: complex) -> int:
+    """The k with z == omega^k, from a 2x2 definition; raises unless z is one."""
+    k = round(math.atan2(z.imag, z.real) / (math.pi / 4)) % 8
+    if not abs(z - _OMEGA_POWERS[k]) < 1e-12:
+        raise AssertionError(f"{z} is not an 8th root of unity")
+    return k
+
+
+# Each non-H gate as a power of omega: on the all-ones block for diagonal
+# gates, and on Y|b> = omega^k_b |1-b> for Y, indexed by the input bit b.
+_EXPONENT = {kind: _eighth_root_exponent(z) for kind, z in _PHASE.items()}
+_Y_EXPONENTS = (_eighth_root_exponent(_Y[1, 0]), _eighth_root_exponent(_Y[0, 1]))
+
+
 def pauli_matrix(p: PauliProduct) -> np.ndarray:
     """Dense matrix of a signed Pauli product."""
     letters = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
@@ -75,6 +100,8 @@ def rotation_matrix(p: PauliProduct) -> np.ndarray:
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     dim = u.shape[0]
+    if not np.isfinite(u).all():  # u^dagger u would warn on an infinite entry
+        raise ValueError("matrix is not unitary (non-finite entry)")
     err = np.linalg.norm(u.conj().T @ u - np.eye(dim), "fro")
     if not err <= 1e-9:  # a NaN defect compares False both ways, so it fails here
         raise ValueError(f"matrix is not unitary (Frobenius defect {err:.2e})")
@@ -85,41 +112,44 @@ class VerificationCapError(ValueError):
     """The register is over the oracle's qubit cap, or its unitary over the memory budget."""
 
 
-def _ones(n: int, qubits) -> tuple:
-    """Index of the block where every qubit in ``qubits`` is 1, keeping all axes."""
-    idx = [slice(None)] * (n + 1)
-    for q in qubits:
-        idx[q] = slice(1, 2)
-    return tuple(idx)
+def _dense_step(u, spare, perm, phase, h_bit):
+    """Apply the pending phased permutation to the rows of ``u``, then H if
+    ``h_bit`` is given.
 
-
-def _apply(u: np.ndarray, gate: Gate) -> np.ndarray:
-    """Left-multiply the (2,)*n + (dim,) tensor ``u`` by one gate, on its axes only.
-
-    Works in place where it can (``u`` must not be shared); returns the result.
+    The permutation sends basis row x to row ``perm[x]`` with phase
+    omega^``phase[x]``; ``None`` stands for the identity and for no phase.
+    ``h_bit`` is the basis-index bit of the H's qubit, or ``None`` at the end
+    of the circuit.  Works between ``u`` and the preallocated ``spare`` of
+    the same shape; returns ``(result, spare)``.
     """
-    n = u.ndim - 1
-    kind, qubits = gate.kind, gate.qubits
-    if kind in _PHASE:  # scale the block where all the gate's qubits are 1
-        u[_ones(n, qubits)] *= _PHASE[kind]
-    elif kind in ("X", "CNOT", "TOFFOLI"):  # flip the target where all controls are 1
-        block = _ones(n, qubits[:-1])
-        u[block] = np.flip(u[block], axis=qubits[-1])
-    elif kind == "SWAP":
-        u = np.swapaxes(u, *qubits)
-    elif kind in _ONE_QUBIT:
-        q = qubits[0]
-        u = np.moveaxis(np.tensordot(_ONE_QUBIT[kind], u, axes=([1], [q])), 0, q)
-    else:
-        raise ValueError(f"no dense matrix for gate kind {kind!r}")
-    return u
+    if perm is not None:  # one row gather: output row perm[x] is input row x
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(len(perm))
+        np.take(u, inv, axis=0, out=spare, mode="clip")  # "clip" writes straight into ``spare``
+        u, spare = spare, u
+        if phase is not None:
+            phase = phase[inv]
+    scale = _SQRT_HALF if h_bit is not None else 1.0
+    if phase is not None:
+        u *= (_OMEGA_POWERS[phase & 7] * scale)[:, None]
+    elif h_bit is not None:
+        u *= scale
+    if h_bit is not None:  # add and subtract the two half-blocks of the H's qubit
+        src = u.reshape(-1, 2, h_bit * len(u))
+        dst = spare.reshape(src.shape)
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+        u, spare = spare, u
+    return u, spare
 
 
 def unitary_of(circuit: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Exact gate-by-gate dense unitary of a circuit.
 
-    Each gate touches only its own tensor axes, so it costs O(4^n) rather
-    than the O(8^n) of a full matrix product.
+    Every gate but H sends each basis state to one basis state times a power
+    of omega = e^{i pi/4}, so a run of them is held as one phased
+    permutation, O(2^n) per gate; only an H, and the end of the circuit,
+    apply it to the dense matrix, O(4^n) each.
     """
     if not isinstance(circuit, Circuit):
         raise TypeError(f"cannot build a unitary from {type(circuit).__name__}")
@@ -129,12 +159,52 @@ def unitary_of(circuit: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndar
     try:
         if 16 * dim * dim > _MAX_UNITARY_BYTES:  # complex128: refuse before numpy allocates
             raise MemoryError
-        u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+        u = np.eye(dim, dtype=complex)
+        spare = np.empty_like(u)
     except (ValueError, MemoryError):
         raise VerificationCapError(f"cannot allocate the 2^{n} x 2^{n} unitary") from None
+    # The pending phased permutation sends basis state x to the state whose
+    # qubit q is planes[q, x], with phase omega^phase[x]; each is None while
+    # it is the identity.  Its bit planes take each gate in one or two numpy
+    # calls; the int permutation is formed once per dense step.
+    weights = dim >> 1 + np.arange(n)  # qubit 0 is the top bit
+    basis_planes = (np.arange(dim) & weights[:, None]) != 0
+    planes = phase = None
     for gate in circuit.gates:
-        u = _apply(u, gate)
-    return _check_unitary(u.reshape(dim, dim))
+        kind, qubits = gate.kind, gate.qubits
+        if kind == "H":
+            perm = None if planes is None else weights @ planes
+            u, spare = _dense_step(u, spare, perm, phase, dim >> 1 + qubits[0])
+            planes = phase = None
+            continue
+        if phase is None and (kind in _EXPONENT or kind == "Y"):
+            phase = np.zeros(dim, dtype=weights.dtype)
+        if kind in _EXPONENT:  # the phase where all of the gate's qubits are 1
+            on = basis_planes if planes is None else planes
+            ones = on[qubits[0]]
+            for q in qubits[1:]:
+                ones = ones & on[q]
+            phase += _EXPONENT[kind] * ones
+            continue
+        if planes is None:
+            planes = basis_planes.copy()
+        if kind == "SWAP":
+            planes[list(qubits)] = planes[list(qubits[::-1])]
+            continue
+        # X, Y, CNOT, TOFFOLI: flip the target where all controls are 1
+        target = planes[qubits[-1]]
+        if kind == "Y":
+            phase += np.where(target, _Y_EXPONENTS[1], _Y_EXPONENTS[0])
+        if len(qubits) == 1:
+            np.logical_not(target, out=target)
+        elif len(qubits) == 2:
+            target ^= planes[qubits[0]]
+        else:
+            target ^= planes[qubits[0]] & planes[qubits[1]]
+    perm = None if planes is None else weights @ planes
+    u, spare = _dense_step(u, spare, perm, phase, None)
+    del spare  # free the second buffer before the check allocates its own
+    return _check_unitary(u)
 
 
 def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:

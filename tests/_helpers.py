@@ -119,7 +119,9 @@ def _embed1(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
 def gate_matrix(gate: Gate, n: int) -> np.ndarray:
     """Full 2^n matrix of one gate on an n-qubit register, from Kronecker products.
 
-    The reference the oracle's tensor-contraction kernel is tested against.
+    The reference the oracle's kernel is tested against: that kernel holds
+    non-H gates as a phased permutation (O(2^n) each) and applies only H to
+    the dense matrix (O(4^n) each), and forms no gate matrix.
     """
     x, z = _ONE_QUBIT["X"], _ONE_QUBIT["Z"]
     if gate.kind in _ONE_QUBIT:

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,13 @@ class TestCheckUnitary:
         with pytest.raises(ValueError, match="not unitary"):
             _check_unitary(2 * np.eye(2, dtype=complex))
 
+    def test_inf_entry_raises(self):
+        # u^dagger u of an infinite entry is NaN with a RuntimeWarning; the check refuses first.
+        u = np.eye(2, dtype=complex)
+        u[0, 0] = np.inf
+        with pytest.raises(ValueError, match="not unitary"):
+            _check_unitary(u)
+
     def test_nan_entry_raises(self):
         # NaN > tol is False, so a check written as "raise if err > tol" lets it through.
         u = np.eye(2, dtype=complex)
@@ -118,7 +126,23 @@ class TestCheckUnitary:
             _check_unitary(u)
 
 
+def random_gates(n: int, count: int, rng, kinds) -> list[Gate]:
+    """``count`` gates of the given kinds that fit on n qubits, at random placements."""
+    kinds = [kind for kind in kinds if ARITY[kind] <= n]
+    return [
+        Gate(kind, tuple(rng.sample(range(n), ARITY[kind])))
+        for kind in (rng.choice(kinds) for _ in range(count))
+    ]
+
+
+MONOMIAL_KINDS = sorted(set(ARITY) - {"H"})
+
+
 class TestContractionKernel:
+    """The oracle's kernel against ``dense_product``: each run of non-H gates
+    is held as a phased permutation (O(2^n) per gate) and meets the dense
+    matrix only at an H or at the end (O(4^n) each)."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_gate_at_every_placement(self, n):
         # Every ordered placement: non-adjacent qubits, controls above and below the target.
@@ -135,6 +159,68 @@ class TestContractionKernel:
             np.testing.assert_allclose(
                 unitary_of(c), dense_product(c.gates, n), rtol=0, atol=1e-12
             )
+
+    def test_long_h_free_runs(self, rng):
+        # Every monomial kind, mixed, with no H to flush the pending permutation.
+        for n in range(1, 6):
+            for _ in range(4):
+                gates = random_gates(n, 150, rng, MONOMIAL_KINDS)
+                np.testing.assert_allclose(
+                    unitary_of(Circuit.on_qubits(n, gates)), dense_product(gates, n),
+                    rtol=0, atol=1e-12,
+                )
+
+    @pytest.mark.parametrize("where", ["first", "last", "consecutive"])
+    def test_h_placement(self, rng, where):
+        for _ in range(10):
+            n = rng.randint(1, 5)
+            body = random_gates(n, 40, rng, MONOMIAL_KINDS)
+            hs = [Gate("H", (rng.randrange(n),)) for _ in range(rng.randint(1, 3))]
+            if where == "first":
+                gates = hs + body
+            elif where == "last":
+                gates = body + hs
+            else:
+                cut = rng.randrange(len(body) + 1)
+                gates = body[:cut] + hs + [Gate("H", (rng.randrange(n),))] + body[cut:]
+            np.testing.assert_allclose(
+                unitary_of(Circuit.on_qubits(n, gates)), dense_product(gates, n),
+                rtol=0, atol=1e-12,
+            )
+
+    def test_dense_step_runs_once_per_h_and_once_at_the_end(self, rng, monkeypatch):
+        calls = []
+        real = trotopt.verify._dense_step
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(trotopt.verify, "_dense_step", counted)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            gates = random_gates(n, rng.randint(0, 60), rng, list(ARITY))
+            calls.clear()
+            unitary_of(Circuit.on_qubits(n, gates))
+            assert len(calls) == sum(g.kind == "H" for g in gates) + 1
+            assert calls[-1] is None  # the last step applies no H
+
+    def test_peak_memory_is_two_unitaries(self, rng, monkeypatch):
+        # The full u^dagger u check allocates its own products; the kernel
+        # itself works between the two preallocated buffers.  The slack
+        # covers its O(2^n) arrays and numpy's iteration buffers (3 x 128 KiB
+        # for an add over strided half-blocks).
+        n = 9
+        unitary_bytes = 16 << 2 * n
+        gates = random_gates(n, 60, rng, list(ARITY)) + [Gate("H", (0,)), Gate("H", (8,))]
+        monkeypatch.setattr(trotopt.verify, "_check_unitary", lambda u: u)
+        tracemalloc.start()
+        try:
+            unitary_of(Circuit.on_qubits(n, gates))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * unitary_bytes + (1 << 20)
 
     def test_builds_no_dense_matrices(self, rng, monkeypatch):
         circuit = random_clifford_t_circuit(4, 40, rng)
