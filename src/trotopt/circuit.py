@@ -135,6 +135,13 @@ class Circuit:
     def with_gates(self, gates: Iterable[Gate]) -> Circuit:
         return replace(self, gates=tuple(gates))
 
+    def _with_gates_unchecked(self, gates: Iterable[Gate]) -> Circuit:
+        """:meth:`with_gates` without the checks, for gates that act only on
+        qubits this circuit's gates already act on."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, gates=tuple(gates))
+        return out
+
     def counts(self) -> GateCounts:
         by_kind = Counter(g.kind for g in self.gates)
         return GateCounts(
@@ -146,7 +153,10 @@ class Circuit:
         )
 
     def expand(self) -> Circuit:
-        """Lower every CCZ/Toffoli to the 7-T, 6-CNOT network; else unchanged."""
+        """Lower every CCZ/Toffoli to the 7-T, 6-CNOT network; a circuit
+        with neither is returned as it is."""
+        if not any(g.kind in ("CCZ", "TOFFOLI") for g in self.gates):
+            return self
         out: list[Gate] = []
         for g in self.gates:
             if g.kind == "CCZ":

@@ -26,15 +26,21 @@ diagonal, that is every axis with no equal partner listed.
 ``comparisons`` still counts the entries the paper's scan reads, whether
 or not the scan ran, so it equals the count of a plain backward scan.
 
-The frame is one tableau that the fold owns and updates in place: a
-merge rewrites only the integer rows (X mask, Z mask and i exponent per
-generator image) that anticommute with its axis, and the fold keeps the
-mask of the rows merges have rewritten; every other row is still the
-identity's.  An incoming axis with no bits on rewritten rows is already
-in the frame and is not conjugated; any other axis is conjugated on ints.
-So when every merge axis is diagonal, no Z row moves and no diagonal axis
-is ever conjugated.  The output tail, the input tail after the inverse
-frame, is built only when read.
+The frame is one tableau that the fold owns and updates in place, and
+only when it is read.  A merge queues its S-rotation and adds the rows
+that rotation rewrites to the mask of moved rows: every row not yet moved
+is still the identity's, so these are X_r for each Z bit r of the axis
+and Z_q for each X bit q.  The queued merges run in order, each rewriting
+only the integer rows (X mask, Z mask and i exponent per generator image)
+that anticommute with its axis, just before an incoming axis is
+conjugated and when the output tail is built.  An incoming axis with no
+bits on moved rows is already in the frame and is not conjugated; any
+other axis is conjugated on ints.  So when every merge axis is diagonal,
+no Z row moves, no diagonal axis is ever conjugated, and the frame is
+not touched at all unless the tail is read.  The output tail, the input
+tail after the inverse frame, is built only when read; on the paths that
+read it (resynthesis and the ancilla layering of ``tdepth``) the queued
+merges run then, after the fold has returned.
 """
 
 from __future__ import annotations
@@ -91,6 +97,14 @@ def optimize(form: RotationForm) -> OptimizeResult:
     xseen = zseen = 0
     live: dict[int, int] = {}
 
+    # merges' S-rotations (X mask, Z mask, i exponent) not yet applied to the frame
+    pending: list[tuple[int, int, int]] = []
+
+    def catch_up() -> None:
+        for s_x, s_z, s_k in pending:
+            frame._apply_s_rotation(s_x, s_z, s_k)
+        pending.clear()
+
     deletions: set[int] = set()
     replacements: set[int] = set()
     plan_complete = True
@@ -98,6 +112,8 @@ def optimize(form: RotationForm) -> OptimizeResult:
     for ax, az, k, origin in zip(form._x, form._z, form._k, form._origins):
         key = ax | az << n
         if key & moved:
+            if pending:
+                catch_up()
             ax, az, k = frame._conjugate(ax, az, k)
             key = ax | az << n
 
@@ -135,10 +151,14 @@ def optimize(form: RotationForm) -> OptimizeResult:
             plan_complete = False
         if partner_k == k:
             stats.merges += 1
-            # The pair leaves the square of the rotation behind; absorb its
-            # inverse into the frame so later raw axes map correctly, and
-            # square the earlier physical gate in place (T**2 == S).
-            moved |= frame._apply_s_rotation(ax, az, k ^ 2)  # -axis
+            # The pair leaves the square of the rotation behind; its inverse
+            # goes into the frame, so later raw axes map correctly, once the
+            # frame is read.  The rows it will rewrite are still identity
+            # generators unless already moved: X_r anticommutes with the
+            # axis iff bit r of az is set, Z_q iff bit q of ax is.  The
+            # earlier physical gate is squared in place (T**2 == S).
+            pending.append((ax, az, k ^ 2))  # -axis
+            moved |= az | ax << n
             if plan_complete:
                 replacements.add(partner_origin)
                 deletions.add(origin)
@@ -151,6 +171,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
     def tail() -> CliffordTableau:
         if not stats.merges:
             return form.tail_clifford
+        catch_up()
         return form.tail_clifford.compose(frame.invert())
 
     out_form = RotationForm._from_rows(n, xs, zs, ks, origins, tail, form.source)

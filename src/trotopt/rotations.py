@@ -279,4 +279,5 @@ def apply_edit_plan(circuit: Circuit, plan: EditPlan) -> Circuit:
             out.append(_g(_REPLACEMENT[gate.kind], *gate.qubits))
         else:
             out.append(gate)
-    return circuit.with_gates(out)
+    # every gate is the circuit's own or a phase gate on the same qubit
+    return circuit._with_gates_unchecked(out)

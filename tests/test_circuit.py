@@ -165,6 +165,12 @@ class TestExpand:
         c = Circuit.on_qubits(2, [Gate("CNOT", (0, 1))])
         assert c.expand() == c
 
+    def test_circuit_without_ccz_or_toffoli_is_returned_as_it_is(self, rng):
+        c = random_clifford_t_circuit(5, 60, rng)
+        assert c.expand() is c
+        with_toffoli = c.with_gates(c.gates + (Gate("TOFFOLI", (0, 1, 2)),))
+        assert with_toffoli.expand() is not with_toffoli
+
     def test_ccz_unitary(self):
         c = Circuit.on_qubits(3, [Gate("CCZ", (0, 1, 2))]).expand()
         assert np.allclose(unitary_of(c), np.diag([1, 1, 1, 1, 1, 1, 1, -1]))
@@ -224,6 +230,20 @@ class TestExpand:
                     gates.append(Gate(kind, (rng.randrange(n),)))
             c = Circuit.on_qubits(n, gates)
             assert equivalent_up_to_phase(unitary_of(c.expand()), unitary_of(c))
+
+
+class TestConstructorChecks:
+    def test_out_of_range_gate_rejected(self):
+        gates = (Gate("T", (0,)), Gate("CNOT", (1, 2)))
+        with pytest.raises(ValueError, match="outside register of 2"):
+            Circuit(("a", "b"), gates)
+        c = Circuit(("a", "b"), gates[:1])
+        with pytest.raises(ValueError, match="outside register of 2"):
+            c.with_gates(gates)
+
+    def test_repeated_qubit_names_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate qubit names$"):
+            Circuit(("a", "b", "a"))
 
 
 class TestCounts:

@@ -212,6 +212,24 @@ class TestOptimize:
         assert json.loads(stdout)["reduction_percent"] == 0.0
         assert first.read_text() == second.read_text()
 
+    def test_inplace_checks_a_clifford_t_circuit_once(self, tmp_path, monkeypatch):
+        # parse_qc checks every gate; expand returns the parsed circuit and
+        # the edit builds its result unchecked, so neither checks again.
+        path = tmp_path / "c.qc"
+        path.write_text(write_qc(random_clifford_t_circuit(5, 80, random.Random(3))))
+        checked = []
+        real = circuit.Circuit.__post_init__
+
+        def counted(self):
+            checked.append(len(self.gates))
+            real(self)
+
+        monkeypatch.setattr(circuit.Circuit, "__post_init__", counted)
+        code, stdout = run_cli("optimize", str(path), "-o", str(tmp_path / "out.qc"))
+        record = json.loads(stdout)
+        assert code == 0 and record["t_after"] < record["t_before"]
+        assert checked == [80]
+
     def test_rejects_rotation_gates(self, tmp_path):
         bad = tmp_path / "bad.qc"
         bad.write_text(".v a\nBEGIN\nrz a\nEND\n")

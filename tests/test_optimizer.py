@@ -294,6 +294,36 @@ class TestLazyFrameTail:
             random_clifford_t_circuit(6, 200, random.Random(0xD1B), t_weight=0.5)))
         assert mixed.stats.merges > 0 and conjugations
 
+    def test_phase_polynomial_fold_leaves_the_frame_alone(self, monkeypatch):
+        # Diagonal merge axes move only X rows, which no diagonal axis reads:
+        # the merges' S-rotations wait, and run once each when the tail is.
+        rng = random.Random(0x5207)
+        applied = count_tableau_calls(monkeypatch, "_apply_s_rotation")
+        for n in [2, 5, 9, 16, 32]:
+            result = optimize(to_rotation_form(phase_polynomial(n, 30 * n, rng)))
+            assert result.stats.merges > 0
+            assert applied == []
+            result.form.tail_clifford
+            assert len(applied) == result.stats.merges
+            applied.clear()
+
+    def test_each_merge_reaches_the_frame_at_most_once(self, monkeypatch):
+        rng = random.Random(0x96A7)
+        applied = count_tableau_calls(monkeypatch, "_apply_s_rotation")
+        merges = early = 0
+        for n in [rng.randint(1, 8) for _ in range(40)] + [31, 63, 64, 65]:
+            c = random_clifford_t_circuit(n, rng.randint(0, 80) if n <= 8 else 6 * n, rng,
+                                          t_weight=0.5)
+            result = optimize(to_rotation_form(c))
+            assert len(applied) <= result.stats.merges
+            early += len(applied)
+            result.form.tail_clifford
+            assert len(applied) == result.stats.merges
+            merges += result.stats.merges
+            applied.clear()
+        # a later axis on moved rows makes the fold apply earlier merges itself
+        assert 0 < early < merges
+
     def test_fold_reads_no_tail(self, no_invert):
         c = random_clifford_t_circuit(6, 120, random.Random(0xB0), t_weight=0.5)
         result = optimize(to_rotation_form(c))

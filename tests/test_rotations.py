@@ -196,6 +196,28 @@ class TestEditPlan:
         out = apply_edit_plan(c, EditPlan(replacements=frozenset({0, 1})))
         assert [g.kind for g in out.gates] == ["S", "Sdg"]
 
+    def test_edited_circuit_equals_its_checked_construction(self):
+        # The edit skips the constructor's checks: each gate it keeps is the
+        # input's own, and each replacement a phase gate on the same qubit.
+        rng = random.Random(0xED17)
+        squared = {"T": "S", "Tdg": "Sdg"}
+        edits = 0
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            gates = random_clifford_t_circuit(n, rng.randint(0, 60), rng).gates
+            names = tuple(f"w{i}" for i in range(n))
+            c = Circuit(names, gates, names[:1], names[::-1])
+            plan = optimize(to_rotation_form(c)).plan
+            out = apply_edit_plan(c, plan)
+            expected = Circuit(names, [
+                Gate(squared[g.kind], g.qubits) if i in plan.replacements else g
+                for i, g in enumerate(gates) if i not in plan.deletions
+            ], c.inputs, c.outputs)
+            assert type(out) is Circuit and vars(out) == vars(expected)
+            assert hash(out) == hash(expected)
+            edits += len(plan.deletions) + len(plan.replacements)
+        assert edits > 100
+
     def test_non_phase_gate_rejected(self):
         c = Circuit.on_qubits(1, [Gate("H", (0,))])
         with pytest.raises(ValueError):
