@@ -30,17 +30,21 @@ The frame is one tableau that the fold owns and updates in place, and
 only when it is read.  A merge queues its S-rotation and adds the rows
 that rotation rewrites to the mask of moved rows: every row not yet moved
 is still the identity's, so these are X_r for each Z bit r of the axis
-and Z_q for each X bit q.  The queued merges run in order, each rewriting
-only the integer rows (X mask, Z mask and i exponent per generator image)
-that anticommute with its axis, just before an incoming axis is
-conjugated and when the output tail is built.  An incoming axis with no
-bits on moved rows is already in the frame and is not conjugated; any
-other axis is conjugated on ints.  So when every merge axis is diagonal,
-no Z row moves, no diagonal axis is ever conjugated, and the frame is
-not touched at all unless the tail is read.  The output tail, the input
-tail after the inverse frame, is built only when read; on the paths that
-read it (resynthesis and the ancilla layering of ``tdepth``) the queued
-merges run then, after the fold has returned.
+and Z_q for each X bit q.  The rows that newly move are also appended to
+a list, once each, in the order they first move.  The queued merges run
+in order, just before an incoming axis is conjugated and when the output
+tail is built; each tests only the listed rows, since a row not yet moved
+commutes with every queued axis, and rewrites the integer rows (X mask,
+Z mask and i exponent per generator image) among them that anticommute
+with its axis.  An incoming axis with no bits on moved rows is already
+in the frame and is not conjugated; any other axis is conjugated on
+ints.  So when every merge axis is diagonal, no Z row moves, no diagonal
+axis is ever conjugated, and the frame is not touched at all unless the
+tail is read.  The output tail, the input tail after the inverse frame,
+is built only when read, as one ``invert()`` of the frame composed with
+the input's inverse tail; on the paths that read it (resynthesis and the
+ancilla layering of ``tdepth``) the queued merges run then, after the
+fold has returned.
 """
 
 from __future__ import annotations
@@ -80,13 +84,15 @@ def optimize(form: RotationForm) -> OptimizeResult:
     rotation lacks an origin.  The surviving form holds the survivors as
     rows; its ``rotations`` view is built only when read.  Its tail is
     ``form``'s tail after the inverse of the accumulated frame Clifford;
-    it is built, with one ``invert()`` of the frame, only when first read.
+    it is built only when first read, as the inverse of the frame after
+    ``form``'s inverse tail: one ``compose`` and one ``invert()``.
     """
     stats = OptimizeStats(t_before=len(form._x))
 
     n = form.n
     frame = CliffordTableau.identity(n)  # maps raw axes into the analysis frame
     moved = 0  # bit r set once frame row r (X_r, or Z_{r-n}) has been rewritten
+    moved_rows: list[int] = []  # the set bits of moved, in the order rows first moved
     # the processed axes as int rows (X mask, Z mask, i exponent) and origins
     xs: list[int] = []
     zs: list[int] = []
@@ -102,7 +108,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
 
     def catch_up() -> None:
         for s_x, s_z, s_k in pending:
-            frame._apply_s_rotation(s_x, s_z, s_k)
+            frame._apply_s_rotation(s_x, s_z, s_k, moved_rows)
         pending.clear()
 
     deletions: set[int] = set()
@@ -158,7 +164,11 @@ def optimize(form: RotationForm) -> OptimizeResult:
             # axis iff bit r of az is set, Z_q iff bit q of ax is.  The
             # earlier physical gate is squared in place (T**2 == S).
             pending.append((ax, az, k ^ 2))  # -axis
-            moved |= az | ax << n
+            new = (az | ax << n) & ~moved
+            moved |= new
+            while new:
+                moved_rows.append((new & -new).bit_length() - 1)
+                new &= new - 1
             if plan_complete:
                 replacements.add(partner_origin)
                 deletions.add(origin)
@@ -168,13 +178,14 @@ def optimize(form: RotationForm) -> OptimizeResult:
                 deletions.add(partner_origin)
                 deletions.add(origin)
 
-    def tail() -> CliffordTableau:
-        if not stats.merges:
-            return form.tail_clifford
+    def inverse_tail() -> CliffordTableau:
+        # (tail ∘ frame⁻¹)⁻¹ = frame ∘ tail⁻¹; an unmoved frame is the identity
+        if not moved:
+            return form._inverse_tail
         catch_up()
-        return form.tail_clifford.compose(frame.invert())
+        return frame.compose(form._inverse_tail)
 
-    out_form = RotationForm._from_rows(n, xs, zs, ks, origins, tail, form.source)
+    out_form = RotationForm._from_rows(n, xs, zs, ks, origins, inverse_tail, form.source)
     plan = EditPlan(frozenset(deletions), frozenset(replacements)) if plan_complete else None
     stats.t_after = len(xs)
     return OptimizeResult(out_form, plan, stats)

@@ -87,6 +87,8 @@ class RotationForm:
     first read; a form built from rotations keeps the tuple it was given.
     ``tail`` is the tableau or a no-argument function that builds it, called
     once, on the first read of :attr:`tail_clifford`: an unread tail is free.
+    A form built from rows (extraction, the fold) holds the tail's inverse
+    instead, and its ``tail`` is None: the tail is one ``invert()`` of that.
     """
 
     def __init__(
@@ -101,6 +103,7 @@ class RotationForm:
             if r.pauli.n != n:
                 raise ValueError("rotation width does not match qubit count")
         self.n, self.tail, self.source = n, tail, source
+        self._inverse = None
         self._x = [r.pauli.x for r in rotations]
         self._z = [r.pauli.z for r in rotations]
         self._k = [1 - r.pauli.sign for r in rotations]
@@ -110,10 +113,15 @@ class RotationForm:
             self.tail_clifford  # a given tableau is checked at once
 
     @classmethod
-    def _from_rows(cls, n, xs, zs, ks, origins, tail, source) -> RotationForm:
-        """A form that takes ownership of the row lists, unchecked."""
+    def _from_rows(cls, n, xs, zs, ks, origins, inverse_tail, source) -> RotationForm:
+        """A form that takes ownership of the row lists, unchecked.
+
+        ``inverse_tail`` is the tail's inverse, or a no-argument function
+        that builds it, called once, when either is first read.
+        """
         form = cls.__new__(cls)
-        form.n, form.tail, form.source = n, tail, source
+        form.n, form.tail, form.source = n, None, source
+        form._inverse = inverse_tail
         form._x, form._z, form._k, form._origins = xs, zs, ks, origins
         return form
 
@@ -127,10 +135,23 @@ class RotationForm:
 
     @cached_property
     def tail_clifford(self) -> CliffordTableau:
-        tail = self.tail() if callable(self.tail) else self.tail
+        tail = self.tail
+        if tail is None:
+            tail = self._inverse_tail.invert()
+        elif callable(tail):
+            tail = tail()
         if tail.n != self.n:
             raise ValueError("tail Clifford width does not match qubit count")
         return tail
+
+    @cached_property
+    def _inverse_tail(self) -> CliffordTableau:
+        """The tail's inverse: the one the form was built from rows with,
+        else one ``invert()`` of the tail."""
+        inverse = self._inverse
+        if inverse is None:
+            return self.tail_clifford.invert()
+        return inverse() if callable(inverse) else inverse
 
     def dump(self) -> str:
         """One rotation per line: ``+-PAULI @gate_index``."""
@@ -142,8 +163,8 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
 
     A Clifford gate rewrites only its qubits' rows in place; a T on qubit q
     copies its axis straight off the Z row for q (a Tdg flips its sign) into
-    the form's rows.  The tail, the prefix itself, is that tableau's
-    inverse, built on first read.
+    the form's rows.  The form keeps the prefix as its tail's inverse; the
+    tail is one ``invert()`` of it, built on first read.
     """
     n = circuit.n
     inverse_prefix = CliffordTableau.identity(n)
@@ -169,9 +190,7 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
                 f"{kind} at index {index}: expand() the circuit first"
             ) from None
 
-    return RotationForm._from_rows(
-        n, axes_x, axes_z, axes_k, origins, inverse_prefix.invert, circuit
-    )
+    return RotationForm._from_rows(n, axes_x, axes_z, axes_k, origins, inverse_prefix, circuit)
 
 
 def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:

@@ -77,8 +77,12 @@ def _product(
     return ox, oz, k & 3
 
 
-def _conjugate_rows(xs: list[int], zs: list[int], ks: list[int], gate: Gate) -> None:
-    """Conjugate the rows by ``gate`` in place; a gate fixes every row off its qubits.
+def _conjugate_rows(
+    xs: list[int], zs: list[int], ks: list[int], gate: Gate, start: int = 0
+) -> None:
+    """Conjugate rows ``start`` and up by ``gate`` in place; a gate fixes
+    every row off its qubits.  Rows below ``start`` are left as they are:
+    the caller knows the gate fixes them.
 
     The kind's rule (:data:`_RULES`) is placed on the gate's first and last
     qubits p and q, the same qubit for a 1-qubit gate.  A meeting row's
@@ -91,8 +95,8 @@ def _conjugate_rows(xs: list[int], zs: list[int], ks: list[int], gate: Gate) -> 
     p, q = gate.qubits[0], gate.qubits[-1]
     place = (0, 1 << p, 1 << q, 1 << p | 1 << q)  # slot bits -> qubit bits
     mask = place[3]
-    for r, x in enumerate(xs):
-        z = zs[r]
+    for r in range(start, len(xs)):
+        x, z = xs[r], zs[r]
         if (x | z) & mask:
             key = x >> p & 1 | (x >> q & 1) << 1 | (z >> p & 1) << 2 | (z >> q & 1) << 3
             dx, dz, dk = rule[key]
@@ -198,17 +202,21 @@ class CliffordTableau:
     def _apply_gate(self, gate: Gate) -> None:
         _conjugate_rows(self._x, self._z, self._k, gate)
 
-    def _apply_s_rotation(self, ax: int, az: int, ak: int) -> int:
+    def _apply_s_rotation(
+        self, ax: int, az: int, ak: int, rows: Iterable[int] | None = None
+    ) -> int:
         """Apply the square of the quarter-rotation about i^ak P(ax, az) after C.
 
         That Clifford, (1+i)/2 (1 - i*axis), fixes every Pauli that commutes
         with the axis and maps an anticommuting P to i*P*axis, so only the
-        anticommuting rows change.  Returns the mask of the rows it rewrote.
+        anticommuting rows change.  ``rows`` lists the rows to test, all 2n
+        when None; the caller vouches that every row left out commutes with
+        the axis.  Returns the mask of the rows it rewrote.
         """
         xs, zs, ks = self._x, self._z, self._k
         base = ak + 1 + (ax & az).bit_count()  # the axis, and the extra factor of i
         moved = 0
-        for r in range(2 * self.n):
+        for r in range(2 * self.n) if rows is None else rows:
             x, z = xs[r], zs[r]
             if ((x & az) ^ (z & ax)).bit_count() & 1:
                 # row * axis, phase as in _product()
@@ -441,12 +449,15 @@ def _diagonalize_with_gates(
 
     Symplectic Gaussian elimination on the rows, which every emitted gate
     conjugates in place; rows m and up are never a pivot and ride along,
-    so they end as their images under C.  A gate skips only the rows with
-    no support on its qubits, and it fixes those exactly, so row j is
-    always input j conjugated by every gate emitted so far.  The
-    post-check "row j is exactly +Z_j for every j < m" is therefore the
-    condition C R_j C^dagger == +Z_j on the gates' tableau, at O(1) per
-    row and with no tableau built.
+    so they end as their images under C.  A gate skips the rows with no
+    support on its qubits, and while pivot j is eliminated it also skips
+    rows 0..j-1, the fixed pivots: they are already +Z_i, and each gate
+    pivot j emits is a CZ, which is diagonal, or acts only on qubits >= j.
+    A gate fixes every row it skips exactly, so row j is always input j
+    conjugated by every gate emitted so far.  The post-check "row j is
+    exactly +Z_j for every j < m" is therefore the condition
+    C R_j C^dagger == +Z_j on the gates' tableau, at O(1) per row and with
+    no tableau built.
     """
     if not m:
         raise ValueError("need at least one Pauli to diagonalize")
@@ -467,9 +478,10 @@ def _diagonalize_with_gates(
     gates: list[Gate] = []
 
     def emit(kind: str, *qubits: int) -> None:
+        # rows 0..j-1 are +Z_i, and every gate pivot j emits fixes them
         g = _g(kind, *qubits)
         gates.append(g)
-        _conjugate_rows(xs, zs, ks, g)
+        _conjugate_rows(xs, zs, ks, g, j)
 
     for j in range(m):
         # Fast path: already exactly +-Z_j.

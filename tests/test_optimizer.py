@@ -324,6 +324,46 @@ class TestLazyFrameTail:
         # a later axis on moved rows makes the fold apply earlier merges itself
         assert 0 < early < merges
 
+    def test_s_rotations_visit_only_moved_frame_rows(self, monkeypatch):
+        # A frame row that no merge has moved is still the identity's X_r or
+        # Z_q, which commutes with every queued axis: no S-rotation visits it.
+        real_s_rotation, real_conjugate = (
+            CliffordTableau._apply_s_rotation, CliffordTableau._conjugate)
+        batches = [[]]  # per frame read, the queued S-rotations: (axis rows, visited rows)
+
+        def s_rotation(self, ax, az, ak, rows=None):
+            visited = range(2 * self.n) if rows is None else list(rows)
+            batches[-1].append((az | ax << self.n, visited))
+            return real_s_rotation(self, ax, az, ak, rows)
+
+        def conjugate(self, *args):
+            # the fold conjugates an axis, or composes the tail, after each catch-up
+            if batches[-1]:
+                batches.append([])
+            return real_conjugate(self, *args)
+
+        monkeypatch.setattr(CliffordTableau, "_apply_s_rotation", s_rotation)
+        monkeypatch.setattr(CliffordTableau, "_conjugate", conjugate)
+        rng = random.Random(0x21F0)
+        sizes = [(100, 400)] + [(n, 6 * n) for n in (31, 63, 64, 65)]
+        sizes += [(rng.randint(1, 8), rng.randint(0, 80)) for _ in range(40)]
+        for n, size in sizes:
+            batches[:] = [[]]
+            c = random_clifford_t_circuit(n, size, rng, t_weight=0.5)
+            result = optimize(to_rotation_form(c))
+            result.form.tail_clifford
+            calls = [call for batch in batches for call in batch]
+            assert len(calls) == result.stats.merges
+            merged = 0  # the rows of every merge axis up to this frame read
+            for batch in batches:
+                for rows, _ in batch:
+                    merged |= rows
+                for _, visited in batch:
+                    assert all(merged >> r & 1 for r in visited)
+            if n == 100:
+                assert result.stats.merges > 10
+                assert sum(len(visited) for _, visited in calls) < 2 * n * len(calls) / 4
+
     def test_fold_reads_no_tail(self, no_invert):
         c = random_clifford_t_circuit(6, 120, random.Random(0xB0), t_weight=0.5)
         result = optimize(to_rotation_form(c))

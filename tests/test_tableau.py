@@ -102,6 +102,21 @@ class TestApplyGate:
                 if not (row.x | row.z) & mask:
                     assert new == row
 
+    def test_start_leaves_the_rows_below_it(self, rng):
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            t, _ = random_tableau(n, rng)
+            g = random_clifford_circuit(n, 1, rng).gates[0]
+            start = rng.randint(0, 2 * n)
+            full = CliffordTableau(n, t.x_images, t.z_images)
+            _conjugate_rows(full._x, full._z, full._k, g)
+            out = CliffordTableau(n, t.x_images, t.z_images)
+            _conjugate_rows(out._x, out._z, out._k, g, start)
+            for r in range(2 * n):
+                source = t if r < start else full
+                assert (out._x[r], out._z[r], out._k[r]) == (
+                    source._x[r], source._z[r], source._k[r])
+
     def test_preserves_symplectic_validity(self, rng):
         for _ in range(50):
             t, _ = random_tableau(rng.randint(1, 5), rng)
@@ -337,6 +352,22 @@ class TestSRotation:
             for r, row in enumerate(t.x_images + t.z_images):
                 assert bool(moved >> r & 1) != row.commutes(axis)
 
+    def test_rows_lists_the_rows_it_may_rewrite(self, rng):
+        for _ in range(120):
+            n = rng.randint(1, 7)
+            t, _ = random_tableau(n, rng)
+            axis = random_pauli(n, rng)
+            k = 0 if axis.sign > 0 else 2
+            full = CliffordTableau(n, t.x_images, t.z_images)
+            moved = full._apply_s_rotation(axis.x, axis.z, k)
+            rows = rng.sample(range(2 * n), rng.randint(0, 2 * n))
+            out = CliffordTableau(n, t.x_images, t.z_images)
+            assert out._apply_s_rotation(axis.x, axis.z, k, rows) == moved & sum(1 << r for r in rows)
+            for r in range(2 * n):
+                source = full if r in rows else t
+                assert (out._x[r], out._z[r], out._k[r]) == (
+                    source._x[r], source._z[r], source._k[r])
+
 
 class TestDiagonalize:
     def test_z_gives_identity(self):
@@ -380,15 +411,63 @@ class TestDiagonalize:
     def test_post_check_catches_a_broken_gate_rule(self, monkeypatch):
         real = tableau._conjugate_rows
 
-        def h_does_nothing(xs, zs, ks, gate):
+        def h_does_nothing(xs, zs, ks, gate, *args):
             if gate.kind != "H":
-                real(xs, zs, ks, gate)
+                real(xs, zs, ks, gate, *args)
 
         monkeypatch.setattr(tableau, "_conjugate_rows", h_does_nothing)
         with pytest.raises(InvariantError, match="diagonalization post-check failed"):
             diagonalizer([P("X")])
         with pytest.raises(InvariantError, match="diagonalization post-check failed"):
             synthesize_layer([Rotation(P("X"))])
+
+
+class TestFixedPivots:
+    """While pivot j is eliminated, every emitted gate fixes the pivots
+    0..j-1, already +Z_i, so ``_conjugate_rows`` visits none of them."""
+
+    @staticmethod
+    def record_starts(monkeypatch):
+        real = tableau._conjugate_rows
+        starts = []  # (current pivot, first row visited) per call
+
+        def recording(xs, zs, ks, gate, start=0):
+            # rows before the pivot are +Z_i; the pivot is not +Z_j until
+            # its last gate has been applied
+            pivot = next((r for r, (x, z, k) in enumerate(zip(xs, zs, ks))
+                          if (x, z, k) != (0, 1 << r, 0)), len(xs))
+            starts.append((pivot, start))
+            skipped = xs[:start], zs[:start], ks[:start]
+            real(*skipped, gate)
+            assert skipped == (xs[:start], zs[:start], ks[:start])
+            real(xs, zs, ks, gate, start)
+
+        monkeypatch.setattr(tableau, "_conjugate_rows", recording)
+        return starts
+
+    @staticmethod
+    def assert_skips_only_fixed_pivots(starts):
+        assert all(start >= pivot for pivot, start in starts)
+        assert sum(start > 0 for _, start in starts) > len(starts) / 4
+
+    def test_layer_synthesis(self, rng, monkeypatch):
+        layers = []
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            layers.append(random_commuting_independent_rotations(n, rng.randint(1, n), rng))
+        starts = self.record_starts(monkeypatch)
+        for layer in layers:
+            synthesize_layer(layer)
+        self.assert_skips_only_fixed_pivots(starts)
+
+    def test_tableau_synthesis(self, rng, monkeypatch):
+        tableaux = [random_tableau(rng.randint(1, 7), rng)[0] for _ in range(60)]
+        starts = self.record_starts(monkeypatch)
+        circuits = [synthesize(t) for t in tableaux]
+        monkeypatch.undo()
+        self.assert_skips_only_fixed_pivots(starts)
+        for t, c in zip(tableaux, circuits):
+            assert CliffordTableau.from_circuit(c) == t
 
 
 class TestMaskedDiagonalize:
@@ -538,9 +617,9 @@ class TestSafetyChecks:
     def test_phase_layer_reconstruction_check_raises(self, monkeypatch):
         real = tableau._conjugate_rows
 
-        def z_does_nothing(xs, zs, ks, gate):
+        def z_does_nothing(xs, zs, ks, gate, *args):
             if gate.kind != "Z":
-                real(xs, zs, ks, gate)
+                real(xs, zs, ks, gate, *args)
 
         t = tableau_of(Gate("Z", (0,)))
         monkeypatch.setattr(tableau, "_conjugate_rows", z_does_nothing)
