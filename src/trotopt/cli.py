@@ -1,7 +1,9 @@
 """Command-line front end: optimize, stats, tdepth, verify, bench.
 
 Exit codes are stable: 0 success, 1 input error, 2 verification failure.
-Stats records are printed as single-line JSON; bench emits CSV.
+Stats records are printed as single-line JSON; bench emits CSV.  Output
+files are written before the record is printed, so a failed write prints
+no record.
 
 ``optimize --verify`` and ``verify`` hand the dense oracle the circuits as
 parsed, Toffoli and CCZ included, and it applies each of those as one block
@@ -109,11 +111,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     out, record = _optimize_circuit(circuit, args.mode)
     verified = None if skipped else _equivalent(out, circuit, args.max_verify_qubits)
-    _emit({"file": args.input, "qubits": circuit.n, "mode": args.mode,
-           "verified": verified, "verify_skipped": skipped, **record})
-
     if args.output:
         Path(args.output).write_text(write_qc(out), encoding="utf-8")
+    _emit({"file": args.input, "qubits": circuit.n, "mode": args.mode,
+           "verified": verified, "verify_skipped": skipped, **record})
     if verified is False:
         print("error: optimized circuit is NOT equivalent to the input", file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -153,15 +154,13 @@ def cmd_tdepth(args: argparse.Namespace) -> int:
         "layer_sizes": [len(layer) for layer in schedule.layers],
         "ancillas": layered.n - form.n if layered is not None else 0,
     }
-    _emit(record)
     if args.dot:
         Path(args.dot).write_text(to_dot(build_tgraph(form)), encoding="utf-8")
-    if layered is not None:
-        text = write_qc(layered)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            print(text, end="")
+    if args.output:
+        Path(args.output).write_text(write_qc(layered), encoding="utf-8")
+    _emit(record)
+    if layered is not None and not args.output:
+        print(write_qc(layered), end="")
     return EXIT_OK
 
 

@@ -83,9 +83,10 @@ def optimize(form: RotationForm) -> OptimizeResult:
     The returned plan applies against ``form.source`` and is None when any
     rotation lacks an origin.  The surviving form holds the survivors as
     rows; its ``rotations`` view is built only when read.  Its tail is
-    ``form``'s tail after the inverse of the accumulated frame Clifford;
-    it is built only when first read, as the inverse of the frame after
-    ``form``'s inverse tail: one ``compose`` and one ``invert()``.
+    ``form``'s tail after the inverse of the accumulated frame Clifford,
+    held one way, as its inverse: a function that composes the frame with
+    ``form``'s inverse tail, one ``compose`` (none if no merge moved the
+    frame), run when first read.  The tail is one ``invert()`` of that.
     """
     stats = OptimizeStats(t_before=len(form._x))
 

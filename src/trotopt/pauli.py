@@ -9,8 +9,9 @@ Phase convention: the unsigned operator encoded by masks ``(x, z)`` is
 ``prod_q i^(x_q z_q) X_q^(x_q) Z_q^(z_q)``, i.e. the Hermitian letter
 I/X/Y/Z on each qubit.  Products of such operators pick up powers of i,
 which only the tableau's row algebra forms and tracks
-(:func:`trotopt.tableau._product`, and its copy inlined in the S-rotation
-row update).
+(:func:`trotopt.tableau._product`, and its two copies written out in the
+S-rotation row update and in the two-row product of
+``CliffordTableau._precompose_inverse``).
 """
 
 from __future__ import annotations

@@ -6,17 +6,20 @@ T contributes one rotation whose axis is the prefix-conjugated Z of its
 target qubit, and all Clifford gates accumulate into the tail.  Extraction
 keeps the inverse Clifford prefix as one tableau, whose integer rows (X
 mask, Z mask and i exponent per generator image) it rewrites in place, at
-most four per Clifford gate, by the gate kind's plan compiled at import;
-it inverts that tableau once, only when the tail is read.  A
-:class:`RotationForm` holds its rotations as int rows of the same kind,
+most four per Clifford gate, by the gate kind's plan compiled at import.
+A :class:`RotationForm` holds its rotations as int rows of the same kind,
 which extraction copies off the prefix and the fold reads and returns, so
 neither builds a :class:`Rotation` or a :class:`~trotopt.pauli.PauliProduct`;
 ``RotationForm.rotations`` builds them on first read, for the public edges
-(layer synthesis, the DOT dump, the public constructor's callers).  The
-way back is layer synthesis: each layer of commuting rotations becomes one
-parallel T layer, with ancillas for dependent layers; resynthesis is the
-schedule of singleton layers.  Global phase is dropped throughout;
-equivalence is always modulo phase.
+(layer synthesis, the DOT dump, the public constructor's callers).  A form
+holds its tail one way, as a function that builds the tail's inverse:
+extraction's returns the prefix, the fold's composes its frame with its
+input's inverse tail, and the public constructor's inverts the tableau it
+was given.  The tail, where not given, is one ``invert()`` of that inverse,
+built only when read.  The way back is layer synthesis: each layer of
+commuting rotations becomes one parallel T layer, with ancillas for
+dependent layers; resynthesis is the schedule of singleton layers.  Global
+phase is dropped throughout; equivalence is always modulo phase.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .circuit import Circuit, Gate, UnsupportedGateError, _g
 from .pauli import PauliProduct
@@ -85,43 +88,42 @@ class RotationForm:
     i exponents (0 for a +axis, 2 for a -axis) and origins.
     :attr:`rotations` views them as :class:`Rotation` objects, built on
     first read; a form built from rotations keeps the tuple it was given.
-    ``tail`` is the tableau or a no-argument function that builds it, called
-    once, on the first read of :attr:`tail_clifford`: an unread tail is free.
-    A form built from rows (extraction, the fold) holds the tail's inverse
-    instead, and its ``tail`` is None: the tail is one ``invert()`` of that.
+    The tail is held one way, as ``_inverse``: a no-argument function that
+    builds the tail's inverse, called once, on the first read of
+    :attr:`_inverse_tail`.  The tail is one ``invert()`` of that; a form
+    built from a tableau reads it as the tableau it was given.
     """
 
     def __init__(
         self,
         n: int,
         rotations: Iterable[Rotation],
-        tail: CliffordTableau | Callable[[], CliffordTableau],
+        tail: CliffordTableau,
         source: Circuit | None = None,
     ) -> None:
         rotations = tuple(rotations)
         for r in rotations:
             if r.pauli.n != n:
                 raise ValueError("rotation width does not match qubit count")
-        self.n, self.tail, self.source = n, tail, source
-        self._inverse = None
+        if tail.n != n:
+            raise ValueError("tail Clifford width does not match qubit count")
+        self.n, self.source, self._inverse = n, source, tail.invert
         self._x = [r.pauli.x for r in rotations]
         self._z = [r.pauli.z for r in rotations]
         self._k = [1 - r.pauli.sign for r in rotations]
         self._origins = [r.origin for r in rotations]
         self.rotations = rotations
-        if not callable(tail):
-            self.tail_clifford  # a given tableau is checked at once
+        self.tail_clifford = tail
 
     @classmethod
     def _from_rows(cls, n, xs, zs, ks, origins, inverse_tail, source) -> RotationForm:
         """A form that takes ownership of the row lists, unchecked.
 
-        ``inverse_tail`` is the tail's inverse, or a no-argument function
-        that builds it, called once, when either is first read.
+        ``inverse_tail`` is a no-argument function that builds the tail's
+        inverse, called once, when either is first read.
         """
         form = cls.__new__(cls)
-        form.n, form.tail, form.source = n, None, source
-        form._inverse = inverse_tail
+        form.n, form.source, form._inverse = n, source, inverse_tail
         form._x, form._z, form._k, form._origins = xs, zs, ks, origins
         return form
 
@@ -135,23 +137,11 @@ class RotationForm:
 
     @cached_property
     def tail_clifford(self) -> CliffordTableau:
-        tail = self.tail
-        if tail is None:
-            tail = self._inverse_tail.invert()
-        elif callable(tail):
-            tail = tail()
-        if tail.n != self.n:
-            raise ValueError("tail Clifford width does not match qubit count")
-        return tail
+        return self._inverse_tail.invert()
 
     @cached_property
     def _inverse_tail(self) -> CliffordTableau:
-        """The tail's inverse: the one the form was built from rows with,
-        else one ``invert()`` of the tail."""
-        inverse = self._inverse
-        if inverse is None:
-            return self.tail_clifford.invert()
-        return inverse() if callable(inverse) else inverse
+        return self._inverse()
 
     def dump(self) -> str:
         """One rotation per line: ``+-PAULI @gate_index``."""
@@ -190,7 +180,9 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
                 f"{kind} at index {index}: expand() the circuit first"
             ) from None
 
-    return RotationForm._from_rows(n, axes_x, axes_z, axes_k, origins, inverse_prefix, circuit)
+    return RotationForm._from_rows(
+        n, axes_x, axes_z, axes_k, origins, lambda: inverse_prefix, circuit
+    )
 
 
 def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:

@@ -204,18 +204,17 @@ class CliffordTableau:
 
     def _apply_s_rotation(
         self, ax: int, az: int, ak: int, rows: Iterable[int] | None = None
-    ) -> int:
+    ) -> None:
         """Apply the square of the quarter-rotation about i^ak P(ax, az) after C.
 
         That Clifford, (1+i)/2 (1 - i*axis), fixes every Pauli that commutes
         with the axis and maps an anticommuting P to i*P*axis, so only the
         anticommuting rows change.  ``rows`` lists the rows to test, all 2n
         when None; the caller vouches that every row left out commutes with
-        the axis.  Returns the mask of the rows it rewrote.
+        the axis.
         """
         xs, zs, ks = self._x, self._z, self._k
         base = ak + 1 + (ax & az).bit_count()  # the axis, and the extra factor of i
-        moved = 0
         for r in range(2 * self.n) if rows is None else rows:
             x, z = xs[r], zs[r]
             if ((x & az) ^ (z & ax)).bit_count() & 1:
@@ -226,8 +225,6 @@ class CliffordTableau:
                 if k & 1:
                     raise InvariantError("anti-Hermitian image in s_rotation")
                 xs[r], zs[r], ks[r] = nx, nz, k & 3
-                moved |= 1 << r
-        return moved
 
     def _precompose_inverse(self, gate: Gate) -> None:
         """Make C into C composed with gate^-1 applied first.

@@ -299,8 +299,9 @@ class TestOptimize:
         assert capsys.readouterr().err == ""
 
     def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
-        code, _ = run_cli("optimize", str(MOD5_4), "-o", str(tmp_path / "no" / "out.qc"))
+        code, stdout = run_cli("optimize", str(MOD5_4), "-o", str(tmp_path / "no" / "out.qc"))
         assert code == 1
+        assert stdout == ""  # no record for a command that failed
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_inplace_never_inverts(self, no_invert):
@@ -346,6 +347,13 @@ class TestTdepth:
             "  r1 -> r2;\n"
             "}\n"
         )
+
+    @pytest.mark.parametrize("flags", [["--ancilla", "-o"], ["--dot"]], ids=["ancilla", "dot"])
+    def test_unwritable_output_is_an_input_error(self, flags, tmp_path, capsys):
+        code, stdout = run_cli("tdepth", str(MOD5_4), *flags, str(tmp_path))
+        assert code == 1
+        assert stdout == ""  # no record for a command that failed
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_plain_tdepth_builds_no_edge_list(self, monkeypatch, tmp_path):
         def forbidden(form):

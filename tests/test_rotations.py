@@ -108,19 +108,81 @@ class TestToRotationForm:
             expected = CliffordTableau.from_circuit(Circuit.on_qubits(n, cliffords))
             assert to_rotation_form(c).tail_clifford == expected
 
-    def test_tail_is_built_once_on_first_read(self):
-        calls = []
+    TAIL_ROUTES = [
+        "public", "extraction", "fold_with_merges", "fold_without_merges",
+        "fold_of_public", "fold_of_fold",
+    ]
 
-        def build():
-            calls.append(1)
-            return CliffordTableau.identity(2)
+    @staticmethod
+    def _clifford_tail(c):
+        cliffords = [g for g in c.gates if g.kind not in ("T", "Tdg")]
+        return CliffordTableau.from_circuit(Circuit.on_qubits(c.n, cliffords))
 
-        rf = RotationForm(2, (), build)
-        assert calls == []
-        assert rf.tail_clifford is rf.tail_clifford
-        assert calls == [1]
-        with pytest.raises(ValueError):
-            RotationForm(2, (), lambda: CliffordTableau.identity(3)).tail_clifford
+    def _route(self, route):
+        """(form, expected tail) for one route to a tail.  A fold's expected
+        tail is that of the Clifford gates of its edited source circuit."""
+        rng = random.Random(0x7A12)
+        c = random_clifford_t_circuit(5, 120, rng, t_weight=0.5)
+        if route == "public":
+            tail = self._clifford_tail(c)
+            return RotationForm(5, to_rotation_form(c).rotations, tail), tail
+        if route == "extraction":
+            return to_rotation_form(c), self._clifford_tail(c)
+        if route == "fold_without_merges":
+            c = Circuit.on_qubits(2, [Gate("T", (0,)), Gate("H", (0,)), Gate("CNOT", (0, 1)),
+                                      Gate("T", (1,)), Gate("Tdg", (1,)), Gate("S", (1,))])
+        form = to_rotation_form(c)
+        if route == "fold_of_public":
+            form = RotationForm(5, form.rotations, form.tail_clifford, c)
+        result = optimize(form)
+        assert (result.stats.merges > 0) == (route != "fold_without_merges")
+        plan = result.plan
+        if route == "fold_of_fold":
+            result = optimize(result.form)
+            plan = EditPlan(plan.deletions | result.plan.deletions,
+                            plan.replacements | result.plan.replacements)
+        return result.form, self._clifford_tail(apply_edit_plan(c, plan))
+
+    @pytest.mark.parametrize("route", TAIL_ROUTES)
+    def test_every_route_to_a_tail(self, route, monkeypatch):
+        calls = Counter()
+        from_rows = RotationForm._from_rows.__func__
+
+        def counted_from_rows(cls, n, xs, zs, ks, origins, inverse_tail, source):
+            def counted():
+                calls[counted] += 1
+                return inverse_tail()
+
+            return from_rows(cls, n, xs, zs, ks, origins, counted, source)
+
+        monkeypatch.setattr(RotationForm, "_from_rows", classmethod(counted_from_rows))
+        form, expected = self._route(route)
+        for _ in range(3):
+            assert form.tail_clifford == expected
+            assert form._inverse_tail.invert() == form.tail_clifford
+        assert form.tail_clifford is form.tail_clifford
+        assert form._inverse_tail is form._inverse_tail
+        assert max(calls.values(), default=0) <= 1
+        assert bool(calls) == (route != "public")
+
+    def test_public_tail_is_inverted_only_when_a_fold_reads_it(self, monkeypatch):
+        inverted = []
+        invert = CliffordTableau.invert
+
+        def counted(self):
+            inverted.append(self)
+            return invert(self)
+
+        monkeypatch.setattr(CliffordTableau, "invert", counted)
+        c = random_clifford_t_circuit(4, 80, random.Random(0x7A13), t_weight=0.5)
+        tail = self._clifford_tail(c)
+        form = RotationForm(4, to_rotation_form(c).rotations, tail)
+        assert form.tail_clifford is tail
+        result = optimize(form)
+        assert result.stats.merges > 0
+        assert inverted == []
+        result.form.tail_clifford
+        assert inverted[0] is tail and len(inverted) == 2
 
     def test_dump_format(self):
         c = Circuit.on_qubits(2, [Gate("Tdg", (1,)), Gate("T", (0,))])

@@ -347,10 +347,12 @@ class TestSRotation:
             axis = random_pauli(n, rng)
             out = CliffordTableau.s_rotation(axis).compose(t)
             rows = CliffordTableau(n, t.x_images, t.z_images)
-            moved = rows._apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
+            rows._apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
             assert rows == out
+            # exactly the rows that anticommute with the axis change
             for r, row in enumerate(t.x_images + t.z_images):
-                assert bool(moved >> r & 1) != row.commutes(axis)
+                changed = (rows._x[r], rows._z[r], rows._k[r]) != (t._x[r], t._z[r], t._k[r])
+                assert changed != row.commutes(axis)
 
     def test_rows_lists_the_rows_it_may_rewrite(self, rng):
         for _ in range(120):
@@ -359,10 +361,11 @@ class TestSRotation:
             axis = random_pauli(n, rng)
             k = 0 if axis.sign > 0 else 2
             full = CliffordTableau(n, t.x_images, t.z_images)
-            moved = full._apply_s_rotation(axis.x, axis.z, k)
+            full._apply_s_rotation(axis.x, axis.z, k)
             rows = rng.sample(range(2 * n), rng.randint(0, 2 * n))
             out = CliffordTableau(n, t.x_images, t.z_images)
-            assert out._apply_s_rotation(axis.x, axis.z, k, rows) == moved & sum(1 << r for r in rows)
+            out._apply_s_rotation(axis.x, axis.z, k, rows)
+            # a listed row equals the full update's; a row left out is unchanged
             for r in range(2 * n):
                 source = full if r in rows else t
                 assert (out._x[r], out._z[r], out._k[r]) == (
@@ -568,8 +571,9 @@ def letterwise_product(p: PauliProduct, q: PauliProduct) -> tuple[int, int, int]
 
 
 class TestPhaseRule:
-    """``tableau._product`` and the S-rotation row update each spell out the
-    Pauli product's phase; they must agree with a letter-by-letter rule."""
+    """``tableau._product``, the S-rotation row update and the two-row
+    product of ``_precompose_inverse`` each spell out the Pauli product's
+    phase; they must agree with a letter-by-letter rule."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65])
     def test_three_copies_agree(self, n, rng):
@@ -579,18 +583,26 @@ class TestPhaseRule:
             kp, kq = 1 - p.sign, 1 - q.sign
             x, z, k = letterwise_product(p, q)
             rows = CliffordTableau(n, [p] * n, [p] * n)
-            moved = rows._apply_s_rotation(q.x, q.z, kq)
+            rows._apply_s_rotation(q.x, q.z, kq)
             if p.commutes(q):
                 assert _product([p.x, q.x], [p.z, q.z], [kp, kq], 0b11, 0) == (x, z, k)
-                assert moved == 0 and rows == CliffordTableau(n, [p] * n, [p] * n)
+                assert rows == CliffordTableau(n, [p] * n, [p] * n)
             else:
-                # i * p * q, the image of an anticommuting row
+                # i * p * q, the image of an anticommuting row: every row changes
                 ik = (k + 1) % 4
                 assert _product([p.x, q.x], [p.z, q.z], [kp, kq], 0b11, 1) == (x, z, ik)
-                assert moved == (1 << 2 * n) - 1
                 assert {(rx, rz, rk) for rx, rz, rk in zip(rows._x, rows._z, rows._k)} == {
                     (x, z, ik)
                 }
+            if n >= 2:
+                # precomposing CNOT(0, 1) makes the X_0 row the product X_0 X_1
+                rows = CliffordTableau(n, [p, q] + [p] * (n - 2), [p] * n)
+                if p.commutes(q):
+                    rows._precompose_inverse(Gate("CNOT", (0, 1)))
+                    assert (rows._x[0], rows._z[0], rows._k[0]) == (x, z, k)
+                else:
+                    with pytest.raises(InvariantError):
+                        rows._precompose_inverse(Gate("CNOT", (0, 1)))
             if n <= 3:
                 dense = pauli_matrix(p) @ pauli_matrix(q)
                 assert np.allclose(dense, 1j**k * pauli_matrix(PauliProduct(n, x, z)))
