@@ -79,6 +79,12 @@ def _g(kind: str, *qubits: int) -> Gate:
     return Gate(kind, qubits)
 
 
+@lru_cache(maxsize=64)
+def _anonymous_names(n: int) -> tuple[str, ...]:
+    """The names q0..q{n-1}, built once per width while it stays in the memo."""
+    return tuple(f"q{i}" for i in range(n))
+
+
 @dataclass(frozen=True)
 class GateCounts:
     t_count: int
@@ -126,7 +132,7 @@ class Circuit:
     @classmethod
     def on_qubits(cls, n: int, gates: Iterable[Gate] = ()) -> Circuit:
         """A circuit on ``n`` anonymous qubits named q0..q{n-1}."""
-        return cls(tuple(f"q{i}" for i in range(n)), tuple(gates))
+        return cls(_anonymous_names(n), tuple(gates))
 
     @property
     def n(self) -> int:
@@ -326,20 +332,21 @@ def parse_qc(text: str) -> Circuit:
     return Circuit(tuple(names), tuple(gates), inputs, outputs)
 
 
-_WRITE_MNEMONIC = {
-    "H": "H",
-    "X": "X",
-    "Y": "Y",
-    "Z": "Z",
-    "S": "S",
-    "Sdg": "S*",
-    "T": "T",
-    "Tdg": "T*",
-    "CNOT": "tof",
-    "TOFFOLI": "tof",
-    "CZ": "Z",
-    "CCZ": "Z",
-    "SWAP": "swap",
+# gate kind -> its .qc mnemonic and the space before the operands
+_WRITE_PREFIX = {
+    "H": "H ",
+    "X": "X ",
+    "Y": "Y ",
+    "Z": "Z ",
+    "S": "S ",
+    "Sdg": "S* ",
+    "T": "T ",
+    "Tdg": "T* ",
+    "CNOT": "tof ",
+    "TOFFOLI": "tof ",
+    "CZ": "Z ",
+    "CCZ": "Z ",
+    "SWAP": "swap ",
 }
 
 
@@ -352,9 +359,14 @@ def write_qc(circuit: Circuit) -> str:
         lines.append(".o " + " ".join(circuit.outputs))
     lines.append("")
     lines.append("BEGIN")
-    names = circuit.qubit_names
+    names, prefix = circuit.qubit_names, _WRITE_PREFIX
+    # one and two operands, the gates synthesis emits, need no list or join
     lines += [
-        _WRITE_MNEMONIC[g.kind] + " " + " ".join([names[q] for q in g.qubits])
+        prefix[g.kind] + (
+            names[qs[0]] if len(qs := g.qubits) == 1
+            else names[qs[0]] + " " + names[qs[1]] if len(qs) == 2
+            else " ".join([names[q] for q in qs])
+        )
         for g in circuit.gates
     ]
     lines.append("END")

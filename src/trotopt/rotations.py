@@ -18,7 +18,9 @@ input's inverse tail, and the public constructor's inverts the tableau it
 was given.  The tail, where not given, is one ``invert()`` of that inverse,
 built only when read.  The way back is layer synthesis: each layer of
 commuting rotations becomes one parallel T layer, with ancillas for
-dependent layers; resynthesis is the schedule of singleton layers.  Global
+dependent layers, and each diagonalizing gate is lowered, forward and
+adjoint, by one lookup in the tableau module's memoized table;
+resynthesis is the schedule of singleton layers.  Global
 phase is dropped throughout; equivalence is always modulo phase.
 """
 
@@ -34,10 +36,9 @@ from .pauli import PauliProduct
 from .tableau import (
     CliffordTableau,
     DependentSetError,
-    _adjoint_gates,
     _dependent_indices,
     _diagonalize_with_gates,
-    _lower_gate,
+    _lowerings,
     synthesize,
 )
 
@@ -230,10 +231,13 @@ def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
     if any(p.n != n for p in axes):
         raise ValueError("mixed qubit counts in Pauli set")
     xs, zs = [p.x for p in axes], [p.z for p in axes]
-    basis_gates = _diagonalize_with_gates(xs, zs, [0] * len(axes), n, len(axes))
-    gates: list[Gate] = [low for g in basis_gates for low in _lower_gate(g)]
+    basis = [
+        _lowerings(g.kind, *g.qubits)
+        for g in _diagonalize_with_gates(xs, zs, [0] * len(axes), n, len(axes))
+    ]
+    gates: list[Gate] = [low for forward, _ in basis for low in forward]
     gates.extend(_g("T" if p.sign > 0 else "Tdg", j) for j, p in enumerate(axes))
-    gates.extend(low for g in _adjoint_gates(basis_gates) for low in _lower_gate(g))
+    gates.extend(low for _, adjoint in reversed(basis) for low in adjoint)
     return Circuit.on_qubits(n, gates)
 
 

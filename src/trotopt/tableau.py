@@ -16,7 +16,11 @@ import.  The forward rule is one 16-entry table per kind (:data:`_RULES`),
 which a gate places on its qubits in constant time; the preimage plan
 (:data:`_PREIMAGES`) lists each changed row as one or two old rows and an
 i exponent, so extraction's per-gate update runs no generic product loop.
-Every gate that synthesis emits is interned (:func:`~trotopt.circuit._g`).
+Every gate that synthesis emits is interned (:func:`~trotopt.circuit._g`),
+and its lowering onto {H, S, CNOT, X, Z} and its inverse's are looked up in
+one table memoized on (kind, qubits) (:func:`_lowerings`).  The
+diagonalizer walks the set bits of a pivot row's masks, so each of its
+loops costs one step per gate it emits, not one per qubit.
 Public methods return new tableaux.  The underscored in-place updates
 (``_apply_gate``, ``_apply_s_rotation``, ``_precompose_inverse``) are for
 callers that own the array: extraction's inverse prefix, the fold's frame
@@ -25,6 +29,7 @@ and synthesis's scratch phase layer.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -488,7 +493,10 @@ def _diagonalize_with_gates(
                 emit("X", j)
             continue
 
-        hi = ~((1 << j) - 1)  # qubits >= j
+        # Each loop below walks the set bits of a mask, lowest first; a gate
+        # changes row j only on its own qubits, so the bits not yet reached
+        # are the ones the loop started with.
+        hi = -zbit  # qubits >= j
         if xs[j] & hi == 0:
             zhi = zs[j] & hi
             if zhi == 0:
@@ -499,22 +507,26 @@ def _diagonalize_with_gates(
             emit("H", (zhi & -zhi).bit_length() - 1)
 
         # Make every supported site at qubit >= j a pure X.
-        for q in range(j, n):
-            b = 1 << q
-            if zs[j] & b:
-                emit("Sdg" if xs[j] & b else "H", q)
+        bits = zs[j] & hi
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            emit("Sdg" if xs[j] & b else "H", b.bit_length() - 1)
 
-        x = xs[j]
-        pivot = (x & hi & -(x & hi)).bit_length() - 1
-        for q in range(pivot + 1, n):
-            if x & (1 << q):
-                emit("CNOT", pivot, q)
+        x = xs[j] & hi
+        pivot = (x & -x).bit_length() - 1
+        bits = x & -(2 << pivot)  # the CNOT targets, above the pivot
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            emit("CNOT", pivot, b.bit_length() - 1)
 
         # Clear Z components on already-fixed qubits (< j).
-        z = zs[j]
-        for q in range(j):
-            if z & (1 << q):
-                emit("CZ", q, pivot)
+        bits = zs[j] & (zbit - 1)
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            emit("CZ", b.bit_length() - 1, pivot)
 
         emit("H", pivot)
         if pivot != j:
@@ -546,6 +558,17 @@ def _lower_gate(g: Gate) -> tuple[Gate, ...]:
     if g.kind == "Y":
         return (_g("Z", *g.qubits), _g("X", *g.qubits))
     return (g,)
+
+
+@lru_cache(maxsize=1 << 16)
+def _lowerings(kind: str, *qubits: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """(``_lower_gate(g)``, ``_lower_gate(inverse_gate(g))``) for g = ``_g(kind, *qubits)``.
+
+    Memoized on (kind, qubits), as :func:`~trotopt.circuit._g` is, so a
+    gate met again costs one lookup and no ``Gate`` hash.
+    """
+    g = _g(kind, *qubits)
+    return _lower_gate(g), _lower_gate(inverse_gate(g))
 
 
 def synthesize_gates(t: CliffordTableau) -> list[Gate]:
@@ -589,5 +612,5 @@ def synthesize_gates(t: CliffordTableau) -> list[Gate]:
 
 def synthesize(t: CliffordTableau) -> Circuit:
     """A circuit over {H, S, CNOT, X, Z} whose tableau equals ``t``."""
-    gates = [low for g in synthesize_gates(t) for low in _lower_gate(g)]
+    gates = [low for g in synthesize_gates(t) for low in _lowerings(g.kind, *g.qubits)[0]]
     return Circuit.on_qubits(t.n, gates)

@@ -139,7 +139,9 @@ def build_tgraph(form: RotationForm | Sequence[Rotation]) -> TGraph:
 
     Edges come out ordered by j, then by i.  Signs are ignored.
     """
-    rotations = tuple(form.rotations if isinstance(form, RotationForm) else form)
+    if isinstance(form, RotationForm):
+        return TGraph(form.rotations, tuple(_edges(*_pack(form))))
+    rotations = tuple(form)
     return TGraph(rotations, tuple(_edges(*_pack(rotations))))
 
 

@@ -60,6 +60,25 @@ def random_clifford_t_circuit(
     return Circuit.on_qubits(n, gates)
 
 
+def cuccaro_adder(bits: int) -> Circuit:
+    """Cuccaro et al. (quant-ph/0410184) ripple-carry adder b += a, carry out
+    to z, on 2 * bits + 2 qubits: one TOFFOLI per MAJ and per UMA block."""
+    names = ("x0", *(f"a{i}" for i in range(bits)), *(f"b{i}" for i in range(bits)), "z0")
+    q = {name: i for i, name in enumerate(names)}.__getitem__
+    carry = ["x0"] + [f"a{i}" for i in range(bits - 1)]
+    gates = []
+    for i in range(bits):  # MAJ(carry, b, a)
+        x, y, w = carry[i], f"b{i}", f"a{i}"
+        gates += [Gate("CNOT", (q(w), q(y))), Gate("CNOT", (q(w), q(x))),
+                  Gate("TOFFOLI", (q(x), q(y), q(w)))]
+    gates.append(Gate("CNOT", (q(f"a{bits - 1}"), q("z0"))))
+    for i in reversed(range(bits)):  # UMA(carry, b, a)
+        x, y, w = carry[i], f"b{i}", f"a{i}"
+        gates += [Gate("TOFFOLI", (q(x), q(y), q(w))), Gate("CNOT", (q(w), q(x))),
+                  Gate("CNOT", (q(x), q(y)))]
+    return Circuit(names, tuple(gates))
+
+
 def random_pauli(
     n: int, rng: random.Random, allow_identity: bool = False, signed: bool = True
 ) -> PauliProduct:

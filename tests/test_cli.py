@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from trotopt import (
+    Circuit,
     Gate,
     apply_edit_plan,
     build_tgraph,
@@ -28,7 +29,12 @@ from trotopt import (
 )
 from trotopt.cli import BENCH_COLUMNS, build_parser, main
 
-from _helpers import MOD5_4, data_block_on_zero_ancillas, random_clifford_t_circuit
+from _helpers import (
+    MOD5_4,
+    cuccaro_adder,
+    data_block_on_zero_ancillas,
+    random_clifford_t_circuit,
+)
 
 
 def run_cli(*argv):
@@ -442,8 +448,11 @@ SYNTHESIS_FORMS = {
     "no-optimize": ("tdepth", "--ancilla", "--no-optimize"),
     "resynth": ("optimize", "--mode", "resynth", "--no-verify"),
 }
-# (seed, n, depth) of random_clifford_t_circuit; seed 5 needs one ancilla even after folding
-SYNTHESIS_INPUTS = {"mod5_4": None, "r1": (1, 5, 40), "r2": (2, 7, 60), "r5": (5, 7, 46)}
+# (seed, n, depth) of random_clifford_t_circuit; seed 5 needs one ancilla even after folding.
+# cuccaro_4 (10 qubits, 8 Toffolis) schedules 7 layers over 2 ancillas folded and 14
+# unfolded, so its layers go through the CZ and SWAP lowerings on many qubits.
+SYNTHESIS_INPUTS = {"mod5_4": None, "r1": (1, 5, 40), "r2": (2, 7, 60), "r5": (5, 7, 46),
+                    "cuccaro_4": cuccaro_adder(4)}
 SYNTHESIS_SHA256 = {
     ("mod5_4", "asap"): "04d005936eeb5e69a448209b2cd28dff40378cac5e096b6dd6a914f791087680",
     ("mod5_4", "alap"): "04d005936eeb5e69a448209b2cd28dff40378cac5e096b6dd6a914f791087680",
@@ -461,6 +470,10 @@ SYNTHESIS_SHA256 = {
     ("r5", "alap"): "202c526446d64b63f196c3204da6a2af371f28337141cb9743d41a4f423b1181",
     ("r5", "no-optimize"): "556181af43f0e663627f4880ff9796c4336e47f75ed8310428f8d46268d26ed0",
     ("r5", "resynth"): "0086e4172acb6aeff5e5a3a120d1ac9600c4103f82fba2bbb03ccaeac13aff19",
+    ("cuccaro_4", "asap"): "6461bae0f3ba1f9f019e2f8c03e9f5ac129610647a3d273fb04eb3a46f10a674",
+    ("cuccaro_4", "alap"): "2f81c7e4e83cbfd4875654bd8aaebe2a2c042fbe66f93e850bd9eaf71cafea6a",
+    ("cuccaro_4", "no-optimize"): "5ad927f6c7e46fb913b8b79b3c44c4f360be51955236f00e2593573e5d148d50",
+    ("cuccaro_4", "resynth"): "6e5daedc5b91753e0378c7d808c05f7b6bdceb730afd3015dab8c6f2be2dbf2e",
 }
 
 # sha256 of `tdepth --dot` per input, with and without folding: the only
@@ -474,15 +487,20 @@ DOT_SHA256 = {
     ("r2", "no-optimize"): "59e0c2ac39e181523db034a269dfdb309827a964087ba8c242b42345c34bc77d",
     ("r5", "asap"): "cf35a76293726b360e13602fcce02746bdb9c19fc0402b2553482e889a31f038",
     ("r5", "no-optimize"): "10b8452071aea5ae4e689faa4586ce4510f98f5f10be5c596d813e92d306d10c",
+    ("cuccaro_4", "asap"): "4c6e3d5133dd6835fae1f9907c7ed6226f4aba1fe1d1ab1cc025b609c775079b",
+    ("cuccaro_4", "no-optimize"): "a8cec703a6a9434702340d6467e888976fd1e6fb47fa02d2ad366754d088650b",
 }
 
 
 def synthesis_input(name, tmp_path):
-    if SYNTHESIS_INPUTS[name] is None:
+    spec = SYNTHESIS_INPUTS[name]
+    if spec is None:
         return MOD5_4
-    seed, n, depth = SYNTHESIS_INPUTS[name]
+    if not isinstance(spec, Circuit):
+        seed, n, depth = spec
+        spec = random_clifford_t_circuit(n, depth, random.Random(seed))
     path = tmp_path / f"{name}.qc"
-    path.write_text(write_qc(random_clifford_t_circuit(n, depth, random.Random(seed))))
+    path.write_text(write_qc(spec))
     return path
 
 
@@ -509,6 +527,8 @@ INPLACE_SHA256 = {
            "86d0358a2c405908efd62ec87f841daf157e447d9c86877effd9c3edce48dde1"),
     "r5": ("5fd51947add12defa8b7583ef393673dbb0ae87581b2cd8609eab6bf9bf8afb1",
            "5a4ecb6122a18c73636e04f80cb57a6de4c931ea8d59c4d450d53eff1d34fe4b"),
+    "cuccaro_4": ("fe59a8bb15cee6d8e8e104d3ea862159c8f81defb830d3b9c8f6f826ea163db7",
+                  "7d38151ad666ac67d8365637c7e0669602ed41552ab5fe0fc78d7f48dc9261f8"),
 }
 
 

@@ -17,7 +17,14 @@ from trotopt import (
     unitary_of,
 )
 from trotopt import ARITY, CLIFFORD_KINDS, tableau
-from trotopt.tableau import _conjugate_rows, _diagonalize_with_gates, _product, inverse_gate
+from trotopt.tableau import (
+    _conjugate_rows,
+    _diagonalize_with_gates,
+    _lower_gate,
+    _lowerings,
+    _product,
+    inverse_gate,
+)
 
 from _helpers import (
     gate_matrix,
@@ -501,6 +508,23 @@ class TestSynthesize:
             n = rng.randint(1, 5)
             t, _ = random_tableau(n, rng)
             assert CliffordTableau.from_circuit(synthesize(t)) == t
+
+
+class TestLoweringTable:
+    @pytest.mark.parametrize("kind", sorted(CLIFFORD_KINDS))
+    def test_cached_lowerings_match_the_gate_and_its_inverse(self, kind):
+        for qubits in [(0, 1), (1, 0)] if ARITY[kind] == 2 else [(0,), (1,)]:
+            g = Gate(kind, qubits)
+            forward, adjoint = _lowerings(kind, *qubits)
+            assert forward == _lower_gate(g)
+            assert adjoint == _lower_gate(inverse_gate(g))
+            for lowering, gate in ((forward, g), (adjoint, inverse_gate(g))):
+                assert {low.kind for low in lowering} <= {"H", "S", "CNOT", "X", "Z"}
+                lowered = CliffordTableau.from_circuit(Circuit.on_qubits(2, lowering))
+                assert lowered == CliffordTableau.from_circuit(Circuit.on_qubits(2, [gate]))
+
+    def test_lowerings_are_interned(self):
+        assert _lowerings("CZ", 0, 1) is _lowerings("CZ", 0, 1)
 
 
 class TestValidate:

@@ -8,6 +8,7 @@ per-layer metrics read the spans of layer synthesis; a rename or a move in
 import importlib
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -56,6 +57,11 @@ def test_traced_layer_synthesis_on_mod5_4(tracing, tmp_path):
     recorded = {(kinds[s.request], s.name) for s in tracer.spans}
     assert {("tdepth", "tgraph.extend"), ("tdepth", "tgraph.synth"),
             ("resynth", "rotations.resynth"), ("resynth", "tgraph.synth")} <= recorded
+    # one extend and one synth span per layer: mod5_4 folds to one layer of 8
+    # rotations, and resynth makes each of the 8 its own layer
+    spans = Counter((kinds[s.request], s.name) for s in tracer.spans)
+    assert [spans[kind, name] for kind in commands for name in ("tgraph.extend", "tgraph.synth")
+            ] == [1, 1, 8, 8]
 
     layers = [s.info for s in tracer.spans
               if s.name == "tgraph.extend" and kinds[s.request] == "tdepth"]
