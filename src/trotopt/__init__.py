@@ -13,7 +13,6 @@ Every rewrite is checkable against a dense small-register unitary oracle.
 from .pauli import PauliProduct
 from .circuit import (
     ARITY,
-    CLIFFORD_KINDS,
     Circuit,
     Gate,
     GateCounts,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARITY",
-    "CLIFFORD_KINDS",
     "Circuit",
     "CliffordTableau",
     "DependentSetError",

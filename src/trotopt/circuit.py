@@ -29,8 +29,6 @@ ARITY = {
     "TOFFOLI": 3,
 }
 
-CLIFFORD_KINDS = frozenset({"H", "X", "Y", "Z", "S", "Sdg", "CNOT", "CZ", "SWAP"})
-
 
 class ParseError(ValueError):
     """A malformed ``.qc`` input; carries the 1-based source line number."""

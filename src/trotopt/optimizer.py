@@ -6,45 +6,26 @@ most recent entry backwards, stopping at the first anticommuting axis, at
 the first axis equal up to sign, or at exhaustion.  An opposite-sign match
 cancels both rotations outright; a same-sign match removes both and folds
 the leftover square of the rotation (an S-like Clifford) into the frame.
-Every hit lowers the T-count by exactly 2.
+Every hit lowers the T-count by exactly 2: at most one check per ordered
+rotation pair, O(n k^2) overall.
 
-Total scan work is at most one commutation/equality check per ordered
-rotation pair, each O(n) bit operations: O(n k^2) overall.  The fold
-reads the input form's int rows (X masks, Z masks, i exponents and
-origins) and keeps the processed list as four plain lists of the same
-kind, which become the surviving form's rows as they are: no ``Rotation``
-or ``PauliProduct`` is built on either side.  The scan checks a pair
-inline, an equality test and the parity of one popcount, with no method
-call per pair.
+An axis with X mask x and Z mask z is held as one int, its key
+``x | z << n``, next to its dual ``z | x << n``.  Bit r of either names
+frame row r: X_r for r < n, Z_{r-n} above.  The key is the set of rows
+that conjugating the axis reads.  The dual is the set of identity rows
+that anticommute with it, so a listed axis p anticommutes with it iff
+``p & dual`` has odd parity, and a merge's S-rotation moves exactly the
+dual's rows that have not moved yet.  The scan is skipped, as it could
+only run to exhaustion, when the dual meets no listed key's bit and no
+equal key is listed; ``comparisons`` still counts the entries the scan
+would read.
 
-The scan is skipped when it could only run to exhaustion: when the
-incoming axis has no X bit among the Z bits of any axis processed so far,
-no Z bit among their X bits, and no equal axis in the list (a count per
-listed axis).  Then nothing listed anticommutes with it or equals it, so
-it is appended at once; on phase polynomials, where every axis is
-diagonal, that is every axis with no equal partner listed.
-``comparisons`` still counts the entries the paper's scan reads, whether
-or not the scan ran, so it equals the count of a plain backward scan.
-
-The frame is one tableau that the fold owns and updates in place, and
-only when it is read.  A merge queues its S-rotation and adds the rows
-that rotation rewrites to the mask of moved rows: every row not yet moved
-is still the identity's, so these are X_r for each Z bit r of the axis
-and Z_q for each X bit q.  The rows that newly move are also appended to
-a list, once each, in the order they first move.  The queued merges run
-in order, just before an incoming axis is conjugated and when the output
-tail is built; each tests only the listed rows, since a row not yet moved
-commutes with every queued axis, and rewrites the integer rows (X mask,
-Z mask and i exponent per generator image) among them that anticommute
-with its axis.  An incoming axis with no bits on moved rows is already
-in the frame and is not conjugated; any other axis is conjugated on
-ints.  So when every merge axis is diagonal, no Z row moves, no diagonal
-axis is ever conjugated, and the frame is not touched at all unless the
-tail is read.  The output tail, the input tail after the inverse frame,
-is built only when read, as one ``invert()`` of the frame composed with
-the input's inverse tail; on the paths that read it (resynthesis and the
-ancilla layering of ``tdepth``) the queued merges run then, after the
-fold has returned.
+The frame is one tableau, updated in place only when read: merges queue
+their S-rotations, which run before an axis with a key bit on a moved row
+is conjugated and when the output tail is built.  Each tests only the
+moved rows; an unmoved row is still an identity generator, which commutes
+with every queued axis.  On all-diagonal inputs no Z row moves and the
+fold never touches the frame.
 """
 
 from __future__ import annotations
@@ -80,29 +61,27 @@ class OptimizeResult(NamedTuple):
 def optimize(form: RotationForm) -> OptimizeResult:
     """Run one folding pass; returns the surviving form, edits, and stats.
 
-    The returned plan applies against ``form.source`` and is None when any
-    rotation lacks an origin.  The surviving form holds the survivors as
-    rows; its ``rotations`` view is built only when read.  Its tail is
-    ``form``'s tail after the inverse of the accumulated frame Clifford,
-    held one way, as its inverse: a function that composes the frame with
-    ``form``'s inverse tail, one ``compose`` (none if no merge moved the
-    frame), run when first read.  The tail is one ``invert()`` of that.
+    Each processed axis is one int, its key ``x | z << n``, and each
+    incoming axis is also read as its dual ``z | x << n``; bit r of either
+    is frame row r (X_r, or Z_{r-n} for r >= n).  The key's rows are those
+    conjugating the axis reads, the dual's those a merge on it moves.  The
+    survivors are split back into X and Z rows once, at return.  The plan
+    applies against ``form.source`` and is None when some folded pair
+    lacks an origin.  The surviving form's tail is ``form``'s tail after
+    the inverse of the frame, held as a function that builds its inverse
+    (one ``compose``, none if no merge moved the frame) when first read.
     """
     stats = OptimizeStats(t_before=len(form._x))
 
     n = form.n
     frame = CliffordTableau.identity(n)  # maps raw axes into the analysis frame
-    moved = 0  # bit r set once frame row r (X_r, or Z_{r-n}) has been rewritten
-    moved_rows: list[int] = []  # the set bits of moved, in the order rows first moved
-    # the processed axes as int rows (X mask, Z mask, i exponent) and origins
-    xs: list[int] = []
-    zs: list[int] = []
+    moved = 0  # the frame rows rewritten so far, bits as in a key
+    moved_rows: list[int] = []  # the set bits of moved, in the order rows first move
+    keys: list[int] = []  # the processed axes, with their i exponents and origins
     ks: list[int] = []
     origins: list[int | None] = []
-    # the OR of every processed X mask and Z mask (they only grow, so they
-    # cover every axis still listed) and the count of each listed axis
-    xseen = zseen = 0
-    live: dict[int, int] = {}
+    seen = 0  # the OR of every key listed so far
+    live: dict[int, int] = {}  # the count of each listed key
 
     # merges' S-rotations (X mask, Z mask, i exponent) not yet applied to the frame
     pending: list[tuple[int, int, int]] = []
@@ -112,9 +91,8 @@ def optimize(form: RotationForm) -> OptimizeResult:
             frame._apply_s_rotation(s_x, s_z, s_k, moved_rows)
         pending.clear()
 
-    deletions: set[int] = set()
-    replacements: set[int] = set()
-    plan_complete = True
+    deletions: set[int | None] = set()
+    replacements: set[int | None] = set()
 
     for ax, az, k, origin in zip(form._x, form._z, form._k, form._origins):
         key = ax | az << n
@@ -123,61 +101,48 @@ def optimize(form: RotationForm) -> OptimizeResult:
                 catch_up()
             ax, az, k = frame._conjugate(ax, az, k)
             key = ax | az << n
+        dual = az | ax << n
 
-        # With no shared bit to anticommute on and no equal axis listed,
-        # the scan would read every entry and stop at none: skip it.
-        i = match = -1
-        if ax & zseen or az & xseen or key in live:
-            for i in range(len(xs) - 1, -1, -1):
-                px, pz = xs[i], zs[i]
-                if px == ax and pz == az:
+        i, match = 0, -1
+        if dual & seen or key in live:
+            for i in range(len(keys) - 1, -1, -1):
+                p = keys[i]
+                if p == key:
                     match = i
                     break
-                if ((px & az) ^ (pz & ax)).bit_count() & 1:  # anticommutes
+                if (p & dual).bit_count() & 1:  # anticommutes
                     break
-            else:
-                i = -1
-        stats.comparisons += len(xs) - max(i, 0)  # entries the scan reads
+        stats.comparisons += len(keys) - i  # entries the scan reads
 
         if match < 0:
-            xs.append(ax)
-            zs.append(az)
+            keys.append(key)
             ks.append(k)
             origins.append(origin)
-            xseen |= ax
-            zseen |= az
+            seen |= key
             live[key] = live.get(key, 0) + 1
             continue
 
         live[key] -= 1
         if not live[key]:
             del live[key]
-        del xs[match], zs[match]
+        del keys[match]
         partner_k, partner_origin = ks.pop(match), origins.pop(match)
-        if partner_origin is None or origin is None:
-            plan_complete = False
         if partner_k == k:
             stats.merges += 1
             # The pair leaves the square of the rotation behind; its inverse
-            # goes into the frame, so later raw axes map correctly, once the
-            # frame is read.  The rows it will rewrite are still identity
-            # generators unless already moved: X_r anticommutes with the
-            # axis iff bit r of az is set, Z_q iff bit q of ax is.  The
-            # earlier physical gate is squared in place (T**2 == S).
+            # goes into the frame once the frame is read, and the earlier
+            # physical gate is squared in place (T**2 == S).
             pending.append((ax, az, k ^ 2))  # -axis
-            new = (az | ax << n) & ~moved
+            new = dual & ~moved
             moved |= new
             while new:
                 moved_rows.append((new & -new).bit_length() - 1)
                 new &= new - 1
-            if plan_complete:
-                replacements.add(partner_origin)
-                deletions.add(origin)
+            replacements.add(partner_origin)
         else:
             stats.cancellations += 1
-            if plan_complete:
-                deletions.add(partner_origin)
-                deletions.add(origin)
+            deletions.add(partner_origin)
+        deletions.add(origin)
 
     def inverse_tail() -> CliffordTableau:
         # (tail ∘ frame⁻¹)⁻¹ = frame ∘ tail⁻¹; an unmoved frame is the identity
@@ -186,9 +151,12 @@ def optimize(form: RotationForm) -> OptimizeResult:
         catch_up()
         return frame.compose(form._inverse_tail)
 
+    low = (1 << n) - 1
+    xs = [p & low for p in keys]
+    zs = [p >> n for p in keys]
     out_form = RotationForm._from_rows(n, xs, zs, ks, origins, inverse_tail, form.source)
-    plan = EditPlan(frozenset(deletions), frozenset(replacements)) if plan_complete else None
-    stats.t_after = len(xs)
+    plan = None if None in deletions | replacements else EditPlan(deletions, replacements)
+    stats.t_after = len(keys)
     return OptimizeResult(out_form, plan, stats)
 
 

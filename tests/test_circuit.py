@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -109,18 +110,32 @@ class TestParse:
                 parse_qc(text)
 
     def test_structural_errors(self):
-        with pytest.raises(ParseError):
-            parse_qc("BEGIN\nEND\n")  # no .v
-        with pytest.raises(ParseError):
-            parse_qc(".v a\nH a\n")  # gate outside body
-        with pytest.raises(ParseError):
-            parse_qc(".v a\nBEGIN\nH a\n")  # missing END
-        with pytest.raises(ParseError):
-            parse_qc(".v a\nBEGIN\nEND\nH a\n")  # content after END
-        with pytest.raises(ParseError):
-            parse_qc(".v a a\nBEGIN\nEND\n")  # duplicate name
-        with pytest.raises(ParseError):
-            parse_qc(".v a b\nBEGIN\ntof a a\nEND\n")  # repeated operand
+        cases = [
+            ("BEGIN\nEND\n", "line 1: BEGIN before .v header"),
+            (".v a\nH a\n", "line 2: unexpected directive or gate outside BEGIN/END: 'H'"),
+            (".v a\nBEGIN\nH a\n", "missing END"),
+            (".v a\nBEGIN\nEND\nH a\n", "line 4: content after END"),
+            (".v a a\nBEGIN\nEND\n", "line 1: duplicate qubit name in .v"),
+            (".v a b\nBEGIN\ntof a a\nEND\n", "line 3: repeated qubit operand"),
+            (".v a\nBEGIN now\nEND\n", "line 2: BEGIN takes no arguments"),
+            (".v a\nEND\n", "line 2: END without BEGIN"),
+            (".v a\n.v b\nBEGIN\nEND\n", "line 2: duplicate .v header"),
+            (".v\nBEGIN\nEND\n", "line 1: .v declares no qubits"),
+            (".i a\n.v a\nBEGIN\nEND\n", "line 1: .i before .v header"),
+            (".v a b\n.i a c\nBEGIN\nEND\n", "line 2: undeclared qubit(s) ['c'] in .i"),
+            (".v a b\n.o d\nBEGIN\nEND\n", "line 2: undeclared qubit(s) ['d'] in .o"),
+            ("", "missing .v header"),
+            (".v a b\n.i a\n", "missing BEGIN/END body"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                parse_qc(text)
+
+    def test_invalid_gate_or_circuit_built_in_code(self):
+        with pytest.raises(ValueError, match=r"^negative qubit index in \(0, -1\)$"):
+            Gate("CNOT", (0, -1))
+        with pytest.raises(ValueError, match=r"^undeclared qubits in \.i/\.o: \['c'\]$"):
+            Circuit(("a", "b"), (), inputs=("a", "c"))
 
 
 class TestParseCache:

@@ -70,6 +70,14 @@ def test_undecodable_file_is_an_input_error(command, tmp_path, capsys):
     )
 
 
+def test_malformed_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.qc"
+    bad.write_text(".v a b\n.i a c\nBEGIN\nT a\nEND\n", encoding="utf-8")
+    code, stdout = run_cli("optimize", str(bad))
+    assert code == 1 and stdout == ""
+    assert capsys.readouterr().err == "error: line 2: undeclared qubit(s) ['c'] in .i\n"
+
+
 def test_bad_verify_cap_fails_before_optimizing(monkeypatch, capsys):
     def forbidden(form):
         raise AssertionError("optimize() called")

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from trotopt import (
-    CLIFFORD_KINDS,
     Circuit,
     CliffordTableau,
     EditPlan,
@@ -26,6 +25,8 @@ from trotopt.cli import main
 
 from _helpers import (
     MOD5_4,
+    ONE_QUBIT_CLIFFORD,
+    TWO_QUBIT_CLIFFORD,
     count_tableau_calls,
     form_unitary,
     non_phase_gates,
@@ -113,6 +114,42 @@ class TestBasicFolding:
         counts = out.counts()
         assert counts.t_count == 8
         assert counts.cnot_count == 28
+
+
+def form_with_origins(labels, origins):
+    """A form from the public constructor whose rotations carry ``origins``."""
+    paulis = [P(label) for label in labels]
+    return RotationForm(
+        paulis[0].n,
+        [Rotation(p, origin) for p, origin in zip(paulis, origins)],
+        CliffordTableau.identity(paulis[0].n),
+    )
+
+
+class TestEditPlan:
+    """The plan is None iff some folded pair lacks an origin."""
+
+    @pytest.mark.parametrize(
+        "labels, origins, plan",
+        [
+            # a merge whose earlier partner has no origin
+            (["Z", "Z"], [None, 1], None),
+            # a cancel whose incoming axis has no origin
+            (["Z", "-Z"], [0, None], None),
+            # an origin-less rotation that never folds leaves the pair's plan
+            (["ZI", "IX", "ZI"], [0, None, 2], EditPlan(frozenset({2}), frozenset({0}))),
+            (["IX", "ZI", "-ZI"], [None, 1, 2], EditPlan(frozenset({1, 2}), frozenset())),
+            # nothing folds at all
+            (["Z", "X"], [None, None], EditPlan()),
+        ],
+    )
+    def test_plan_reads_only_folded_origins(self, labels, origins, plan):
+        assert optimize(form_with_origins(labels, origins)).plan == plan
+
+    def test_a_later_pair_with_origins_does_not_restore_the_plan(self):
+        result = optimize(form_with_origins(["ZI", "ZI", "IZ", "IZ"], [None, 1, 2, 3]))
+        assert result.stats.merges == 2
+        assert result.plan is None
 
 
 class TestFrame:
@@ -214,7 +251,8 @@ class TestLazyFrameTail:
             c = random_clifford_t_circuit(n, rng.randint(0, 80) if n <= 8 else 6 * n, rng,
                                           t_weight=0.5)
             if n > 8:
-                assert {g.kind for g in c.gates} == CLIFFORD_KINDS | {"T", "Tdg"}
+                kinds = {g.kind for g in c.gates}
+                assert kinds == {*ONE_QUBIT_CLIFFORD, *TWO_QUBIT_CLIFFORD, "T", "Tdg"}
             merges += assert_matches_eager_fold(to_rotation_form(c)).merges
         assert merges > 50
 

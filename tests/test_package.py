@@ -21,11 +21,12 @@ def test_every_exported_name_resolves():
 
 
 def referenced_names(path: Path) -> set[str]:
-    """Every name a module reads, as a bare name or as an attribute."""
+    """Every name a module reads, as a bare name or as an attribute; the
+    target of an assignment is a definition, not a read."""
     return {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
 
 

@@ -16,7 +16,7 @@ from trotopt import (
     synthesize_layer,
     unitary_of,
 )
-from trotopt import ARITY, CLIFFORD_KINDS, tableau
+from trotopt import ARITY, tableau
 from trotopt.tableau import (
     _conjugate_rows,
     _diagonalize_with_gates,
@@ -27,6 +27,8 @@ from trotopt.tableau import (
 )
 
 from _helpers import (
+    ONE_QUBIT_CLIFFORD,
+    TWO_QUBIT_CLIFFORD,
     gate_matrix,
     random_clifford_circuit,
     random_commuting_independent_rotations,
@@ -36,6 +38,7 @@ from _helpers import (
 )
 
 P = PauliProduct.from_label
+CLIFFORD = sorted(ONE_QUBIT_CLIFFORD + TWO_QUBIT_CLIFFORD)
 
 
 def tableau_of(*gates: Gate) -> CliffordTableau:
@@ -130,11 +133,10 @@ class TestApplyGate:
             t.validate()
 
     def test_all_generators_match_dense(self, rng):
-        kinds1 = ["H", "S", "Sdg", "X", "Y", "Z"]
-        kinds2 = ["CNOT", "CZ", "SWAP"]
-        assert set(tableau._GATE_IMAGES) == set(kinds1 + kinds2) == CLIFFORD_KINDS
-        for kind in kinds1 + kinds2:
-            n = 2 if kind in kinds2 else 1
+        assert set(tableau._GATE_IMAGES) == set(CLIFFORD)
+        assert set(ARITY) - {"T", "Tdg", "CCZ", "TOFFOLI"} == set(tableau._GATE_IMAGES)
+        for kind in ONE_QUBIT_CLIFFORD + TWO_QUBIT_CLIFFORD:
+            n = ARITY[kind]
             g = Gate(kind, tuple(range(n)))
             c = Circuit.on_qubits(n, [g])
             t = CliffordTableau.from_circuit(c)
@@ -155,7 +157,7 @@ class TestPlacedRule:
     """The per-kind rule ``_conjugate_rows`` places on a gate's qubits, on
     both operand orders and on qubits either side of bit 64."""
 
-    @pytest.mark.parametrize("kind", sorted(CLIFFORD_KINDS))
+    @pytest.mark.parametrize("kind", CLIFFORD)
     @pytest.mark.parametrize("slots", [(0, 1), (1, 0), (3, 70), (70, 3)])
     def test_matches_the_local_tableau(self, kind, slots):
         local = tableau._LOCAL[kind]
@@ -176,7 +178,7 @@ class TestPlacedRule:
                 p = PauliProduct(n, _place(lx, slots), _place(lz, slots), sign)
                 assert conjugate_by_gate(g, p) == want, f"{kind} on {slots[:a]}: {p}"
 
-    @pytest.mark.parametrize("kind", sorted(CLIFFORD_KINDS))
+    @pytest.mark.parametrize("kind", CLIFFORD)
     @pytest.mark.parametrize("slots", [(0, 1), (1, 0), (0, 2), (2, 0)])
     def test_matches_dense_conjugation(self, kind, slots):
         n = 3
@@ -275,7 +277,7 @@ class TestComposeInvert:
 
 class TestPrecomposeInverse:
     def test_matches_compose_with_inverted_gate_tableau(self, rng):
-        for kind in sorted(CLIFFORD_KINDS):
+        for kind in CLIFFORD:
             for _ in range(12):
                 n = rng.randint(ARITY[kind], 5)
                 t, _ = random_tableau(n, rng)
@@ -511,7 +513,7 @@ class TestSynthesize:
 
 
 class TestLoweringTable:
-    @pytest.mark.parametrize("kind", sorted(CLIFFORD_KINDS))
+    @pytest.mark.parametrize("kind", CLIFFORD)
     def test_cached_lowerings_match_the_gate_and_its_inverse(self, kind):
         for qubits in [(0, 1), (1, 0)] if ARITY[kind] == 2 else [(0,), (1,)]:
             g = Gate(kind, qubits)
