@@ -60,6 +60,17 @@ def random_clifford_t_circuit(
     return Circuit.on_qubits(n, gates)
 
 
+def phase_polynomial(n: int, size: int, rng: random.Random) -> Circuit:
+    """A CNOT+T+X circuit: every extracted axis is diagonal."""
+    kinds = ["CNOT", "X", "T", "Tdg", "T"]
+    gates = []
+    for _ in range(size):
+        kind = rng.choice(kinds)
+        qubits = rng.sample(range(n), 2) if kind == "CNOT" else [rng.randrange(n)]
+        gates.append(Gate(kind, tuple(qubits)))
+    return Circuit.on_qubits(n, gates)
+
+
 def cuccaro_adder(bits: int) -> Circuit:
     """Cuccaro et al. (quant-ph/0410184) ripple-carry adder b += a, carry out
     to z, on 2 * bits + 2 qubits: one TOFFOLI per MAJ and per UMA block."""

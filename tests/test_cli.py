@@ -33,6 +33,7 @@ from _helpers import (
     MOD5_4,
     cuccaro_adder,
     data_block_on_zero_ancillas,
+    phase_polynomial,
     random_clifford_t_circuit,
 )
 
@@ -459,8 +460,11 @@ SYNTHESIS_FORMS = {
 # (seed, n, depth) of random_clifford_t_circuit; seed 5 needs one ancilla even after folding.
 # cuccaro_4 (10 qubits, 8 Toffolis) schedules 7 layers over 2 ancillas folded and 14
 # unfolded, so its layers go through the CZ and SWAP lowerings on many qubits.
+# phase_poly_8 (CNOT+T+X, 100 T gates folded to 16) has only diagonal axes: one
+# layer, no edges, and a fold whose scans meet no anticommuting entry.
 SYNTHESIS_INPUTS = {"mod5_4": None, "r1": (1, 5, 40), "r2": (2, 7, 60), "r5": (5, 7, 46),
-                    "cuccaro_4": cuccaro_adder(4)}
+                    "cuccaro_4": cuccaro_adder(4),
+                    "phase_poly_8": phase_polynomial(8, 160, random.Random(8))}
 SYNTHESIS_SHA256 = {
     ("mod5_4", "asap"): "04d005936eeb5e69a448209b2cd28dff40378cac5e096b6dd6a914f791087680",
     ("mod5_4", "alap"): "04d005936eeb5e69a448209b2cd28dff40378cac5e096b6dd6a914f791087680",
@@ -482,6 +486,10 @@ SYNTHESIS_SHA256 = {
     ("cuccaro_4", "alap"): "2f81c7e4e83cbfd4875654bd8aaebe2a2c042fbe66f93e850bd9eaf71cafea6a",
     ("cuccaro_4", "no-optimize"): "5ad927f6c7e46fb913b8b79b3c44c4f360be51955236f00e2593573e5d148d50",
     ("cuccaro_4", "resynth"): "6e5daedc5b91753e0378c7d808c05f7b6bdceb730afd3015dab8c6f2be2dbf2e",
+    ("phase_poly_8", "asap"): "d37638db934228e09ac60552747d42cddd34dfcc6c4bce754569aee48255ea10",
+    ("phase_poly_8", "alap"): "d37638db934228e09ac60552747d42cddd34dfcc6c4bce754569aee48255ea10",
+    ("phase_poly_8", "no-optimize"): "8e0a3a0a16e03a4fc646e9c44c86ee447da2f132938a3dadf0a8b0e6545b14dc",
+    ("phase_poly_8", "resynth"): "f33596cebb3c398a4539b498f85dd93e748a9e63445d91d9246dca3c4c7e15cc",
 }
 
 # sha256 of `tdepth --dot` per input, with and without folding: the only
@@ -497,6 +505,8 @@ DOT_SHA256 = {
     ("r5", "no-optimize"): "10b8452071aea5ae4e689faa4586ce4510f98f5f10be5c596d813e92d306d10c",
     ("cuccaro_4", "asap"): "4c6e3d5133dd6835fae1f9907c7ed6226f4aba1fe1d1ab1cc025b609c775079b",
     ("cuccaro_4", "no-optimize"): "a8cec703a6a9434702340d6467e888976fd1e6fb47fa02d2ad366754d088650b",
+    ("phase_poly_8", "asap"): "12205c2a28ca79678a3bbbf45ddf915784c37eb0e61732380a1fe874e87977bd",
+    ("phase_poly_8", "no-optimize"): "fe4d394c912e1486d14570cd371fe6c032161bd12092caf3f490c1a810ac2d91",
 }
 
 
@@ -537,6 +547,8 @@ INPLACE_SHA256 = {
            "5a4ecb6122a18c73636e04f80cb57a6de4c931ea8d59c4d450d53eff1d34fe4b"),
     "cuccaro_4": ("fe59a8bb15cee6d8e8e104d3ea862159c8f81defb830d3b9c8f6f826ea163db7",
                   "7d38151ad666ac67d8365637c7e0669602ed41552ab5fe0fc78d7f48dc9261f8"),
+    "phase_poly_8": ("9a86e8dfb3fcfe34bf73a7d7e7aad607ea1076753dc9a80f1367876052e657a7",
+                     "02d473ebbd67259a6399201a10e23e484088528a5da18b05e3bebddcdee26fdb"),
 }
 
 

@@ -30,6 +30,7 @@ from _helpers import (
     count_tableau_calls,
     form_unitary,
     non_phase_gates,
+    phase_polynomial,
     random_clifford_t_circuit,
     random_pauli,
 )
@@ -223,17 +224,6 @@ def assert_matches_eager_fold(form):
     assert result.stats.comparisons == comparisons
     assert result.plan == plan
     return result.stats
-
-
-def phase_polynomial(n, size, rng):
-    """A CNOT+T+X circuit: every extracted axis is diagonal."""
-    kinds = ["CNOT", "X", "T", "Tdg", "T"]
-    gates = []
-    for _ in range(size):
-        kind = rng.choice(kinds)
-        qubits = rng.sample(range(n), 2) if kind == "CNOT" else [rng.randrange(n)]
-        gates.append(Gate(kind, tuple(qubits)))
-    return Circuit.on_qubits(n, gates)
 
 
 def diagonal_label(n, rng):
