@@ -8,7 +8,8 @@ no record.
 ``optimize --verify`` and ``verify`` hand the dense oracle the circuits as
 parsed, Toffoli and CCZ included, and it applies each of those as one block
 op; so the pipeline's own Clifford+T expansion is checked along with the
-fold and the edit.
+fold and the edit.  ``optimize --verify`` refuses an oracle over its memory
+budget before it optimizes, with the error the oracle itself would raise.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .tgraph import build_tgraph, layerize, to_dot
 from .verify import (
     DEFAULT_QUBIT_CAP,
     VerificationCapError,
+    _check_width,
     equivalent_up_to_phase,
     unitary_of,
 )
@@ -108,6 +110,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     elif circuit.n > args.max_verify_qubits:
         skipped = f"{circuit.n} qubits exceeds the verification cap of {args.max_verify_qubits}"
         print(f"note: verification skipped: {skipped}", file=sys.stderr)
+    if skipped is None:  # an oracle that cannot be built fails before the optimization runs
+        _check_width(circuit.n, args.max_verify_qubits)
 
     out, record = _optimize_circuit(circuit, args.mode)
     verified = None if skipped else _equivalent(out, circuit, args.max_verify_qubits)

@@ -15,10 +15,11 @@ frame row r: X_r for r < n, Z_{r-n} above.  The key is the set of rows
 that conjugating the axis reads.  The dual is the set of identity rows
 that anticommute with it, so a listed axis p anticommutes with it iff
 ``p & dual`` has odd parity, and a merge's S-rotation moves exactly the
-dual's rows that have not moved yet.  The scan is skipped, as it could
-only run to exhaustion, when the dual meets no listed key's bit and no
-equal key is listed; ``comparisons`` still counts the entries the scan
-would read.
+dual's rows that have not moved yet.  When the dual meets no listed
+key's bit, no listed axis can anticommute with the incoming one, so the
+scan could only stop at the last equal key listed or run to exhaustion:
+one C-level search from the end finds that key, and the walk is skipped.
+``comparisons`` still counts the entries the scan would read.
 
 The frame is one tableau, updated in place only when read: merges queue
 their S-rotations, which run before an axis with a key bit on a moved row
@@ -31,6 +32,7 @@ fold never touches the frame.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import indexOf
 from typing import NamedTuple
 
 from .circuit import Circuit, GateCounts
@@ -104,7 +106,7 @@ def optimize(form: RotationForm) -> OptimizeResult:
         dual = az | ax << n
 
         i, match = 0, -1
-        if dual & seen or key in live:
+        if dual & seen:
             for i in range(len(keys) - 1, -1, -1):
                 p = keys[i]
                 if p == key:
@@ -112,6 +114,8 @@ def optimize(form: RotationForm) -> OptimizeResult:
                     break
                 if (p & dual).bit_count() & 1:  # anticommutes
                     break
+        elif key in live:  # nothing listed anticommutes: the scan stops at the last equal key
+            i = match = len(keys) - 1 - indexOf(reversed(keys), key)
         stats.comparisons += len(keys) - i  # entries the scan reads
 
         if match < 0:

@@ -9,7 +9,13 @@ rotations, each one parallel T layer (with ancillas when it is dependent).
 The edges, the levels and each layer's commutation check share one tile
 loop: the symplectic product of the axes packed as uint64 X/Z words, a whole
 tile of pairs at once in numpy (O(m^2 n / 64) word operations, temporaries
-of at most 128 KiB).  Only :func:`build_tgraph` lists edges.
+of at most 128 KiB).  Two axes with no X bit (diagonal axes) always commute,
+so a tile whose rows and columns hold no axis with an X bit is never
+computed: an all-diagonal form, such as a CNOT+T phase polynomial's, computes
+no tile at all.  The loop yields the raw symmetric blocks, and each consumer
+takes the triangle it reads.  A layer's check only asks whether any block
+has a hit, and lists edges to name the pair only when one does.  Only
+:func:`build_tgraph` lists edges otherwise.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ class LayerSchedule:
 # Larger blocks save little time and leave the allocator holding more memory.
 _BLOCK_WORDS = 1 << 14
 
+# The XOR-fold of a word's parity into its low bit, in uint64 so numpy keeps the dtype.
+_FOLD_SHIFTS = tuple(np.uint64(shift) for shift in (32, 16, 8, 4, 2, 1))
+_LOW_BIT = np.uint64(1)
+
 
 def _pack(form: RotationForm | Sequence[Rotation]) -> tuple[np.ndarray, np.ndarray]:
     """The axes' X and Z masks as (ceil(n/64), m) uint64 arrays, low word first.
@@ -81,9 +91,9 @@ def _anticommute(x: np.ndarray, z: np.ndarray, rows: slice, cols: slice) -> np.n
     """
     parts = ((xw[rows, None] & zw[cols]) ^ (zw[rows, None] & xw[cols]) for xw, zw in zip(x, z))
     word = reduce(np.bitwise_xor, parts)
-    for shift in (32, 16, 8, 4, 2, 1):
-        word ^= word >> np.uint64(shift)
-    return (word & np.uint64(1)).astype(bool)
+    for shift in _FOLD_SHIFTS:
+        word ^= word >> shift
+    return (word & _LOW_BIT).astype(bool)
 
 
 def _tile(m: int) -> tuple[int, int]:
@@ -97,23 +107,31 @@ def _tile(m: int) -> tuple[int, int]:
 
 
 def _tiles(x: np.ndarray, z: np.ndarray):
-    """Lower-triangle tiles of the anticommutation matrix, in row order, then column order.
+    """Tiles of the anticommutation matrix on and left of its diagonal, in row order, then
+    column order.
 
-    Yields (start, first, block): block[r, c] is True iff axes first + c < start + r anticommute.
+    Yields (start, first, block): block[r, c] is True iff axes start + r and first + c
+    anticommute.  The block is raw: where it crosses the diagonal it holds both triangles
+    (the product is symmetric, with a zero diagonal).  A tile whose rows and columns hold
+    no axis with an X bit is all zero, and is not yielded.
     """
     m = x.shape[1]
     rows, cols = _tile(m)
+    # with_x[v]: the axes before v with an X bit, so a band [a, b) holds one iff they differ
+    with_x = [0, *np.cumsum(x.any(axis=0)).tolist()]
     for start in range(0, m, rows):
         stop = min(m, start + rows)
+        rows_x = with_x[stop] != with_x[start]
         for first in range(0, stop, cols):
-            block = _anticommute(x, z, slice(start, stop), slice(first, min(stop, first + cols)))
-            yield start, first, np.tril(block, start - first - 1)
+            last = min(stop, first + cols)
+            if rows_x or with_x[last] != with_x[first]:
+                yield start, first, _anticommute(x, z, slice(start, stop), slice(first, last))
 
 
 def _edges(x: np.ndarray, z: np.ndarray):
     """Anticommuting pairs (i, j), i < j, ordered by j, then by i."""
     for start, first, block in _tiles(x, z):
-        j, i = np.nonzero(block)
+        j, i = np.nonzero(np.tril(block, start - first - 1))
         yield from zip((i + first).tolist(), (j + start).tolist())
 
 
@@ -128,7 +146,7 @@ def _levels(x: np.ndarray, z: np.ndarray) -> np.ndarray:
         rows, left = level[start:start + len(block)], min(start - first, block.shape[1])
         best = np.where(block[:, :left], level[first:first + left], 0).max(axis=1, initial=0)
         np.maximum(rows, best + 1, out=rows)
-        diagonal = block[:, left:]  # its columns are the tile's first rows
+        diagonal = np.tril(block[:, left:], -1)  # its columns are the tile's first rows
         for r in np.flatnonzero(diagonal.any(axis=1)).tolist():
             rows[r] = max(rows[r], rows[: diagonal.shape[1]][diagonal[r]].max() + 1)
     return level
@@ -154,7 +172,8 @@ def layerize(form: RotationForm | Sequence[Rotation], alap: bool = False) -> Lay
     """Group rotations by longest incoming path (ASAP) or longest outgoing path (ALAP).
 
     One tile pass gives the levels (ALAP's over the reversed axes); every
-    layer's columns of the packed axes are checked to commute pairwise.
+    layer's columns of the packed axes are checked to commute pairwise, by
+    one tile pass over them that stops at the first block with a hit.
     """
     x, z = _pack(form)
     level = _levels(x[:, ::-1], z[:, ::-1])[::-1] if alap else _levels(x, z)
@@ -163,9 +182,9 @@ def layerize(form: RotationForm | Sequence[Rotation], alap: bool = False) -> Lay
     for v, k in enumerate(level.tolist()):
         layers[depth - k if alap else k - 1].append(v)
     for members in (layer for layer in layers if len(layer) > 1):
-        pair = min(_edges(x[:, members], z[:, members]), default=None)
-        if pair:
-            a, b = pair  # the pair a nested loop over a, then b, meets first
+        xm, zm = x[:, members], z[:, members]
+        if any(block.any() for _, _, block in _tiles(xm, zm)):
+            a, b = min(_edges(xm, zm))  # the pair a nested loop over a, then b, meets first
             raise InvariantError(f"vertices {members[a]},{members[b]} share a layer but anticommute")
     return LayerSchedule(tuple(tuple(m) for m in layers))
 

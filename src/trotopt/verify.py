@@ -112,6 +112,18 @@ class VerificationCapError(ValueError):
     """The register is over the oracle's qubit cap, or its unitary over the memory budget."""
 
 
+def _check_width(n: int, max_qubits: int) -> None:
+    """Refuse an n-qubit register over the cap, or whose complex128 unitary is over budget.
+
+    Callers that verify after a long computation call this first, so that
+    the refusal costs nothing.
+    """
+    if n > max_qubits:
+        raise VerificationCapError(f"{n} qubits exceeds the verification cap of {max_qubits}")
+    if 16 << 2 * n > _MAX_UNITARY_BYTES:
+        raise VerificationCapError(f"cannot allocate the 2^{n} x 2^{n} unitary")
+
+
 def _dense_step(u, spare, perm, phase, h_bit):
     """Apply the pending phased permutation to the rows of ``u``, then H if
     ``h_bit`` is given.
@@ -154,11 +166,8 @@ def unitary_of(circuit: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndar
     if not isinstance(circuit, Circuit):
         raise TypeError(f"cannot build a unitary from {type(circuit).__name__}")
     n, dim = circuit.n, 1 << circuit.n
-    if n > max_qubits:
-        raise VerificationCapError(f"{n} qubits exceeds the verification cap of {max_qubits}")
+    _check_width(n, max_qubits)  # before numpy allocates
     try:
-        if 16 * dim * dim > _MAX_UNITARY_BYTES:  # complex128: refuse before numpy allocates
-            raise MemoryError
         u = np.eye(dim, dtype=complex)
         spare = np.empty_like(u)
     except (ValueError, MemoryError):

@@ -191,6 +191,20 @@ def test_oracle_over_memory_budget_is_refused_before_allocating(monkeypatch, tmp
     assert capsys.readouterr().err == "error: cannot allocate the 2^14 x 2^14 unitary\n"
 
 
+def test_unbuildable_oracle_fails_before_optimizing(monkeypatch, tmp_path, capsys):
+    def forbidden(form):
+        raise AssertionError("optimize() called")
+
+    path = tmp_path / "wide.qc"
+    path.write_text(wide_qc(14))
+    out = tmp_path / "out.qc"
+    monkeypatch.setattr("trotopt.cli.optimize", forbidden)
+    code, stdout = run_cli("optimize", str(path), "--verify", "--max-verify-qubits", "20",
+                           "-o", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert capsys.readouterr().err == "error: cannot allocate the 2^14 x 2^14 unitary\n"
+
+
 CHAIN_QC = """.v a
 BEGIN
 T a

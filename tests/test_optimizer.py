@@ -2,6 +2,7 @@ import gc
 import random
 import statistics
 import time
+from operator import indexOf
 
 import pytest
 
@@ -281,6 +282,31 @@ class TestLazyFrameTail:
             merges += stats.merges
             cancellations += stats.cancellations
         assert merges > 20 and cancellations > 20
+
+    def test_matches_eager_fold_on_diagonal_runs_between_other_axes(self, monkeypatch):
+        # Diagonal axes that read no listed X bit find their equal key by one
+        # search; the others, and every non-diagonal axis, walk the list.
+        searches = []
+
+        def counted(seq, item):
+            searches.append(item)
+            return indexOf(seq, item)
+
+        monkeypatch.setattr("trotopt.optimizer.indexOf", counted)
+        rng = random.Random(0xD1A6)
+        both = 0
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            labels = []
+            for _ in range(rng.randint(1, 4)):
+                labels += [diagonal_label(n, rng) for _ in range(rng.randint(4, 20))]
+                labels += [random_pauli(n, rng).label() for _ in range(rng.randint(1, 3))]
+            labels += [diagonal_label(n, rng) for _ in range(rng.randint(0, 20))]
+            searches.clear()
+            stats = assert_matches_eager_fold(synthetic_form(labels))
+            # a match came from each path: the search, and the walk
+            both += 0 < len(searches) < stats.merges + stats.cancellations
+        assert both > 30
 
     def test_axis_returns_after_its_partner_left(self):
         # Z0 cancels, returns with nothing listed to stop it, then merges

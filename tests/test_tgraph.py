@@ -258,6 +258,86 @@ class TestLongestPathPass:
         assert len(calls) == len(runs)
 
 
+def diagonal_pauli(n, rng):
+    return PauliProduct(n, 0, rng.randrange(1, 1 << n), rng.choice([1, -1]))
+
+
+def diagonal_runs(n, m, rng):
+    """m axes: runs of diagonal axes long enough to fill whole tiles, first and
+    between short runs of random Paulis."""
+    paulis = []
+    while len(paulis) < m:
+        paulis += [diagonal_pauli(n, rng) for _ in range(rng.randint(m // 8, m // 3))]
+        paulis += [random_pauli(n, rng) for _ in range(rng.randint(1, max(1, m // 10)))]
+    return paulis[:m]
+
+
+class TestXFreeTiles:
+    """Diagonal axes always commute: a tile whose rows and columns are all
+    diagonal is never computed, and the answers stay the same."""
+
+    def test_diagonal_axes_compute_no_tile(self, rng, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("tile computed")
+
+        monkeypatch.setattr(tgraph, "_anticommute", forbidden)
+        for n in (1, 10, 65):
+            rotations = [Rotation(diagonal_pauli(n, rng)) for _ in range(400)]
+            assert layerize(rotations).layers == (tuple(range(400)),)
+            assert layerize(rotations, alap=True).layers == (tuple(range(400)),)
+            assert t_depth_bound(rotations) == 1
+            assert build_tgraph(rotations).edges == ()
+
+    @pytest.mark.parametrize("n", [1, 3, 65])
+    def test_runs_of_diagonal_axes_match_references(self, n, rng, monkeypatch):
+        computed = []
+        real = tgraph._anticommute
+
+        def counted(x, z, rows, cols):
+            computed.append(1)
+            return real(x, z, rows, cols)
+
+        monkeypatch.setattr(tgraph, "_anticommute", counted)
+        for words, m in TestLongestPathPass.BUDGETS:
+            monkeypatch.setattr(tgraph, "_BLOCK_WORDS", words)
+            rows, cols = tgraph._tile(m)
+            tiles = sum(-(-min(m, start + rows) // cols) for start in range(0, m, rows))
+            paulis = diagonal_runs(n, m, rng)
+            rotations = [Rotation(p) for p in paulis]
+            computed.clear()
+            g = build_tgraph(rotations)
+            assert 0 < len(computed) < tiles, words  # some tiles, and not all, were X-free
+            assert g.edges == pairwise_edges(paulis), words
+            assert t_depth_bound(rotations) == len(reference_layers(g)), words
+            assert layerize(rotations).layers == reference_layers(g), words
+            assert layerize(rotations, alap=True).layers == reference_layers(g, alap=True), words
+
+    @pytest.mark.parametrize("words", [tgraph._BLOCK_WORDS, 7])
+    def test_check_names_the_first_layers_first_pair(self, words, rng, monkeypatch):
+        # levels that put every third axis in one of three layers, each with
+        # anticommuting pairs: the check names the first layer's first pair
+        def three_layers(x, z):
+            return 1 + np.arange(x.shape[1]) % 3
+
+        monkeypatch.setattr(tgraph, "_levels", three_layers)
+        monkeypatch.setattr(tgraph, "_BLOCK_WORDS", words)
+        for n in (2, 65):
+            paulis = diagonal_runs(n, 90, rng)
+            m = len(paulis)
+            rotations = [Rotation(p) for p in paulis]
+            for alap in (False, True):
+                level = 1 + np.arange(m) % 3
+                if alap:  # ALAP reads the reversed axes' levels back to front, last level first
+                    level = level[::-1]
+                order = (3, 2, 1) if alap else (1, 2, 3)
+                layers = [[v for v in range(m) if level[v] == k] for k in order]
+                pairs = [first_anticommuting_pair([paulis[v] for v in layer]) for layer in layers]
+                assert all(pairs)
+                first, (a, b) = layers[0], pairs[0]
+                with pytest.raises(InvariantError, match=rf"^vertices {first[a]},{first[b]} share"):
+                    layerize(rotations, alap=alap)
+
+
 def test_scans_make_no_per_pair_pauli_calls(monkeypatch, rng):
     """The fold scan, the T-graph build and the layer check read packed masks."""
     n = 70
