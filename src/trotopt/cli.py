@@ -55,12 +55,12 @@ BENCH_COLUMNS = [
 
 
 def _load_circuit(path: str | Path) -> Circuit:
-    """Parse a ``.qc`` file; bytes that are not UTF-8 raise ParseError."""
+    """Parse a ``.qc`` file less one leading BOM; non-UTF-8 bytes raise ParseError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return parse_qc(text)
+    return parse_qc(text.removeprefix("\ufeff"))
 
 
 def _emit(record: dict) -> None:

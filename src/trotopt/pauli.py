@@ -7,11 +7,11 @@ machine word of register width.
 
 Phase convention: the unsigned operator encoded by masks ``(x, z)`` is
 ``prod_q i^(x_q z_q) X_q^(x_q) Z_q^(z_q)``, i.e. the Hermitian letter
-I/X/Y/Z on each qubit.  Products of such operators pick up powers of i,
-which only the tableau's row algebra forms and tracks
-(:func:`trotopt.tableau._product`, and its two copies written out in the
-S-rotation row update and in the two-row product of
-``CliffordTableau._precompose_inverse``).
+I/X/Y/Z on each qubit.  Products and their powers of i are formed only by
+the tableau's row algebra, whose int row (x, z, k) is the operator
+``i^k X^x Z^z``: the product of two rows adds their exponents and 2 per
+qubit where a Z of the first meets an X of the second.  A signed product
+is the row with k = |x & z| + 1 - sign (mod 4).
 """
 
 from __future__ import annotations

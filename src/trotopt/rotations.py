@@ -38,7 +38,9 @@ from .tableau import (
     DependentSetError,
     _dependent_indices,
     _diagonalize_with_gates,
+    _exponent,
     _lowerings,
+    _pauli,
     synthesize,
 )
 
@@ -85,8 +87,8 @@ class EditPlan:
 class RotationForm:
     """Ordered rotations (index 0 acts first) plus the absorbed tail Clifford.
 
-    The rotations are held as int rows, as in a tableau: X masks, Z masks,
-    i exponents (0 for a +axis, 2 for a -axis) and origins.
+    The rotations are held as int rows, as in a tableau: X masks x, Z masks
+    z, exponents k for the axis i^k X^x Z^z, and origins.
     :attr:`rotations` views them as :class:`Rotation` objects, built on
     first read; a form built from rotations keeps the tuple it was given.
     The tail is held one way, as ``_inverse``: a no-argument function that
@@ -111,7 +113,7 @@ class RotationForm:
         self.n, self.source, self._inverse = n, source, tail.invert
         self._x = [r.pauli.x for r in rotations]
         self._z = [r.pauli.z for r in rotations]
-        self._k = [1 - r.pauli.sign for r in rotations]
+        self._k = [_exponent(r.pauli) for r in rotations]
         self._origins = [r.origin for r in rotations]
         self.rotations = rotations
         self.tail_clifford = tail
@@ -132,7 +134,7 @@ class RotationForm:
     def rotations(self) -> tuple[Rotation, ...]:
         n = self.n
         return tuple(
-            Rotation(PauliProduct(n, x, z, 1 - k), origin)
+            Rotation(_pauli(n, x, z, k), origin)
             for x, z, k, origin in zip(self._x, self._z, self._k, self._origins)
         )
 
@@ -231,9 +233,9 @@ def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
     if any(p.n != n for p in axes):
         raise ValueError("mixed qubit counts in Pauli set")
     xs, zs = [p.x for p in axes], [p.z for p in axes]
+    ks = [(x & z).bit_count() & 3 for x, z in zip(xs, zs)]  # the +axes P(x, z)
     basis = [
-        _lowerings(g.kind, *g.qubits)
-        for g in _diagonalize_with_gates(xs, zs, [0] * len(axes), n, len(axes))
+        _lowerings(g.kind, *g.qubits) for g in _diagonalize_with_gates(xs, zs, ks, n, len(axes))
     ]
     gates: list[Gate] = [low for forward, _ in basis for low in forward]
     gates.extend(_g("T" if p.sign > 0 else "Tdg", j) for j, p in enumerate(axes))

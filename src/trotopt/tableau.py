@@ -3,11 +3,12 @@
 A :class:`CliffordTableau` stores the images of the X_i and Z_i generators
 under conjugation as 2n integer rows, in the row layout of Aaronson and
 Gottesman (quant-ph/0406196): row r < n is the image of X_r and row n + q
-the image of Z_q, each an X mask, a Z mask and an i exponent.  Signs are
-load-bearing: they distinguish a +P rotation axis from a -P one
-downstream.  Conjugation, composition, inversion, the diagonalization of
-commuting sets that layer synthesis runs, and synthesis back to gates all
-live here.
+the image of Z_q, each the operator i^k X^x Z^z as its X mask x, Z mask z
+and exponent k.  Signs are load-bearing: they tell a +P rotation axis from
+a -P one.  Only the public edges convert a row to or from a signed
+:class:`~trotopt.pauli.PauliProduct`, by :func:`_exponent` and :func:`_pauli`.
+Conjugation, composition, inversion, the diagonalization of commuting sets
+that layer synthesis runs, and synthesis back to gates all live here.
 
 Each Clifford gate kind is defined once, by its own small tableau in
 :data:`_GATE_IMAGES`; the forward rule that conjugates a row and the
@@ -22,9 +23,9 @@ one table memoized on (kind, qubits) (:func:`_lowerings`).  The
 diagonalizer walks the set bits of a pivot row's masks, so each of its
 loops costs one step per gate it emits, not one per qubit.
 Public methods return new tableaux.  The underscored in-place updates
-(``_apply_gate``, ``_apply_s_rotation``, ``_precompose_inverse``) are for
-callers that own the array: extraction's inverse prefix, the fold's frame
-and synthesis's scratch phase layer.
+(:func:`_conjugate_rows`, ``_apply_s_rotation``, ``_precompose_inverse``)
+are for callers that own the rows: extraction's inverse prefix, the fold's
+frame, and synthesis's diagonalizer and scratch phase layer.
 """
 
 from __future__ import annotations
@@ -51,33 +52,40 @@ class DependentSetError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# row algebra on int rows: row r is i**ks[r] * P(xs[r], zs[r]), with P(x, z)
-# the Hermitian Pauli of :mod:`~trotopt.pauli`, so every k is 0 or 2
+# row algebra on int rows: row r is i**ks[r] * X**xs[r] * Z**zs[r], which is
+# Hermitian iff ks[r] and |xs[r] & zs[r]| have the same parity
+
+
+def _exponent(p: PauliProduct) -> int:
+    """The row exponent k of ``p``: p == i^k X^x Z^z."""
+    return ((p.x & p.z).bit_count() + 1 - p.sign) & 3
+
+
+def _pauli(n: int, x: int, z: int, k: int) -> PauliProduct:
+    """The signed Pauli i^k X^x Z^z, for a Hermitian row."""
+    return PauliProduct(n, x, z, 1 - ((k - (x & z).bit_count()) & 3))
 
 
 def _product(
     xs: list[int], zs: list[int], ks: list[int], selected: int, k: int
 ) -> tuple[int, int, int]:
     """i^k times the product of the rows whose bits are set in ``selected``,
-    taken in ascending order, as (x, z, k') with every i phase folded in.
+    taken in ascending order, as (x, z, k').
 
-    With P(x, z) = i^|x&z| X^x Z^z, a product of rows r_1 .. r_m is
-    i^e P(x', z') where e sums each row's k and |x&z|, subtracts |x'&z'|,
-    and adds 2 per (Z of an earlier row, X of a later row) overlap, from
-    moving every X^x left past the Z^z before it.  An odd e means a
-    Hermitian input came out anti-Hermitian.
+    The exponent sums the rows' and adds 2 per (Z of an earlier row, X of
+    a later row) overlap, from moving every X^x left past the Z^z before
+    it.  A k' of the wrong parity for |x&z| means a Hermitian input came
+    out anti-Hermitian.
     """
-    ox = oz = swaps = 0
+    ox = oz = 0
     while selected:
         r = (selected & -selected).bit_length() - 1
         selected &= selected - 1
-        xr, zr = xs[r], zs[r]
-        k += ks[r] + (xr & zr).bit_count()
-        swaps += (oz & xr).bit_count()
+        xr = xs[r]
+        k += ks[r] + 2 * (oz & xr).bit_count()
         ox ^= xr
-        oz ^= zr
-    k += 2 * swaps - (ox & oz).bit_count()
-    if k & 1:
+        oz ^= zs[r]
+    if (k ^ (ox & oz).bit_count()) & 1:
         raise InvariantError("conjugation produced an anti-Hermitian phase")
     return ox, oz, k & 3
 
@@ -131,7 +139,7 @@ class CliffordTableau:
         self.n = n
         self._x = [r.x for r in rows]
         self._z = [r.z for r in rows]
-        self._k = [1 - r.sign for r in rows]
+        self._k = [_exponent(r) for r in rows]
 
     @classmethod
     def _from_rows(cls, n: int, x: list[int], z: list[int], k: list[int]) -> CliffordTableau:
@@ -153,7 +161,7 @@ class CliffordTableau:
         """The gates' tableau: the 2n generator rows pushed through every gate."""
         t = cls.identity(circuit.n)
         for g in circuit.gates:
-            t._apply_gate(g)
+            _conjugate_rows(t._x, t._z, t._k, g)
         return t
 
     @classmethod
@@ -162,14 +170,14 @@ class CliffordTableau:
         if axis.is_identity:
             raise ValueError("rotation axis must not be the identity")
         t = cls.identity(axis.n)
-        t._apply_s_rotation(axis.x, axis.z, 1 - axis.sign)
+        t._apply_s_rotation(axis.x, axis.z, _exponent(axis))
         return t
 
     # ------------------------------------------------------------------
     # rows
 
     def _row(self, r: int) -> PauliProduct:
-        return PauliProduct(self.n, self._x[r], self._z[r], 1 - self._k[r])
+        return _pauli(self.n, self._x[r], self._z[r], self._k[r])
 
     @property
     def x_images(self) -> tuple[PauliProduct, ...]:
@@ -200,17 +208,14 @@ class CliffordTableau:
     # row operations; the in-place ones are for tableaux the caller owns
 
     def _conjugate(self, x: int, z: int, k: int) -> tuple[int, int, int]:
-        """C (i^k P(x, z)) C^dagger as (x', z', k'): the X rows selected by
+        """C (i^k X^x Z^z) C^dagger as (x', z', k'): the X rows selected by
         x, then the Z rows selected by z."""
-        return _product(self._x, self._z, self._k, x | z << self.n, k + (x & z).bit_count())
-
-    def _apply_gate(self, gate: Gate) -> None:
-        _conjugate_rows(self._x, self._z, self._k, gate)
+        return _product(self._x, self._z, self._k, x | z << self.n, k)
 
     def _apply_s_rotation(
         self, ax: int, az: int, ak: int, rows: Iterable[int] | None = None
     ) -> None:
-        """Apply the square of the quarter-rotation about i^ak P(ax, az) after C.
+        """Apply the square of the quarter-rotation about i^ak X^ax Z^az after C.
 
         That Clifford, (1+i)/2 (1 - i*axis), fixes every Pauli that commutes
         with the axis and maps an anticommuting P to i*P*axis, so only the
@@ -219,15 +224,14 @@ class CliffordTableau:
         the axis.
         """
         xs, zs, ks = self._x, self._z, self._k
-        base = ak + 1 + (ax & az).bit_count()  # the axis, and the extra factor of i
+        base = ak + 1  # the axis, and the extra factor of i
         for r in range(2 * self.n) if rows is None else rows:
             x, z = xs[r], zs[r]
             if ((x & az) ^ (z & ax)).bit_count() & 1:
                 # row * axis, phase as in _product()
                 nx, nz = x ^ ax, z ^ az
-                k = ks[r] + base + (x & z).bit_count() + 2 * (z & ax).bit_count()
-                k -= (nx & nz).bit_count()
-                if k & 1:
+                k = ks[r] + base + 2 * (z & ax).bit_count()
+                if (k ^ (nx & nz).bit_count()) & 1:
                     raise InvariantError("anti-Hermitian image in s_rotation")
                 xs[r], zs[r], ks[r] = nx, nz, k & 3
 
@@ -253,12 +257,10 @@ class CliffordTableau:
             x, z, k = xs[a], zs[a], ks[a] + k
             if b:
                 b = at[b]
-                xb, zb = xs[b], zs[b]
-                k += ks[b] + (x & z).bit_count() + (xb & zb).bit_count() + 2 * (z & xb).bit_count()
-                x ^= xb
-                z ^= zb
-                k -= (x & z).bit_count()
-                if k & 1:
+                k += ks[b] + 2 * (z & xs[b]).bit_count()
+                x ^= xs[b]
+                z ^= zs[b]
+                if (k ^ (x & z).bit_count()) & 1:
                     raise InvariantError("conjugation produced an anti-Hermitian phase")
             new.append((at[dst], x, z, k & 3))
         for r, x, z, k in new:
@@ -276,17 +278,14 @@ class CliffordTableau:
         """
         if p.n != self.n:
             raise ValueError(f"qubit count mismatch: {p.n} vs {self.n}")
-        x, z, k = self._conjugate(p.x, p.z, 1 - p.sign)
-        return PauliProduct(self.n, x, z, 1 - k)
+        return _pauli(self.n, *self._conjugate(p.x, p.z, _exponent(p)))
 
     def compose(self, other: CliffordTableau) -> CliffordTableau:
         """Tableau of (self after other): ``other`` acts first."""
         if self.n != other.n:
             raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
-        rows = list(map(self._conjugate, other._x, other._z, other._k))
-        return CliffordTableau._from_rows(
-            self.n, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
-        )
+        xs, zs, ks = map(list, zip(*map(self._conjugate, other._x, other._z, other._k)))
+        return CliffordTableau._from_rows(self.n, xs, zs, ks)
 
     def invert(self) -> CliffordTableau:
         """The inverse Clifford: conjugating by it undoes self exactly.
@@ -298,16 +297,14 @@ class CliffordTableau:
         n = self.n
         cols = _transpose_bits([x | z << n for x, z in zip(self._x, self._z)], 2 * n)
         low = (1 << n) - 1
-        xs, zs, ks = [], [], []
-        for r in range(2 * n):
-            col = cols[(r + n) % (2 * n)]
-            x, z = col >> n, col & low
-            fx, fz, fk = self._conjugate(x, z, 0)
+        cols = cols[n:] + cols[:n]  # inverse row r is column r + n (mod 2n)
+        xs, zs, ks = [col >> n for col in cols], [col & low for col in cols], []
+        for r, (x, z) in enumerate(zip(xs, zs)):
+            xz = (x & z).bit_count()
+            fx, fz, fk = self._conjugate(x, z, xz)  # the Hermitian P(x, z)
             if fx | fz << n != 1 << r:
                 raise InvariantError("symplectic inverse does not round-trip")
-            xs.append(x)
-            zs.append(z)
-            ks.append(fk)
+            ks.append((xz - fk) & 3)
         return CliffordTableau._from_rows(n, xs, zs, ks)
 
     # ------------------------------------------------------------------
@@ -360,14 +357,15 @@ def _local_tableau(images: tuple[str, ...]) -> CliffordTableau:
 
 def _forward_rule(local: CliffordTableau) -> tuple[tuple[int, int, int], ...]:
     """Entry ``key`` (X bits, then Z bits << a, on the gate's a qubits) is
-    (dx, dz, dk): conjugating P(x, z) flips the bits dx, dz and adds dk to
+    (dx, dz, dk): conjugating X^x Z^z flips the bits dx, dz and adds dk to
     the i exponent."""
     a = local.n
     rule = []
     for key in range(1 << 2 * a):
         x, z = key & ((1 << a) - 1), key >> a
-        nx, nz, dk = local._conjugate(x, z, 0)
-        rule.append((x ^ nx, z ^ nz, dk))
+        xz = (x & z).bit_count()
+        nx, nz, nk = local._conjugate(x, z, xz)  # the Hermitian P(x, z)
+        rule.append((x ^ nx, z ^ nz, (nk - xz) & 3))
     return tuple(rule)
 
 
@@ -386,9 +384,8 @@ def _preimage_plan(inverse: CliffordTableau) -> tuple[tuple[int, int, int, int],
     slot = (0, 1, 2, 3) if a == 2 else (0, 2)
     plan = []
     for j in range(2 * a):
-        x, z = inverse._x[j], inverse._z[j]
+        x, z, k = inverse._x[j], inverse._z[j], inverse._k[j]
         f, *rest = [slot[f] for f in range(2 * a) if (x | z << a) >> f & 1]
-        k = ((x & z).bit_count() + inverse._k[j]) % 4
         if len(rest) > 1:
             raise InvariantError("a gate's preimage row is a product of more than two rows")
         if rest or f != slot[j] or k:
@@ -447,7 +444,7 @@ def _diagonalize_with_gates(
     xs: list[int], zs: list[int], ks: list[int], n: int, m: int
 ) -> list[Gate]:
     """Gates, in application order, of a Clifford C with C R_j C^dagger == +Z_j
-    for the first ``m`` int rows R_j = i^ks[j] P(xs[j], zs[j]) on ``n`` qubits.
+    for the first ``m`` int rows R_j = i^ks[j] X^xs[j] Z^zs[j] on ``n`` qubits.
 
     Symplectic Gaussian elimination on the rows, which every emitted gate
     conjugates in place; rows m and up are never a pivot and ride along,
@@ -470,7 +467,7 @@ def _diagonalize_with_gates(
         xi, zi = xs[i], zs[i]
         for j in range(i + 1, m):
             if ((xi & zs[j]) ^ (zi & xs[j])).bit_count() & 1:  # anticommute
-                a, b = (PauliProduct(n, xs[r], zs[r], 1 - ks[r]) for r in (i, j))
+                a, b = (_pauli(n, xs[r], zs[r], ks[r]) for r in (i, j))
                 raise NonCommutingError(f"Paulis {i} ({a}) and {j} ({b}) anticommute")
     if _dependent_indices([xs[j] | zs[j] << n for j in range(m)]):
         raise DependentSetError(
@@ -602,7 +599,7 @@ def synthesize_gates(t: CliffordTableau) -> list[Gate]:
     for i in range(n):
         if layer._k[i] != dk[i]:
             phase_gates.append(_g("Z", i))
-            layer._apply_gate(phase_gates[-1])
+            _conjugate_rows(layer._x, layer._z, layer._k, phase_gates[-1])
     if layer != d:
         raise InvariantError("phase-layer reconstruction failed")
 

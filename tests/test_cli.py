@@ -71,6 +71,34 @@ def test_undecodable_file_is_an_input_error(command, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["optimize", "stats", "tdepth", "verify", "bench"])
+def test_byte_order_mark_is_skipped(command, tmp_path):
+    text = MOD5_4.read_text(encoding="utf-8")
+    outputs = []
+    for name, data in (("plain", text), ("bom", "\ufeff" + text)):
+        path = tmp_path / name / "mod5_4.qc"
+        path.parent.mkdir()
+        path.write_text(data, encoding="utf-8")
+        inputs = {"verify": [path, MOD5_4], "bench": [path.parent]}.get(command, [path])
+        code, stdout = run_cli(command, *map(str, inputs))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(stdout))) if command == "bench" else [
+            json.loads(stdout.replace(str(path), "IN"))]
+        outputs.append([{k: v for k, v in row.items() if not k.endswith("_time_s")}
+                        for row in rows])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].get("status", "ok") == "ok"
+
+
+def test_byte_order_mark_keeps_the_file_offset_of_bad_bytes(tmp_path, capsys):
+    bad = tmp_path / "bad.qc"
+    bad.write_bytes("\ufeff".encode() + NOT_UTF8)
+    assert run_cli("stats", str(bad)) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (invalid continuation byte at byte 24)\n"
+    )
+
+
 def test_malformed_file_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.qc"
     bad.write_text(".v a b\n.i a c\nBEGIN\nT a\nEND\n", encoding="utf-8")

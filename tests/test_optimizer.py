@@ -23,6 +23,7 @@ from trotopt import (
     unitary_of,
 )
 from trotopt.cli import main
+from trotopt.tableau import _exponent
 
 from _helpers import (
     MOD5_4,
@@ -503,7 +504,7 @@ class TestRowForm:
                 rows = list(zip(form._x, form._z, form._k, form._origins))
                 view = form.rotations
                 assert form.rotations is view
-                assert [(r.pauli.x, r.pauli.z, 1 - r.pauli.sign, r.origin) for r in view] == rows
+                assert [(r.pauli.x, r.pauli.z, _exponent(r.pauli), r.origin) for r in view] == rows
                 assert all(r.pauli.n == n for r in view)
 
 

@@ -20,8 +20,10 @@ from trotopt import ARITY, tableau
 from trotopt.tableau import (
     _conjugate_rows,
     _diagonalize_with_gates,
+    _exponent,
     _lower_gate,
     _lowerings,
+    _pauli,
     _product,
     inverse_gate,
 )
@@ -48,14 +50,14 @@ def tableau_of(*gates: Gate) -> CliffordTableau:
 
 def conjugate_by_gate(gate: Gate, p: PauliProduct) -> PauliProduct:
     """gate p gate^dagger, from ``_conjugate_rows`` on a one-row list."""
-    xs, zs, ks = [p.x], [p.z], [1 - p.sign]
+    xs, zs, ks = [p.x], [p.z], [_exponent(p)]
     _conjugate_rows(xs, zs, ks, gate)
-    return PauliProduct(p.n, xs[0], zs[0], 1 - ks[0])
+    return _pauli(p.n, xs[0], zs[0], ks[0])
 
 
 def diagonalize(paulis: list[PauliProduct]) -> list[Gate]:
     """``_diagonalize_with_gates`` on the Paulis' int rows, every row a pivot."""
-    xs, zs, ks = [p.x for p in paulis], [p.z for p in paulis], [1 - p.sign for p in paulis]
+    xs, zs, ks = [p.x for p in paulis], [p.z for p in paulis], [_exponent(p) for p in paulis]
     return _diagonalize_with_gates(xs, zs, ks, paulis[0].n, len(paulis))
 
 
@@ -356,7 +358,7 @@ class TestSRotation:
             axis = random_pauli(n, rng)
             out = CliffordTableau.s_rotation(axis).compose(t)
             rows = CliffordTableau(n, t.x_images, t.z_images)
-            rows._apply_s_rotation(axis.x, axis.z, 0 if axis.sign > 0 else 2)
+            rows._apply_s_rotation(axis.x, axis.z, _exponent(axis))
             assert rows == out
             # exactly the rows that anticommute with the axis change
             for r, row in enumerate(t.x_images + t.z_images):
@@ -368,7 +370,7 @@ class TestSRotation:
             n = rng.randint(1, 7)
             t, _ = random_tableau(n, rng)
             axis = random_pauli(n, rng)
-            k = 0 if axis.sign > 0 else 2
+            k = _exponent(axis)
             full = CliffordTableau(n, t.x_images, t.z_images)
             full._apply_s_rotation(axis.x, axis.z, k)
             rows = rng.sample(range(2 * n), rng.randint(0, 2 * n))
@@ -560,7 +562,7 @@ class TestValueSemantics:
             assert t == snapshot and hash(t) == hash(snapshot)
             # no output shares rows with its input
             for out in outputs:
-                out._apply_s_rotation(axis.x, axis.z, 0)
+                out._apply_s_rotation(axis.x, axis.z, _exponent(axis))
             assert t == snapshot and str(t) == str(snapshot)
 
     def test_equal_tableaux_hash_equal_and_key_a_dict(self, rng):
@@ -578,9 +580,20 @@ class TestValueSemantics:
             assert len({t, again, rebuilt, flipped}) == 2
 
 
+def row_matrix(n: int, x: int, z: int, k: int) -> np.ndarray:
+    """Dense i^k X^x Z^z, qubit 0 the leftmost Kronecker factor."""
+    pauli_x, pauli_z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    m = np.eye(1)
+    for q in range(n):
+        m = np.kron(m, np.linalg.matrix_power(pauli_x, x >> q & 1)
+                    @ np.linalg.matrix_power(pauli_z, z >> q & 1))
+    return 1j**k * m
+
+
 def letterwise_product(p: PauliProduct, q: PauliProduct) -> tuple[int, int, int]:
-    """(x, z, k) with p q = i^k P(x, z), one qubit at a time: XY = iZ, YZ = iX
-    and ZX = iY, the reverse orders take -i, and equal letters give I."""
+    """(x, z, k) with p q = i^k X^x Z^z, one qubit at a time: XY = iZ, YZ = iX
+    and ZX = iY, the reverse orders take -i, equal letters give I, and
+    Y = iXZ."""
     k = (2 - p.sign - q.sign) % 4
     letters = []
     for site in range(p.n):
@@ -593,7 +606,41 @@ def letterwise_product(p: PauliProduct, q: PauliProduct) -> tuple[int, int, int]
             letters.append(({"X", "Y", "Z"} - {a, b}).pop())
             k += 1 if a + b in "XYZX" else 3
     image = P("".join(letters))
-    return image.x, image.z, k % 4
+    return image.x, image.z, (k + (image.x & image.z).bit_count()) % 4
+
+
+def y_heavy_pauli(n: int, rng) -> PauliProduct:
+    """A signed Pauli with a Y on about five qubits in eight."""
+    y = rng.getrandbits(n)
+    x, z = rng.getrandbits(n) | y, rng.getrandbits(n) | y
+    return PauliProduct(n, x, z, rng.choice((1, -1)))
+
+
+class TestRowBoundary:
+    """``_exponent`` and ``_pauli`` convert between a signed Pauli and the
+    int row i^k X^x Z^z, the only place the two forms meet."""
+
+    @staticmethod
+    def signed_paulis(n, rng):
+        if n <= 3:
+            return [PauliProduct(n, key & (1 << n) - 1, key >> n, sign)
+                    for key in range(1 << 2 * n) for sign in (1, -1)]
+        return [y_heavy_pauli(n, rng) for _ in range(300)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+    def test_round_trip_and_tableau_rows(self, n, rng):
+        paulis = self.signed_paulis(n, rng)
+        for p in paulis:
+            k = _exponent(p)
+            assert 0 <= k < 4
+            assert _pauli(n, p.x, p.z, k) == p
+            if n <= 3:
+                assert np.allclose(row_matrix(n, p.x, p.z, k), pauli_matrix(p)), p
+        for start in range(0, len(paulis), 2 * n):
+            rows = (paulis * 2)[start:start + 2 * n]
+            t = CliffordTableau(n, rows[:n], rows[n:])
+            assert t._k == [_exponent(p) for p in rows]
+            assert t.x_images + t.z_images == tuple(rows)
 
 
 class TestPhaseRule:
@@ -606,7 +653,7 @@ class TestPhaseRule:
         for _ in range(300):
             p = random_pauli(n, rng, allow_identity=True)
             q = random_pauli(n, rng, allow_identity=True)
-            kp, kq = 1 - p.sign, 1 - q.sign
+            kp, kq = _exponent(p), _exponent(q)
             x, z, k = letterwise_product(p, q)
             rows = CliffordTableau(n, [p] * n, [p] * n)
             rows._apply_s_rotation(q.x, q.z, kq)
@@ -631,7 +678,7 @@ class TestPhaseRule:
                         rows._precompose_inverse(Gate("CNOT", (0, 1)))
             if n <= 3:
                 dense = pauli_matrix(p) @ pauli_matrix(q)
-                assert np.allclose(dense, 1j**k * pauli_matrix(PauliProduct(n, x, z)))
+                assert np.allclose(dense, row_matrix(n, x, z, k))
 
 
 class TestSafetyChecks:
