@@ -204,6 +204,9 @@ def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:
     if not rotations:
         return []
     n = rotations[0].pauli.n
+    for r in rotations:
+        if r.pauli.n != n:
+            raise ValueError(f"qubit count mismatch: {n} vs {r.pauli.n}")
     dependent = _dependent_indices([r.pauli.x | r.pauli.z << n for r in rotations])
     if len(dependent) > t:
         raise DependentSetError(

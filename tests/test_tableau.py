@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from trotopt import (
 from trotopt import ARITY, tableau
 from trotopt.tableau import (
     _conjugate_rows,
+    _dependent_indices,
     _diagonalize_with_gates,
     _exponent,
     _lower_gate,
@@ -436,6 +439,76 @@ class TestDiagonalize:
             synthesize_layer([Rotation(P("X"))])
 
 
+class TestPivotChecks:
+    """Each caller error is raised at the pivot that meets it; the reference
+    here is the whole-input pair and rank checks the pivots replace."""
+
+    @staticmethod
+    def first_defect(paulis):
+        """(error class, indices named) at the first failing pivot, or None."""
+        n = paulis[0].n
+        for j, q in enumerate(paulis):
+            for i, p in enumerate(paulis[:j]):
+                if ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1:
+                    return NonCommutingError, (i, j)
+            if j in _dependent_indices([p.x | p.z << n for p in paulis[: j + 1]]):
+                return DependentSetError, (j,)
+        return None
+
+    def test_random_row_sets_match_the_reference(self, rng):
+        seen = {None: 0, NonCommutingError: 0, DependentSetError: 0}
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            paulis = [
+                PauliProduct(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            defect = self.first_defect(paulis)
+            if defect is None:
+                c = diagonalizer(paulis)
+                for j, p in enumerate(paulis):
+                    assert c.conjugate(p) == PauliProduct(n, 0, 1 << j)
+                seen[None] += 1
+                continue
+            error, named = defect
+            if error is NonCommutingError:
+                i, j = named
+                message = rf"^Paulis {i} \({re.escape(str(paulis[i]))}\) and {j} " \
+                          rf"\({re.escape(str(paulis[j]))}\) anticommute$"
+            else:
+                message = rf"^Pauli {named[0]} is the identity or a product of earlier ones$"
+            with pytest.raises(error, match=message):
+                diagonalize(paulis)
+            seen[error] += 1
+        assert min(seen.values()) > 300, seen
+
+    def test_noncommuting_message_prints_the_input_rows(self):
+        # pivot 0's H has turned row 1 into +XZ by the time it is checked
+        with pytest.raises(NonCommutingError, match=r"^Paulis 0 \(\+XI\) and 1 \(\+ZZ\) anticommute$"):
+            diagonalize([P("XI"), P("ZZ")])
+
+    def test_first_failing_pivot_decides(self):
+        # Pauli 1 repeats Pauli 0 before Pauli 2 anticommutes with both
+        with pytest.raises(DependentSetError, match="^Pauli 1 "):
+            diagonalize([P("Z"), P("Z"), P("X")])
+
+    @pytest.mark.parametrize("kind, paulis, message", [
+        ("H", ["XI", "XX"], "^Paulis 0 and 1 commute, but their rows do not$"),
+        ("SWAP", ["IZ", "ZI"], "^independent Pauli 1 reduced to the pivots$"),
+    ])
+    def test_a_broken_gate_rule_is_not_blamed_on_the_input(self, monkeypatch, kind, paulis,
+                                                           message):
+        real = tableau._conjugate_rows
+
+        def skipping(xs, zs, ks, gate, *args):
+            if gate.kind != kind:
+                real(xs, zs, ks, gate, *args)
+
+        monkeypatch.setattr(tableau, "_conjugate_rows", skipping)
+        with pytest.raises(InvariantError, match=message):
+            diagonalize([P(label) for label in paulis])
+
+
 class TestFixedPivots:
     """While pivot j is eliminated, every emitted gate fixes the pivots
     0..j-1, already +Z_i, so ``_conjugate_rows`` visits none of them."""
@@ -709,4 +782,13 @@ class TestSafetyChecks:
         t = tableau_of(Gate("Z", (0,)))
         monkeypatch.setattr(tableau, "_conjugate_rows", z_does_nothing)
         with pytest.raises(InvariantError, match="phase-layer reconstruction failed"):
+            synthesize(t)
+
+    @pytest.mark.parametrize("x_images, z_images", [
+        (["Z"], ["Z"]),  # an X image with no X
+        (["XZ", "IX"], ["ZI", "IZ"]),  # a phase coupling one way only
+    ])
+    def test_phase_layer_compare_catches_a_bad_tableau(self, x_images, z_images):
+        t = CliffordTableau(len(x_images), map(P, x_images), map(P, z_images))
+        with pytest.raises(InvariantError, match="^phase-layer reconstruction failed$"):
             synthesize(t)

@@ -544,6 +544,11 @@ class TestSynthesizeLayer:
         with pytest.raises(ValueError, match="^mixed qubit counts in Pauli set$"):
             synthesize_layer(rots("ZI") + rots("Z"))
 
+    def test_extension_rejects_mixed_widths(self):
+        # the tag for the second rotation would land on its data qubit 1
+        with pytest.raises(ValueError, match="^qubit count mismatch: 1 vs 2$"):
+            extend_with_ancillas(rots("Z") + rots("ZI"), 1)
+
     def test_builds_no_tableau(self, monkeypatch, rng):
         form = optimize(to_rotation_form(parse_qc(MOD5_4.read_text()).expand())).form
         (layer,) = layerize(form).layers
