@@ -102,11 +102,3 @@ class PauliProduct:
 
     def __neg__(self) -> PauliProduct:
         return PauliProduct(self.n, self.x, self.z, -self.sign)
-
-    def extend(self, extra: int) -> PauliProduct:
-        """Append ``extra`` identity qubits at the end of the register."""
-        if extra < 0:
-            raise ValueError("cannot extend by a negative qubit count")
-        if extra == 0:
-            return self
-        return PauliProduct(self.n + extra, self.x, self.z, self.sign)

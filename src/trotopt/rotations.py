@@ -38,9 +38,9 @@ from .tableau import (
     DependentSetError,
     _dependent_indices,
     _diagonalize_with_gates,
-    _exponent,
     _lowerings,
     _pauli,
+    _rows,
     synthesize,
 )
 
@@ -94,7 +94,8 @@ class RotationForm:
     The tail is held one way, as ``_inverse``: a no-argument function that
     builds the tail's inverse, called once, on the first read of
     :attr:`_inverse_tail`.  The tail is one ``invert()`` of that; a form
-    built from a tableau reads it as the tableau it was given.
+    built from a tableau reads it as the tableau it was given.  Two
+    rotations may not share an origin gate; synthetic ones (None) may.
     """
 
     def __init__(
@@ -105,16 +106,14 @@ class RotationForm:
         source: Circuit | None = None,
     ) -> None:
         rotations = tuple(rotations)
-        for r in rotations:
-            if r.pauli.n != n:
-                raise ValueError("rotation width does not match qubit count")
+        self._x, self._z, self._k = _rows((r.pauli for r in rotations), n)
         if tail.n != n:
             raise ValueError("tail Clifford width does not match qubit count")
-        self.n, self.source, self._inverse = n, source, tail.invert
-        self._x = [r.pauli.x for r in rotations]
-        self._z = [r.pauli.z for r in rotations]
-        self._k = [_exponent(r.pauli) for r in rotations]
         self._origins = [r.origin for r in rotations]
+        given = [origin for origin in self._origins if origin is not None]
+        if len(set(given)) != len(given):
+            raise ValueError("two rotations share an origin gate")
+        self.n, self.source, self._inverse = n, source, tail.invert
         self.rotations = rotations
         self.tail_clifford = tail
 
@@ -196,7 +195,8 @@ def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:
     Ancilla components are always I or Z, so ancillas prepared in |0> stay
     in |0> and the anticommutation structure is untouched.  The result is
     independent; more than ``t`` dependent rotations raise
-    :class:`DependentSetError`.
+    :class:`DependentSetError`.  With ``t`` = 0 the rotations are returned
+    as they are.
     """
     if t < 0:
         raise ValueError("ancilla count must be nonnegative")
@@ -204,22 +204,19 @@ def extend_with_ancillas(layer: Sequence[Rotation], t: int) -> list[Rotation]:
     if not rotations:
         return []
     n = rotations[0].pauli.n
-    for r in rotations:
-        if r.pauli.n != n:
-            raise ValueError(f"qubit count mismatch: {n} vs {r.pauli.n}")
-    dependent = _dependent_indices([r.pauli.x | r.pauli.z << n for r in rotations])
+    xs, zs, ks = _rows((r.pauli for r in rotations), n)
+    dependent = _dependent_indices([x | z << n for x, z in zip(xs, zs)])
     if len(dependent) > t:
         raise DependentSetError(
             f"{t} ancilla(s) cannot make {len(rotations)} rotations independent"
         )
-    tags = {j: 1 << (n + a) for a, j in enumerate(dependent)}
-    extended: list[Rotation] = []
-    for j, rotation in enumerate(rotations):
-        pauli = rotation.pauli.extend(t)
-        if j in tags:
-            pauli = PauliProduct(n + t, pauli.x, pauli.z | tags[j], pauli.sign)
-        extended.append(Rotation(pauli, origin=rotation.origin))
-    return extended
+    if not t:
+        return rotations
+    for a, j in enumerate(dependent):
+        zs[j] |= 1 << (n + a)
+    return [
+        Rotation(_pauli(n + t, x, z, k), r.origin) for x, z, k, r in zip(xs, zs, ks, rotations)
+    ]
 
 
 def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
@@ -233,15 +230,14 @@ def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
     if not axes:
         return Circuit.on_qubits(0)
     n = axes[0].n
-    if any(p.n != n for p in axes):
-        raise ValueError("mixed qubit counts in Pauli set")
-    xs, zs = [p.x for p in axes], [p.z for p in axes]
+    xs, zs, signed = _rows(axes, n)
     ks = [(x & z).bit_count() & 3 for x, z in zip(xs, zs)]  # the +axes P(x, z)
+    # each axis's sign, read before the diagonalizer rewrites ks in place
+    phases = [_g("T" if k == s else "Tdg", j) for j, (k, s) in enumerate(zip(ks, signed))]
     basis = [
-        _lowerings(g.kind, *g.qubits) for g in _diagonalize_with_gates(xs, zs, ks, n, len(axes))
+        _lowerings(g.kind, *g.qubits) for g in _diagonalize_with_gates(xs, zs, ks, n, len(ks))
     ]
-    gates: list[Gate] = [low for forward, _ in basis for low in forward]
-    gates.extend(_g("T" if p.sign > 0 else "Tdg", j) for j, p in enumerate(axes))
+    gates: list[Gate] = [low for forward, _ in basis for low in forward] + phases
     gates.extend(low for _, adjoint in reversed(basis) for low in adjoint)
     return Circuit.on_qubits(n, gates)
 
@@ -254,8 +250,13 @@ def synthesize_schedule(form: RotationForm, layers: Sequence[Sequence[int]]) -> 
     free names among anc0, anc1, .., start in |0> and end in |0>.  Qubit
     names and .i/.o come from ``form.source``; with ancillas and no .i, the
     .i line lists the data qubits, so a reader starts the ancillas in |0>.
+
+    The layers must list every rotation index exactly once (else ValueError);
+    their order is the caller's to keep: anticommuting rotations keep theirs.
     """
     n, xs, zs = form.n, form._x, form._z
+    if sorted(v for layer in layers for v in layer) != list(range(len(xs))):
+        raise ValueError("layers must list every rotation index exactly once")
     bits = ([xs[v] | zs[v] << n for v in layer] for layer in layers)
     t = max((len(_dependent_indices(b)) for b in bits), default=0)
     rotations = form.rotations

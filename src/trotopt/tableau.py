@@ -6,7 +6,9 @@ Gottesman (quant-ph/0406196): row r < n is the image of X_r and row n + q
 the image of Z_q, each the operator i^k X^x Z^z as its X mask x, Z mask z
 and exponent k.  Signs are load-bearing: they tell a +P rotation axis from
 a -P one.  Only the public edges convert a row to or from a signed
-:class:`~trotopt.pauli.PauliProduct`, by :func:`_exponent` and :func:`_pauli`.
+:class:`~trotopt.pauli.PauliProduct`: :func:`_rows` is the one way in for
+a list of them, with the one width check, beside :func:`_exponent` for one
+and :func:`_pauli` for the way out.
 Conjugation, composition, inversion, the diagonalization of commuting sets
 that layer synthesis runs, and synthesis back to gates all live here.
 
@@ -64,6 +66,18 @@ def _exponent(p: PauliProduct) -> int:
 def _pauli(n: int, x: int, z: int, k: int) -> PauliProduct:
     """The signed Pauli i^k X^x Z^z, for a Hermitian row."""
     return PauliProduct(n, x, z, 1 - ((k - (x & z).bit_count()) & 3))
+
+
+def _rows(paulis: Iterable[PauliProduct], n: int) -> tuple[list[int], list[int], list[int]]:
+    """The X masks, Z masks and row exponents of signed Paulis on ``n`` qubits."""
+    xs, zs, ks = [], [], []
+    for p in paulis:
+        if p.n != n:
+            raise ValueError(f"qubit count mismatch: {n} vs {p.n}")
+        xs.append(p.x)
+        zs.append(p.z)
+        ks.append(_exponent(p))
+    return xs, zs, ks
 
 
 def _product(
@@ -132,14 +146,8 @@ class CliffordTableau:
         x_images, z_images = tuple(x_images), tuple(z_images)
         if len(x_images) != n or len(z_images) != n:
             raise ValueError("tableau must hold exactly n X rows and n Z rows")
-        rows = x_images + z_images
-        for row in rows:
-            if row.n != n:
-                raise ValueError("tableau row width mismatch")
         self.n = n
-        self._x = [r.x for r in rows]
-        self._z = [r.z for r in rows]
-        self._k = [_exponent(r) for r in rows]
+        self._x, self._z, self._k = _rows(x_images + z_images, n)
 
     @classmethod
     def _from_rows(cls, n: int, x: list[int], z: list[int], k: list[int]) -> CliffordTableau:

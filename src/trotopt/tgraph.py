@@ -29,7 +29,7 @@ import numpy as np
 from .rotations import Rotation, RotationForm
 # Layer synthesis lives in rotations; its two steps stay importable from here.
 from .rotations import extend_with_ancillas, synthesize_layer  # noqa: F401
-from .tableau import InvariantError
+from .tableau import InvariantError, _rows
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,7 @@ def _pack(form: RotationForm | Sequence[Rotation]) -> tuple[np.ndarray, np.ndarr
         n, xmasks, zmasks = form.n, form._x, form._z
     else:
         n = form[0].pauli.n if form else 1
-        for r in form:
-            if r.pauli.n != n:
-                raise ValueError(f"qubit count mismatch: {n} vs {r.pauli.n}")
-        xmasks, zmasks = [r.pauli.x for r in form], [r.pauli.z for r in form]
+        xmasks, zmasks, _ = _rows((r.pauli for r in form), n)
     nbytes = 8 * ((n + 63) // 64 or 1)
 
     def words(masks: list[int]) -> np.ndarray:
@@ -157,10 +154,8 @@ def build_tgraph(form: RotationForm | Sequence[Rotation]) -> TGraph:
 
     Edges come out ordered by j, then by i.  Signs are ignored.
     """
-    if isinstance(form, RotationForm):
-        return TGraph(form.rotations, tuple(_edges(*_pack(form))))
-    rotations = tuple(form)
-    return TGraph(rotations, tuple(_edges(*_pack(rotations))))
+    rotations = form.rotations if isinstance(form, RotationForm) else tuple(form)
+    return TGraph(rotations, tuple(_edges(*_pack(form))))
 
 
 def t_depth_bound(form: RotationForm | Sequence[Rotation]) -> int:

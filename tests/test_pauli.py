@@ -59,7 +59,3 @@ class TestMisc:
     def test_negate(self):
         assert (-P("XZ")).sign == -1
         assert -(-P("XZ")) == P("XZ")
-
-    def test_extend(self):
-        assert P("-XZ").extend(2) == P("-XZII")
-        assert P("X").extend(0) == P("X")

@@ -310,10 +310,26 @@ class TestRotationType:
             RotationForm(2, (), CliffordTableau.identity(3))
 
     def test_width_errors_keep_their_messages(self):
-        with pytest.raises(ValueError, match="^rotation width does not match qubit count$"):
+        with pytest.raises(ValueError, match="^qubit count mismatch: 2 vs 1$"):
             RotationForm(2, [Rotation(P("ZI")), Rotation(P("Z"))], CliffordTableau.identity(2))
         with pytest.raises(ValueError, match="^tail Clifford width does not match qubit count$"):
             RotationForm(2, (), CliffordTableau.identity(3))
+
+    @pytest.mark.parametrize(
+        "labels, origins", [(("Z", "-Z"), (0, 0)), (("Z", "Z"), (0, 0)), (("X", "Z", "Y"), (0, 1, 0))]
+    )
+    def test_repeated_origin_rejected(self, labels, origins):
+        """A gate folded twice would be edited twice: the plan drops one T of
+        ``T a; T* a``, or marks one gate both deleted and replaced."""
+        rotations = [Rotation(P(label), origin) for label, origin in zip(labels, origins)]
+        with pytest.raises(ValueError, match="^two rotations share an origin gate$"):
+            RotationForm(1, rotations, CliffordTableau.identity(1))
+
+    def test_synthetic_rotations_may_repeat_a_none_origin(self):
+        form = RotationForm(
+            1, [Rotation(P("Z")), Rotation(P("-Z")), Rotation(P("X"), 0)], CliffordTableau.identity(1)
+        )
+        assert optimize(form).stats.t_after == 1
 
     def test_public_form_keeps_the_rotations_it_was_given(self):
         rotations = (Rotation(P("-XZ"), origin=4), Rotation(P("YI")))

@@ -1,11 +1,14 @@
 import io
 from contextlib import redirect_stdout
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
 
 from trotopt import tgraph
 from trotopt.cli import main
+from trotopt.tableau import _dependent_indices
 from trotopt import (
     CliffordTableau,
     DependentSetError,
@@ -51,6 +54,51 @@ def rots(*labels):
 
 def form_of(rotations, n):
     return RotationForm(n, tuple(rotations), CliffordTableau.identity(n))
+
+
+def y_heavy_layer(n, dependents, rng):
+    """Commuting rotations, mostly of Y letters, ``dependents`` of them products
+    of others, in random order and with random signs and origins.
+
+    Each qubit carries one letter, or I, in every member, so the members commute.
+    """
+    letters = [rng.choice("YYYXZ") for _ in range(n)]
+    lx = sum(1 << q for q, letter in enumerate(letters) if letter != "Z")
+    lz = sum(1 << q for q, letter in enumerate(letters) if letter != "X")
+    supports = []
+    for _ in range(rng.randint(1, min(n, 4))):
+        s = rng.getrandbits(n) or 1
+        if not _dependent_indices(supports + [s]):
+            supports.append(s)
+    independent = list(supports)
+    for _ in range(dependents):
+        supports.append(reduce(xor, rng.sample(independent, rng.randint(1, len(independent)))))
+    rng.shuffle(supports)
+    return [
+        Rotation(PauliProduct(n, s & lx, s & lz, rng.choice((1, -1))), rng.choice((None, j)))
+        for j, s in enumerate(supports)
+    ]
+
+
+def forbidden_construction(self):
+    raise AssertionError(f"built a {type(self).__name__}")
+
+
+MIXED_WIDTHS = {
+    "CliffordTableau": lambda: CliffordTableau(2, [P("XI"), P("IX")], [P("ZI"), P("Z")]),
+    "RotationForm": lambda: RotationForm(2, rots("ZI", "Z"), CliffordTableau.identity(2)),
+    "extend_with_ancillas": lambda: extend_with_ancillas(rots("ZI", "Z"), 1),
+    "synthesize_layer": lambda: synthesize_layer(rots("ZI", "Z")),
+    "build_tgraph": lambda: build_tgraph(rots("ZI", "Z")),
+    "layerize": lambda: layerize(rots("ZI", "Z")),
+    "t_depth_bound": lambda: t_depth_bound(rots("ZI", "Z")),
+}
+
+
+@pytest.mark.parametrize("call", MIXED_WIDTHS.values(), ids=MIXED_WIDTHS.keys())
+def test_mixed_widths_raise_one_message(call):
+    with pytest.raises(ValueError, match="^qubit count mismatch: 2 vs 1$"):
+        call()
 
 
 def pairwise_edges(paulis):
@@ -399,6 +447,31 @@ class TestAncillaExtension:
         extended = extend_with_ancillas(rots("ZI", "IZ", "ZZ", "ZI"), 3)
         assert [r.pauli for r in extended] == [P("ZIIII"), P("IZIII"), P("ZZZII"), P("ZIIZI")]
 
+    @pytest.mark.parametrize("n", [1, 3, 63, 64, 65])
+    def test_matches_the_widened_paulis(self, n, rng, monkeypatch):
+        """Each axis becomes PauliProduct(n + t, x, z | tag, sign), with a tag
+        only on the dependent ones, and t = 0 hands the rotations back."""
+        for _ in range(30):
+            layer = y_heavy_layer(n, rng.randint(0, 3), rng)
+            dependent = _dependent_indices([r.pauli.x | r.pauli.z << n for r in layer])
+            t = rng.randint(len(dependent), 3)
+            tags = {j: 1 << (n + a) for a, j in enumerate(dependent)}
+            want = [
+                PauliProduct(n + t, r.pauli.x, r.pauli.z | tags.get(j, 0), r.pauli.sign)
+                for j, r in enumerate(layer)
+            ]
+            extended = extend_with_ancillas(layer, t)
+            assert [r.pauli for r in extended] == want
+            assert [r.origin for r in extended] == [r.origin for r in layer]
+            assert [j for j, r in enumerate(extended) if r.pauli.z >> n] == dependent
+            if not dependent:
+                with monkeypatch.context() as m:
+                    for built in (PauliProduct, Rotation):
+                        m.setattr(built, "__post_init__", forbidden_construction)
+                    same = extend_with_ancillas(layer, 0)
+                assert len(same) == len(layer)
+                assert all(a is b for a, b in zip(same, layer))
+
     def test_tags_exactly_the_dependent_rotations(self, rng):
         for _ in range(80):
             n = rng.randint(1, 3)
@@ -419,6 +492,15 @@ class TestAncillaExtension:
 
 
 class TestSynthesizeSchedule:
+    @pytest.mark.parametrize(
+        "layers", [[(0,)], [(0,), (0, 1)], [(0, 1), (1,)], [(0, 1, 2)], [(0,), (-1,)], []]
+    )
+    def test_layers_must_list_every_rotation_once(self, layers):
+        form = to_rotation_form(parse_qc(".v a b\nBEGIN\nT a\nT b\nEND\n"))
+        with pytest.raises(ValueError, match="^layers must list every rotation index exactly once$"):
+            synthesize_schedule(form, layers)
+        assert synthesize_schedule(form, [(1,), (0,)]).counts().t_count == 2
+
     def test_width_and_equivalence_on_random_forms(self, rng):
         tagged = untagged = 0
         for _ in range(60):
@@ -541,7 +623,7 @@ class TestSynthesizeLayer:
         assert synthesize_layer([]).gates == ()
 
     def test_mixed_widths_rejected(self):
-        with pytest.raises(ValueError, match="^mixed qubit counts in Pauli set$"):
+        with pytest.raises(ValueError, match="^qubit count mismatch: 2 vs 1$"):
             synthesize_layer(rots("ZI") + rots("Z"))
 
     def test_extension_rejects_mixed_widths(self):
