@@ -12,11 +12,11 @@ and :func:`_pauli` for the way out.
 Conjugation, composition, inversion, the diagonalization of commuting sets
 that layer synthesis runs, and synthesis back to gates all live here.
 
-Each Clifford gate kind is defined once, by its own small tableau in
-:data:`_GATE_IMAGES`; the forward rule that conjugates a row and the
-preimage plan that precomposes a gate's inverse are both read off it, at
-import.  The forward rule is one 16-entry table per kind (:data:`_RULES`),
-which a gate places on its qubits in constant time; the preimage plan
+Each Clifford gate kind is defined once, in :data:`_GATE_IMAGES`, as a
+local tableau on two slots (a 1-qubit kind fixes slot 1), off which the
+forward rule and the preimage plan are read at import.  The forward rule
+is one 16-entry table per kind (:data:`_RULES`), which a gate places on
+its qubits in constant time; the preimage plan
 (:data:`_PREIMAGES`) lists each changed row as one or two old rows and an
 i exponent, so extraction's per-gate update runs no generic product loop.
 Every gate that synthesis emits is interned (:func:`~trotopt.circuit._g`),
@@ -285,7 +285,7 @@ class CliffordTableau:
         an odd total i exponent raises :class:`InvariantError`.
         """
         if p.n != self.n:
-            raise ValueError(f"qubit count mismatch: {p.n} vs {self.n}")
+            raise ValueError(f"qubit count mismatch: {self.n} vs {p.n}")
         return _pauli(self.n, *self._conjugate(p.x, p.z, _exponent(p)))
 
     def compose(self, other: CliffordTableau) -> CliffordTableau:
@@ -356,21 +356,24 @@ _GATE_IMAGES = {
 
 
 def _local_tableau(images: tuple[str, ...]) -> CliffordTableau:
+    """The kind's tableau on two slots; a 1-qubit kind is the identity on
+    slot 1, so placed on p == q, where slot 1 repeats slot 0's bits and
+    their phase, only slot 0's image changes the row."""
+    if len(images) == 2:
+        images = (images[0] + "I", "IX", images[1] + "I", "IZ")
     rows = [PauliProduct.from_label(label) for label in images]
-    a = len(rows) // 2
-    local = CliffordTableau(a, rows[:a], rows[a:])
+    local = CliffordTableau(2, rows[:2], rows[2:])
     local.validate()
     return local
 
 
 def _forward_rule(local: CliffordTableau) -> tuple[tuple[int, int, int], ...]:
-    """Entry ``key`` (X bits, then Z bits << a, on the gate's a qubits) is
+    """Entry ``key`` (X bits, then Z bits << 2, on the gate's two slots) is
     (dx, dz, dk): conjugating X^x Z^z flips the bits dx, dz and adds dk to
     the i exponent."""
-    a = local.n
     rule = []
-    for key in range(1 << 2 * a):
-        x, z = key & ((1 << a) - 1), key >> a
+    for key in range(16):
+        x, z = key & 3, key >> 2
         xz = (x & z).bit_count()
         nx, nz, nk = local._conjugate(x, z, xz)  # the Hermitian P(x, z)
         rule.append((x ^ nx, z ^ nz, (nk - xz) & 3))
@@ -380,35 +383,26 @@ def _forward_rule(local: CliffordTableau) -> tuple[tuple[int, int, int], ...]:
 def _preimage_plan(inverse: CliffordTableau) -> tuple[tuple[int, int, int, int], ...]:
     """How precomposing a gate's inverse rewrites its qubits' rows.
 
-    Local row j < a is X on the gate's qubit j and a + j is Z on it; each
-    is placed on its slot among X_p, X_q, Z_p, Z_q (see
-    :meth:`CliffordTableau._precompose_inverse`).  An entry (d, f, g, k)
-    says: the row in slot d becomes i^k times the old row in slot f, or
-    times the product of the old rows in slots f < g when g is nonzero,
-    which are the bits and phase of the inverse's local row.  Rows the
-    gate fixes have no entry.
+    The two-slot local rows X_0, X_1, Z_0, Z_1 are the slots X_p, X_q,
+    Z_p, Z_q (see :meth:`CliffordTableau._precompose_inverse`).  An entry
+    (d, f, g, k) says: the row in slot d becomes i^k times the old row in
+    slot f, or times the product of the old rows in slots f < g when g is
+    nonzero, which are the bits and phase of the inverse's local row.
+    Rows the gate fixes, slot 1 of a 1-qubit kind among them, have no entry.
     """
-    a = inverse.n
-    slot = (0, 1, 2, 3) if a == 2 else (0, 2)
     plan = []
-    for j in range(2 * a):
+    for j in range(4):
         x, z, k = inverse._x[j], inverse._z[j], inverse._k[j]
-        f, *rest = [slot[f] for f in range(2 * a) if (x | z << a) >> f & 1]
+        f, *rest = [f for f in range(4) if (x | z << 2) >> f & 1]
         if len(rest) > 1:
             raise InvariantError("a gate's preimage row is a product of more than two rows")
-        if rest or f != slot[j] or k:
-            plan.append((slot[j], f, *(rest or [0]), k))
+        if rest or f != j or k:
+            plan.append((j, f, *(rest or [0]), k))
     return tuple(plan)
 
 
 _LOCAL = {kind: _local_tableau(images) for kind, images in _GATE_IMAGES.items()}
-_FORWARD = {kind: _forward_rule(local) for kind, local in _LOCAL.items()}
-# _FORWARD keyed on two qubit slots (see _conjugate_rows); a 1-qubit gate
-# fills both, so its keys repeat the X bit in bits 0-1 and the Z bit in 2-3
-_RULES = {
-    kind: rule if len(rule) == 16 else tuple(rule[key & 1 | key >> 1 & 2] for key in range(16))
-    for kind, rule in _FORWARD.items()
-}
+_RULES = {kind: _forward_rule(local) for kind, local in _LOCAL.items()}
 _LOCAL_INVERSE = {kind: local.invert() for kind, local in _LOCAL.items()}
 _PREIMAGES = {kind: _preimage_plan(inverse) for kind, inverse in _LOCAL_INVERSE.items()}
 _INVERSE_KIND = {

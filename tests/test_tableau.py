@@ -165,23 +165,40 @@ class TestPlacedRule:
     @pytest.mark.parametrize("kind", CLIFFORD)
     @pytest.mark.parametrize("slots", [(0, 1), (1, 0), (3, 70), (70, 3)])
     def test_matches_the_local_tableau(self, kind, slots):
+        # a 1-qubit kind sits on slots[0]; its local tableau fixes slot 1,
+        # which lands on a qubit the gate does not touch
         local = tableau._LOCAL[kind]
-        a = local.n
-        g = Gate(kind, slots[:a])
+        g = Gate(kind, slots[: ARITY[kind]])
         n = max(slots) + 1
-        on_gate = (1 << a) - 1  # local bits on the gate's qubits; a 1-qubit gate leaves slot 1
         for key in range(16):
             lx, lz = key & 3, key >> 2
             for sign in (1, -1):
-                image = local.conjugate(PauliProduct(a, lx & on_gate, lz & on_gate, sign))
-                want = PauliProduct(
-                    n,
-                    _place(image.x | lx & ~on_gate, slots),
-                    _place(image.z | lz & ~on_gate, slots),
-                    image.sign,
-                )
+                image = local.conjugate(PauliProduct(2, lx, lz, sign))
+                want = PauliProduct(n, _place(image.x, slots), _place(image.z, slots), image.sign)
                 p = PauliProduct(n, _place(lx, slots), _place(lz, slots), sign)
-                assert conjugate_by_gate(g, p) == want, f"{kind} on {slots[:a]}: {p}"
+                assert conjugate_by_gate(g, p) == want, f"{kind} on {g.qubits}: {p}"
+
+    @pytest.mark.parametrize("kind", ONE_QUBIT_CLIFFORD)
+    def test_one_qubit_kind_keeps_its_one_qubit_tables(self, kind):
+        """The two-slot tables of a 1-qubit kind agree with the 4-entry rule
+        and the plan on slots (0, 2) read off its 1-qubit tableau, and no
+        entry touches slot 1."""
+        local = CliffordTableau(1, *([P(label)] for label in tableau._GATE_IMAGES[kind]))
+        rule = tableau._RULES[kind]
+        for x in (0, 1):
+            for z in (0, 1):
+                nx, nz, nk = local._conjugate(x, z, x & z)
+                # a gate on p == q meets only keys whose slot 1 repeats slot 0
+                assert rule[x * 3 | z * 12] == (x ^ nx, z ^ nz, (nk - (x & z)) & 3)
+        assert all(not (dx | dz) & 2 for dx, dz, _ in rule)
+        inverse, slot, plan = local.invert(), (0, 2), []
+        for j in (0, 1):
+            k = inverse._k[j]
+            f, *rest = [slot[f] for f in (0, 1) if (inverse._x[j] | inverse._z[j] << 1) >> f & 1]
+            if rest or f != slot[j] or k:
+                plan.append((slot[j], f, *(rest or [0]), k))
+        assert tableau._PREIMAGES[kind] == tuple(plan)
+        assert all({d, f, g} <= {0, 2} for d, f, g, _ in tableau._PREIMAGES[kind])
 
     @pytest.mark.parametrize("kind", CLIFFORD)
     @pytest.mark.parametrize("slots", [(0, 1), (1, 0), (0, 2), (2, 0)])

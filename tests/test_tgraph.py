@@ -86,6 +86,10 @@ def forbidden_construction(self):
 
 MIXED_WIDTHS = {
     "CliffordTableau": lambda: CliffordTableau(2, [P("XI"), P("IX")], [P("ZI"), P("Z")]),
+    "CliffordTableau.conjugate": lambda: CliffordTableau.identity(2).conjugate(P("X")),
+    "CliffordTableau.compose": lambda: CliffordTableau.identity(2).compose(
+        CliffordTableau.identity(1)
+    ),
     "RotationForm": lambda: RotationForm(2, rots("ZI", "Z"), CliffordTableau.identity(2)),
     "extend_with_ancillas": lambda: extend_with_ancillas(rots("ZI", "Z"), 1),
     "synthesize_layer": lambda: synthesize_layer(rots("ZI", "Z")),
