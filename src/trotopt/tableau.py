@@ -27,7 +27,8 @@ loops costs one step per gate it emits, not one per qubit.
 Public methods return new tableaux.  The underscored in-place updates
 (:func:`_conjugate_rows`, ``_apply_s_rotation``, ``_precompose_inverse``)
 are for callers that own the rows: extraction's inverse prefix, the fold's
-frame, and synthesis's diagonalizer and scratch phase layer.
+frame, the diagonalizer, and tableau synthesis, which rebuilds its phase
+layer on n X rows and returns it apart from the diagonalizer's gates.
 """
 
 from __future__ import annotations
@@ -403,12 +404,11 @@ def _preimage_plan(inverse: CliffordTableau) -> tuple[tuple[int, int, int, int],
 
 _LOCAL = {kind: _local_tableau(images) for kind, images in _GATE_IMAGES.items()}
 _RULES = {kind: _forward_rule(local) for kind, local in _LOCAL.items()}
-_LOCAL_INVERSE = {kind: local.invert() for kind, local in _LOCAL.items()}
-_PREIMAGES = {kind: _preimage_plan(inverse) for kind, inverse in _LOCAL_INVERSE.items()}
 _INVERSE_KIND = {
     kind: next(other for other, t in _LOCAL.items() if t == inverse)
-    for kind, inverse in _LOCAL_INVERSE.items()
+    for kind, inverse in ((kind, local.invert()) for kind, local in _LOCAL.items())
 }
+_PREIMAGES = {kind: _preimage_plan(_LOCAL[inverse]) for kind, inverse in _INVERSE_KIND.items()}
 
 
 def inverse_gate(gate: Gate) -> Gate:
@@ -541,10 +541,6 @@ def _diagonalize_with_gates(
     return gates
 
 
-def _adjoint_gates(gates: list[Gate]) -> list[Gate]:
-    return [inverse_gate(g) for g in reversed(gates)]
-
-
 def _lower_gate(g: Gate) -> tuple[Gate, ...]:
     """Rewrite onto the {H, S, CNOT, X, Z} synthesis target set, as interned gates."""
     if g.kind == "Sdg":
@@ -572,19 +568,24 @@ def _lowerings(kind: str, *qubits: int) -> tuple[tuple[Gate, ...], tuple[Gate, .
     return _lower_gate(g), _lower_gate(inverse_gate(g))
 
 
-def synthesize_gates(t: CliffordTableau) -> list[Gate]:
-    """Gates (application order) whose tableau equals ``t``; no optimality."""
+def synthesize_gates(t: CliffordTableau) -> tuple[list[Gate], list[Gate]]:
+    """(P, W), in application order: P, of S, CZ and Z gates, then W's
+    inverse, gate by gate from the last, has tableau ``t``; no optimality.
+    P is checked on n rows, X_i conjugated by it in place against W's images
+    of t's X rows.  A non-symplectic ``t`` raises ``validate``'s error."""
     n = t.n
     # d = diag ∘ t: t's X rows ride through the elimination of its Z rows,
     # which the post-check leaves exactly +Z_i.
     xs, zs, ks = (rows[n:] + rows[:n] for rows in (t._x, t._z, t._k))
-    diag_gates = _diagonalize_with_gates(xs, zs, ks, n, n)
+    try:
+        diag_gates = _diagonalize_with_gates(xs, zs, ks, n, n)
+    except (NonCommutingError, DependentSetError):
+        t.validate()
+        raise
     dx, dz, dk = xs[n:], zs[n:], ks[n:]
-    ones = [1 << i for i in range(n)]
-    d = CliffordTableau._from_rows(n, dx + [0] * n, dz + ones, dk + [0] * n)
 
     # d fixes every Z_i exactly, so it is a layer of S/CZ gates up to Pauli-Z
-    # sign corrections on the X images; the final compare checks all of it.
+    # sign corrections on the X images; the n-row check covers all of it.
     phase_gates: list[Gate] = []
     for i in range(n):
         zmask = dz[i]
@@ -594,19 +595,21 @@ def synthesize_gates(t: CliffordTableau) -> list[Gate]:
             if (zmask >> j) & 1:
                 phase_gates.append(_g("CZ", i, j))
 
-    layer = CliffordTableau.from_circuit(Circuit.on_qubits(n, phase_gates))
+    lx, lz, lk = [1 << i for i in range(n)], [0] * n, [0] * n
+    for g in phase_gates:
+        _conjugate_rows(lx, lz, lk, g)
     for i in range(n):
-        if layer._k[i] != dk[i]:
+        if lk[i] != dk[i]:
             phase_gates.append(_g("Z", i))
-            _conjugate_rows(layer._x, layer._z, layer._k, phase_gates[-1])
-    if layer != d:
+            _conjugate_rows(lx, lz, lk, phase_gates[-1])
+    if (lx, lz, lk) != (dx, dz, dk):
         raise InvariantError("phase-layer reconstruction failed")
-
-    # t == diag^-1 ∘ d, with d realized by phase_gates applied first.
-    return phase_gates + _adjoint_gates(diag_gates)
+    return phase_gates, diag_gates
 
 
 def synthesize(t: CliffordTableau) -> Circuit:
     """A circuit over {H, S, CNOT, X, Z} whose tableau equals ``t``."""
-    gates = [low for g in synthesize_gates(t) for low in _lowerings(g.kind, *g.qubits)[0]]
+    phase_gates, diag_gates = synthesize_gates(t)
+    gates = [low for g in phase_gates for low in _lowerings(g.kind, *g.qubits)[0]]
+    gates += [low for g in reversed(diag_gates) for low in _lowerings(g.kind, *g.qubits)[1]]
     return Circuit.on_qubits(t.n, gates)

@@ -78,3 +78,26 @@ def test_readme_quickstart_runs_and_closes_its_file():
     assert done.returncode == 0, done.stderr
     assert "ResourceWarning" not in done.stderr
     assert "'t_after': 8" in done.stdout
+
+
+def table_rows(text: str) -> dict[str, list[str]]:
+    """A markdown table's rows keyed by the first word of their first cell,
+    bold marks dropped; the separator row is skipped."""
+    table = {}
+    for line in text.splitlines():
+        if line.startswith("|") and "---" not in line:
+            name, *cells = (cell.replace("*", "").strip() for cell in line.strip("|").split("|"))
+            table[name.split()[0]] = cells
+    return table
+
+
+def test_readme_benchmark_table_is_what_the_demo_prints():
+    """The README's "Benchmark table" rows, AVERAGE and MAXIMUM included,
+    equal the table ``demos/05_family_table.py`` prints."""
+    done = run_python(str(ROOT / "demos" / "05_family_table.py"))
+    assert done.returncode == 0, done.stderr
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Benchmark table\n", 1)[1].split("\n## ", 1)[0]
+    printed, listed = table_rows(done.stdout), table_rows(section)
+    assert len(printed.keys() - {"name", "AVERAGE", "MAXIMUM"}) == 16
+    assert printed == listed

@@ -22,7 +22,7 @@ from trotopt import (
     to_rotation_form,
     unitary_of,
 )
-from trotopt.tableau import _adjoint_gates, _lower_gate
+from trotopt.tableau import _lower_gate, inverse_gate
 
 from _helpers import (
     ONE_QUBIT_CLIFFORD,
@@ -233,7 +233,7 @@ class TestResynth:
                 w_gates = unmasked_diagonalize([PauliProduct(axis.n, axis.x, axis.z)])
                 gates.extend(low for g in w_gates for low in _lower_gate(g))
                 gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (0,)))
-                gates.extend(low for g in _adjoint_gates(w_gates) for low in _lower_gate(g))
+                gates.extend(low for g in reversed(w_gates) for low in _lower_gate(inverse_gate(g)))
             return gates + list(synthesize(form.tail_clifford).gates)
 
         for _ in range(30):

@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -29,6 +30,7 @@ from trotopt.tableau import (
     _pauli,
     _product,
     inverse_gate,
+    synthesize_gates,
 )
 
 from _helpers import (
@@ -603,6 +605,41 @@ class TestSynthesize:
             t, _ = random_tableau(n, rng)
             assert CliffordTableau.from_circuit(synthesize(t)) == t
 
+    def test_phase_layer_then_the_diagonalizer_undone(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            t, _ = random_tableau(n, rng)
+            phase_gates, diag_gates = synthesize_gates(t)
+            assert {g.kind for g in phase_gates} <= {"S", "CZ", "Z"}
+            undone = [inverse_gate(g) for g in reversed(diag_gates)]
+            assert CliffordTableau.from_circuit(Circuit.on_qubits(n, phase_gates + undone)) == t
+
+    def test_a_non_symplectic_tableau_raises_invariant_error(self):
+        """Random images make mostly invalid tableaux; each raises
+        InvariantError, never a caller error about Paulis it was not given,
+        and each valid one round-trips."""
+        rng = random.Random(65)
+        valid = diagonalizer_refused = 0
+        for _ in range(5000):
+            n = rng.randint(1, 4)
+            rows = [random_pauli(n, rng, allow_identity=True) for _ in range(2 * n)]
+            t = CliffordTableau(n, rows[:n], rows[n:])
+            try:
+                t.validate()
+            except InvariantError:
+                with pytest.raises(InvariantError):
+                    synthesize(t)
+                try:
+                    _diagonalize_with_gates(t._x[n:], t._z[n:], t._k[n:], n, n)
+                except (NonCommutingError, DependentSetError):
+                    diagonalizer_refused += 1
+                except InvariantError:
+                    pass
+            else:
+                valid += 1
+                assert CliffordTableau.from_circuit(synthesize(t)) == t
+        assert valid and diagonalizer_refused
+
 
 class TestLoweringTable:
     @pytest.mark.parametrize("kind", CLIFFORD)
@@ -789,15 +826,16 @@ class TestSafetyChecks:
         with pytest.raises(InvariantError, match="does not round-trip"):
             broken.invert()
 
-    def test_phase_layer_reconstruction_check_raises(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["S", "CZ", "Z"])
+    def test_phase_layer_reconstruction_check_raises(self, monkeypatch, kind):
         real = tableau._conjugate_rows
 
-        def z_does_nothing(xs, zs, ks, gate, *args):
-            if gate.kind != "Z":
+        def kind_does_nothing(xs, zs, ks, gate, *args):
+            if gate.kind != kind:
                 real(xs, zs, ks, gate, *args)
 
-        t = tableau_of(Gate("Z", (0,)))
-        monkeypatch.setattr(tableau, "_conjugate_rows", z_does_nothing)
+        t = tableau_of(Gate(kind, tuple(range(ARITY[kind]))))
+        monkeypatch.setattr(tableau, "_conjugate_rows", kind_does_nothing)
         with pytest.raises(InvariantError, match="phase-layer reconstruction failed"):
             synthesize(t)
 
