@@ -13,12 +13,21 @@ Conjugation, composition, inversion, the diagonalization of commuting sets
 that layer synthesis runs, and synthesis back to gates all live here.
 
 Each Clifford gate kind is defined once, in :data:`_GATE_IMAGES`, as a
-local tableau on two slots (a 1-qubit kind fixes slot 1), off which the
-forward rule and the preimage plan are read at import.  The forward rule
-is one 16-entry table per kind (:data:`_RULES`), which a gate places on
-its qubits in constant time; the preimage plan
-(:data:`_PREIMAGES`) lists each changed row as one or two old rows and an
-i exponent, so extraction's per-gate update runs no generic product loop.
+local tableau on two slots (a 1-qubit kind fixes slot 1), off which two
+tables are read at import.  The forward rule (:data:`_RULES`) gives, for
+the 16 values of a row's bits on the two slots, the bits to flip and the
+phase to add; the preimage plan (:data:`_PREIMAGES`) lists each row that
+precomposing the gate's inverse changes as one or two old rows and an i
+exponent.  Each table is then written out as straight-line Python, one
+function per kind, and all of them are compiled from one source string
+(:func:`_compile_kernels`), so no update interprets a table per row or
+per plan entry.  A forward kernel is a decision tree over only the slot
+bits its rule reads, whose leaves store only what their entry changes; a
+preimage kernel spells out its plan's copies and two-row products.  The
+forward kernels are trees rather than the rule's algebraic normal form
+(slot bits shifted to 0/1, the monomials XORed) because most rows a gate
+is run over miss it, and a tree dismisses such a row after a test or two
+and writes nothing, where the normal form computes every monomial.
 Every gate that synthesis emits is interned (:func:`~trotopt.circuit._g`),
 and its lowering onto {H, S, CNOT, X, Z} and its inverse's are looked up in
 one table memoized on (kind, qubits) (:func:`_lowerings`).  The
@@ -112,25 +121,18 @@ def _conjugate_rows(
     every row off its qubits.  Rows below ``start`` are left as they are:
     the caller knows the gate fixes them.
 
-    The kind's rule (:data:`_RULES`) is placed on the gate's first and last
-    qubits p and q, the same qubit for a 1-qubit gate.  A meeting row's
-    bits there, x_p x_q z_p z_q from the low bit up, index the rule once,
-    which gives the slot bits to flip and the phase to add.
+    The kind's forward kernel, generated at import from its rule in
+    :data:`_RULES` (:func:`_forward_source`), runs on the gate's first and
+    last qubits p and q, the same qubit for a 1-qubit gate.  It tests the
+    row bits among x_p x_q z_p z_q that the rule reads, as a decision tree,
+    and stores only what the entry it reaches changes, so a row off the
+    gate's qubits is not written.
     """
-    rule = _RULES.get(gate.kind)
-    if rule is None:
+    kernel = _FORWARD_KERNELS.get(gate.kind)
+    if kernel is None:
         raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
-    p, q = gate.qubits[0], gate.qubits[-1]
-    place = (0, 1 << p, 1 << q, 1 << p | 1 << q)  # slot bits -> qubit bits
-    mask = place[3]
-    for r in range(start, len(xs)):
-        x, z = xs[r], zs[r]
-        if (x | z) & mask:
-            key = x >> p & 1 | (x >> q & 1) << 1 | (z >> p & 1) << 2 | (z >> q & 1) << 3
-            dx, dz, dk = rule[key]
-            xs[r] = x ^ place[dx]
-            zs[r] = z ^ place[dz]
-            ks[r] = (ks[r] + dk) & 3
+    qubits = gate.qubits
+    kernel(xs, zs, ks, qubits[0], qubits[-1], start)
 
 
 class CliffordTableau:
@@ -249,31 +251,19 @@ class CliffordTableau:
 
         Only the X and Z rows of the gate's qubits change (at most four),
         each to i^k times one old row or the product of two, as the kind's
-        plan in :data:`_PREIMAGES` says; a product's phase is
-        :func:`_product`'s, written out for two rows.  The plan's slots are
-        the rows X_p, X_q, Z_p, Z_q of the gate's first and last qubits p
-        and q, the same qubit for a 1-qubit gate.
+        plan in :data:`_PREIMAGES` says.  The plan's slots are the rows X_p,
+        X_q, Z_p, Z_q of the gate's first and last qubits p and q, the same
+        qubit for a 1-qubit gate.  The kind's preimage kernel, that plan
+        written out at import (:func:`_preimage_source`), forms each
+        product with :func:`_product`'s phase for two rows and raises
+        :class:`InvariantError` on an anti-Hermitian one before it stores
+        any row.
         """
-        plan = _PREIMAGES.get(gate.kind)
-        if plan is None:
+        kernel = _PREIMAGE_KERNELS.get(gate.kind)
+        if kernel is None:
             raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
-        xs, zs, ks = self._x, self._z, self._k
-        p, q, n = gate.qubits[0], gate.qubits[-1], self.n
-        at = (p, q, p + n, q + n)
-        new = []
-        for dst, a, b, k in plan:
-            a = at[a]
-            x, z, k = xs[a], zs[a], ks[a] + k
-            if b:
-                b = at[b]
-                k += ks[b] + 2 * (z & xs[b]).bit_count()
-                x ^= xs[b]
-                z ^= zs[b]
-                if (k ^ (x & z).bit_count()) & 1:
-                    raise InvariantError("conjugation produced an anti-Hermitian phase")
-            new.append((at[dst], x, z, k & 3))
-        for r, x, z, k in new:
-            xs[r], zs[r], ks[r] = x, z, k
+        qubits = gate.qubits
+        kernel(self._x, self._z, self._k, qubits[0], qubits[-1], self.n)
 
     # ------------------------------------------------------------------
     # core operations
@@ -409,6 +399,118 @@ _INVERSE_KIND = {
     for kind, inverse in ((kind, local.invert()) for kind, local in _LOCAL.items())
 }
 _PREIMAGES = {kind: _preimage_plan(_LOCAL[inverse]) for kind, inverse in _INVERSE_KIND.items()}
+
+
+# ----------------------------------------------------------------------
+# each kind's tables written out as straight-line kernels, compiled once
+
+# A forward kernel's tests on a row, and the rule key when the tests set in
+# s pass, by s; a 1-qubit kind sits on p == q, so slot 1 repeats slot 0.
+_TESTS = {
+    1: (("x & P", "z & P"), (0b0000, 0b0011, 0b1100, 0b1111)),
+    2: (("x & P", "x & Q", "z & P", "z & Q"), range(16)),
+}
+_MASKS = ("", "P", "Q", "M")  # slot bits -> the kernel's qubit masks
+
+
+def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
+    """``forward_<kind>(xs, zs, ks, p, q, start)``: one decision tree per
+    group of the outputs dx, dz, dk that read a common test, over the tests
+    the group reads; a leaf stores only what its rule entry changes."""
+    tests, keys = _TESTS[len(_GATE_IMAGES[kind]) // 2]
+    entries = [rule[key] for key in keys]
+    groups: list[tuple[list[int], int]] = []  # (outputs, tests read), no test in two
+    for out in range(3):
+        col = [e[out] for e in entries]
+        flips = ([col[s ^ 1 << j] for s in range(len(col))] for j in range(len(tests)))
+        reads = sum(1 << j for j, flipped in enumerate(flips) if flipped != col)
+        outs = [out]
+        for group in [g for g in groups if g[1] & reads]:
+            groups.remove(group)
+            outs += group[0]
+            reads |= group[1]
+        if reads:
+            groups.append((sorted(outs), reads))
+    loaded = {tests[j][0] for _, reads in groups for j in range(len(tests)) if reads >> j & 1}
+
+    def tree(outs: list[int], vals: list[tuple[int, ...]], j: int, indent: str) -> list[str]:
+        """Lines storing ``vals``, the outputs' values indexed by the
+        outcomes of tests j and up, test j in the low bit; no lines when
+        they change nothing."""
+        if len(vals) > 1:
+            taken, other = vals[1::2], vals[::2]
+            if taken == other:  # test j is not read
+                return tree(outs, other, j + 1, indent)
+            taken = tree(outs, taken, j + 1, indent + "    ")
+            other = tree(outs, other, j + 1, indent + "    ")
+            test = tests[j]
+            if not taken:
+                return [indent + "if not " + test + ":"] + other
+            return [indent + "if " + test + ":"] + taken + (other and [indent + "else:"] + other)
+        lines = []
+        for out, d in zip(outs, vals[0]):
+            name = "xzk"[out]
+            if d and out == 2:
+                lines.append("%sks[r] = ks[r] + %d & 3" % (indent, d))
+            elif d:
+                old = name if name in loaded else name + "s[r]"
+                lines.append("%s%ss[r] = %s ^ %s" % (indent, name, old, _MASKS[d]))
+        return lines
+
+    lines = [
+        "def forward_%s(xs, zs, ks, p, q, start):" % kind,
+        "    P = 1 << p; Q = 1 << q; M = P | Q" if len(tests) > 2 else "    P = 1 << p",
+        "    for r in range(start, len(xs)):",
+    ]
+    lines += ["        %s = %ss[r]" % (name, name) for name in sorted(loaded)]
+    for outs, _ in groups:
+        lines += tree(outs, [tuple(e[o] for o in outs) for e in entries], 0, "        ")
+    return "\n".join(lines)
+
+
+def _preimage_source(kind: str, plan: tuple[tuple[int, int, int, int], ...]) -> str:
+    """``preimage_<kind>(xs, zs, ks, p, q, n)``: the plan written out.  The
+    products are formed and checked before any row is stored, so a failed
+    check leaves the rows as they were."""
+    rows = ("p", "q", "pn", "qn")
+    read = {s for entry in plan for s in entry[:3]}
+    lines = ["def preimage_%s(xs, zs, ks, p, q, n):" % kind]
+    lines += ["    %s = %s + n" % (rows[s], rows[s - 2]) for s in (2, 3) if s in read]
+    targets, values, parities = [], [], []
+    for d, f, g, k in plan:
+        a, b, dst, phase = rows[f], rows[g], rows[d], " + %d" % k if k else ""
+        if g:  # the product of rows a and b, with _product()'s phase
+            lines.append("    x%d = xs[%s] ^ xs[%s]; z%d = zs[%s] ^ zs[%s]; "
+                         "k%d = ks[%s] + ks[%s]%s + 2 * (zs[%s] & xs[%s]).bit_count()"
+                         % (d, a, b, d, a, b, d, a, b, phase, a, b))
+            parities.append("k%d ^ (x%d & z%d).bit_count()" % (d, d, d))
+            values += ["x%d" % d, "z%d" % d, "k%d & 3" % d]
+        else:
+            values += ["xs[%s]" % a, "zs[%s]" % a] * (f != d)
+            values.append("ks[%s]%s & 3" % (a, phase) if k else "ks[%s]" % a)
+        targets += ["xs[%s]" % dst, "zs[%s]" % dst] * (f != d or g > 0) + ["ks[%s]" % dst]
+    if parities:
+        lines.append("    if (%s) & 1:" % " | ".join(parities))
+        lines.append('        raise InvariantError("conjugation produced an anti-Hermitian phase")')
+    lines.append("    %s = %s" % (", ".join(targets), ", ".join(values)))
+    return "\n".join(lines)
+
+
+def _compile_kernels() -> tuple[dict, dict]:
+    """Every kind's forward and preimage kernel, compiled from one source."""
+    source = "\n".join(
+        _forward_source(kind, _RULES[kind]) + "\n" + _preimage_source(kind, _PREIMAGES[kind])
+        for kind in _GATE_IMAGES
+    )
+    namespace = {"InvariantError": InvariantError}
+    exec(compile(source, "<trotopt gate kernels>", "exec"), namespace)
+    return (
+        {kind: namespace[f"forward_{kind}"] for kind in _GATE_IMAGES},
+        {kind: namespace[f"preimage_{kind}"] for kind in _GATE_IMAGES},
+    )
+
+
+_FORWARD_KERNELS, _PREIMAGE_KERNELS = _compile_kernels()
 
 
 def inverse_gate(gate: Gate) -> Gate:
@@ -574,6 +676,8 @@ def synthesize_gates(t: CliffordTableau) -> tuple[list[Gate], list[Gate]]:
     P is checked on n rows, X_i conjugated by it in place against W's images
     of t's X rows.  A non-symplectic ``t`` raises ``validate``'s error."""
     n = t.n
+    if not n:
+        return [], []
     # d = diag ∘ t: t's X rows ride through the elimination of its Z rows,
     # which the post-check leaves exactly +Z_i.
     xs, zs, ks = (rows[n:] + rows[:n] for rows in (t._x, t._z, t._k))
@@ -586,6 +690,8 @@ def synthesize_gates(t: CliffordTableau) -> tuple[list[Gate], list[Gate]]:
 
     # d fixes every Z_i exactly, so it is a layer of S/CZ gates up to Pauli-Z
     # sign corrections on the X images; the n-row check covers all of it.
+    # S, CZ and Z leave every X mask as it is, so row r stays X_r times Z's;
+    # a gate whose first qubit is i meets no row r < i and starts at row i.
     phase_gates: list[Gate] = []
     for i in range(n):
         zmask = dz[i]
@@ -597,11 +703,11 @@ def synthesize_gates(t: CliffordTableau) -> tuple[list[Gate], list[Gate]]:
 
     lx, lz, lk = [1 << i for i in range(n)], [0] * n, [0] * n
     for g in phase_gates:
-        _conjugate_rows(lx, lz, lk, g)
+        _conjugate_rows(lx, lz, lk, g, g.qubits[0])
     for i in range(n):
         if lk[i] != dk[i]:
             phase_gates.append(_g("Z", i))
-            _conjugate_rows(lx, lz, lk, phase_gates[-1])
+            _conjugate_rows(lx, lz, lk, phase_gates[-1], i)
     if (lx, lz, lk) != (dx, dz, dk):
         raise InvariantError("phase-layer reconstruction failed")
     return phase_gates, diag_gates

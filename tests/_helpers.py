@@ -19,7 +19,7 @@ from trotopt import (
     TGraph,
     synthesize,
 )
-from trotopt.tableau import _dependent_indices
+from trotopt.tableau import _PREIMAGES, _RULES, InvariantError, _dependent_indices
 from trotopt.verify import _ONE_QUBIT
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -106,6 +106,46 @@ def random_tableau(n: int, rng: random.Random, depth: int | None = None):
     """A random Clifford tableau plus the circuit that built it."""
     circuit = random_clifford_circuit(n, depth if depth is not None else 3 * n + 5, rng)
     return CliffordTableau.from_circuit(circuit), circuit
+
+
+def reference_conjugate_rows(xs, zs, ks, kind: str, p: int, q: int, start: int) -> None:
+    """The forward rule read as a table: the reference for the generated
+    forward kernels, with their signature.  Each meeting row's bits x_p x_q
+    z_p z_q, from the low bit up, index ``_RULES[kind]`` once, which gives
+    the slot bits to flip and the phase to add."""
+    rule = _RULES[kind]
+    place = (0, 1 << p, 1 << q, 1 << p | 1 << q)  # slot bits -> qubit bits
+    mask = place[3]
+    for r in range(start, len(xs)):
+        x, z = xs[r], zs[r]
+        if (x | z) & mask:
+            key = x >> p & 1 | (x >> q & 1) << 1 | (z >> p & 1) << 2 | (z >> q & 1) << 3
+            dx, dz, dk = rule[key]
+            xs[r] = x ^ place[dx]
+            zs[r] = z ^ place[dz]
+            ks[r] = (ks[r] + dk) & 3
+
+
+def reference_precompose_inverse(xs, zs, ks, kind: str, p: int, q: int, n: int) -> None:
+    """The preimage plan read as a table: the reference for the generated
+    preimage kernels, with their signature.  Each entry of
+    ``_PREIMAGES[kind]`` makes a slot row i^k times one old row or the
+    product of two, every new row formed before the first is stored."""
+    at = (p, q, p + n, q + n)
+    new = []
+    for dst, a, b, k in _PREIMAGES[kind]:
+        a = at[a]
+        x, z, k = xs[a], zs[a], ks[a] + k
+        if b:
+            b = at[b]
+            k += ks[b] + 2 * (z & xs[b]).bit_count()
+            x ^= xs[b]
+            z ^= zs[b]
+            if (k ^ (x & z).bit_count()) & 1:
+                raise InvariantError("conjugation produced an anti-Hermitian phase")
+        new.append((at[dst], x, z, k & 3))
+    for r, x, z, k in new:
+        xs[r], zs[r], ks[r] = x, z, k
 
 
 def count_tableau_calls(monkeypatch, *names: str) -> list[str]:

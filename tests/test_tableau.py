@@ -14,9 +14,11 @@ from trotopt import (
     PauliProduct,
     Rotation,
     UnsupportedGateError,
+    from_rotation_form_resynth,
     pauli_matrix,
     synthesize,
     synthesize_layer,
+    to_rotation_form,
     unitary_of,
 )
 from trotopt import ARITY, tableau
@@ -41,6 +43,8 @@ from _helpers import (
     random_commuting_independent_rotations,
     random_pauli,
     random_tableau,
+    reference_conjugate_rows,
+    reference_precompose_inverse,
     unmasked_diagonalize,
 )
 
@@ -93,16 +97,14 @@ class TestApplyGate:
         with pytest.raises(UnsupportedGateError):
             tableau_of(Gate("T", (0,)))
 
-    def test_recomputes_only_rows_meeting_the_gate(self, rng, monkeypatch):
-        lookups = []
+    def test_recomputes_only_rows_meeting_the_gate(self, rng):
+        written = set()
 
-        class CountedRule(tuple):
-            def __getitem__(self, key):
-                lookups.append(key)
-                return tuple.__getitem__(self, key)
+        class WriteLog(list):
+            def __setitem__(self, r, value):
+                written.add(r)
+                list.__setitem__(self, r, value)
 
-        rules = {kind: CountedRule(rule) for kind, rule in tableau._RULES.items()}
-        monkeypatch.setattr(tableau, "_RULES", rules)
         for _ in range(60):
             n = rng.randint(2, 9)
             t, _ = random_tableau(n, rng, depth=rng.randint(0, 3 * n))
@@ -111,13 +113,12 @@ class TestApplyGate:
             expected = CliffordTableau.from_circuit(Circuit.on_qubits(n, [g])).compose(t)
             mask = sum(1 << q for q in g.qubits)
             out = CliffordTableau(n, t.x_images, t.z_images)
-            lookups.clear()
-            _conjugate_rows(out._x, out._z, out._k, g)
-            assert len(lookups) == sum(1 for row in rows if (row.x | row.z) & mask)
+            xs, zs, ks = WriteLog(out._x), WriteLog(out._z), WriteLog(out._k)
+            written.clear()
+            _conjugate_rows(xs, zs, ks, g)
+            assert written <= {r for r, row in enumerate(rows) if (row.x | row.z) & mask}
+            out._x, out._z, out._k = list(xs), list(zs), list(ks)
             assert out == expected
-            for row, new in zip(rows, out.x_images + out.z_images):
-                if not (row.x | row.z) & mask:
-                    assert new == row
 
     def test_start_leaves_the_rows_below_it(self, rng):
         for _ in range(60):
@@ -213,6 +214,75 @@ class TestPlacedRule:
             assert np.allclose(
                 u @ pauli_matrix(p) @ u.conj().T, pauli_matrix(conjugate_by_gate(g, p))
             ), f"{kind} on {g.qubits} disagrees with dense conjugation of {p}"
+
+
+class TestGateKernels:
+    """The straight-line kernels generated from each kind's tables against
+    the tables read by the reference loops, on both operand orders and on
+    qubits either side of bit 64."""
+
+    @staticmethod
+    def placements(kind, n):
+        pairs = [(0, n - 1), (n - 1, 0), (n // 2, n // 2 - 1), (n // 2 - 1, n // 2)]
+        if ARITY[kind] == 1:
+            pairs += [(0, 0), (n - 1, n - 1), (n // 2, n // 2)]
+        return pairs
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65])
+    @pytest.mark.parametrize("kind", CLIFFORD)
+    def test_forward_kernel_matches_the_rule_table(self, kind, n, rng):
+        for p, q in self.placements(kind, n):
+            slots = 1 << p | 1 << q
+            start = rng.randint(1, 5)
+            rows = tuple([rng.getrandbits(bits) for _ in range(start)] for bits in (n, n, 2))
+            for key in range(16):
+                for _ in range(2):
+                    rows[0].append(_place(key & 3, (p, q)) | rng.getrandbits(n) & ~slots)
+                    rows[1].append(_place(key >> 2, (p, q)) | rng.getrandbits(n) & ~slots)
+                    rows[2].append(rng.randrange(4))
+            want = tuple(list(r) for r in rows)
+            reference_conjugate_rows(*want, kind, p, q, start)
+            got = tuple(list(r) for r in rows)
+            tableau._FORWARD_KERNELS[kind](*got, p, q, start)
+            assert got == want, f"{kind} on ({p}, {q}) from row {start}"
+            assert all(g[:start] == r[:start] for g, r in zip(got, rows))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65])
+    @pytest.mark.parametrize("kind", CLIFFORD)
+    def test_preimage_kernel_matches_the_plan(self, kind, n, rng):
+        for p, q in self.placements(kind, n):
+            if ARITY[kind] == 2 and p == q:
+                continue
+            t, _ = random_tableau(n, rng, depth=2 * n)
+            want = (list(t._x), list(t._z), list(t._k))
+            reference_precompose_inverse(*want, kind, p, q, n)
+            got = (list(t._x), list(t._z), list(t._k))
+            tableau._PREIMAGE_KERNELS[kind](*got, p, q, n)
+            assert got == want, f"{kind} on ({p}, {q})"
+
+    @pytest.mark.parametrize("kind", [kind for kind in CLIFFORD
+                                      if any(g for _, _, g, _ in tableau._PREIMAGES[kind])])
+    def test_preimage_kernel_raises_where_the_plan_does(self, kind, rng):
+        """Rows that are not a tableau make some two-row products
+        anti-Hermitian; the kernel raises the reference's error on exactly
+        those and, like it, stores no row first."""
+        raised = 0
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            p, q = rng.sample(range(n), 2)
+            rows = [random_pauli(n, rng, allow_identity=True) for _ in range(2 * n)]
+            want = ([r.x for r in rows], [r.z for r in rows], [_exponent(r) for r in rows])
+            got = tuple(list(r) for r in want)
+            try:
+                reference_precompose_inverse(*want, kind, p, q, n)
+            except InvariantError as error:
+                raised += 1
+                with pytest.raises(InvariantError, match=f"^{re.escape(str(error))}$"):
+                    tableau._PREIMAGE_KERNELS[kind](*got, p, q, n)
+            else:
+                tableau._PREIMAGE_KERNELS[kind](*got, p, q, n)
+            assert got == want
+        assert 20 < raised < 180
 
 
 class TestConjugate:
@@ -576,6 +646,37 @@ class TestFixedPivots:
             assert CliffordTableau.from_circuit(c) == t
 
 
+class TestPhaseLayerStarts:
+    """The phase layer's S(i), CZ(i, j > i) and Z(i) meet no X row below i,
+    so each call on its n rows starts at the gate's first qubit."""
+
+    def test_skipped_rows_are_fixed_and_most_calls_skip(self, rng, monkeypatch):
+        tableaux = [random_tableau(rng.randint(2, 9), rng)[0] for _ in range(60)]
+        real = tableau._conjugate_rows
+        calls = []  # (row count, gate, first row visited) per call
+
+        def recording(xs, zs, ks, gate, start=0):
+            calls.append((len(xs), gate, start))
+            skipped = xs[:start], zs[:start], ks[:start]
+            real(*skipped, gate)
+            assert skipped == (xs[:start], zs[:start], ks[:start])
+            real(xs, zs, ks, gate, start)
+
+        monkeypatch.setattr(tableau, "_conjugate_rows", recording)
+        circuits, starts = [], []
+        for t in tableaux:
+            calls.clear()
+            circuits.append(synthesize(t))
+            # the phase layer's calls carry n rows, the diagonalizer's 2n
+            starts += [(gate, start) for rows, gate, start in calls if rows == t.n]
+        monkeypatch.undo()
+        assert starts and all(start == gate.qubits[0] for gate, start in starts)
+        assert {gate.kind for gate, _ in starts} == {"S", "CZ", "Z"}
+        assert sum(start > 0 for _, start in starts) > len(starts) / 2
+        for t, c in zip(tableaux, circuits):
+            assert CliffordTableau.from_circuit(c) == t
+
+
 class TestMaskedDiagonalize:
     def test_matches_unmasked_reference(self, rng):
         for _ in range(80):
@@ -588,6 +689,11 @@ class TestMaskedDiagonalize:
 class TestSynthesize:
     def test_identity_is_empty(self):
         assert synthesize(CliffordTableau.identity(3)).gates == ()
+
+    def test_zero_qubits(self):
+        for circuit in (synthesize(CliffordTableau.identity(0)),
+                        from_rotation_form_resynth(to_rotation_form(Circuit.on_qubits(0)))):
+            assert (circuit.n, circuit.gates) == (0, ())
 
     def test_hadamard_round_trip(self):
         h = tableau_of(Gate("H", (0,)))
