@@ -12,22 +12,26 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-# gate kind -> number of qubit operands
-ARITY = {
-    "H": 1,
-    "X": 1,
-    "Y": 1,
-    "Z": 1,
-    "S": 1,
-    "Sdg": 1,
-    "T": 1,
-    "Tdg": 1,
-    "CNOT": 2,
-    "CZ": 2,
-    "SWAP": 2,
-    "CCZ": 3,
-    "TOFFOLI": 3,
+# .qc mnemonic, as the writer spells it -> the gate kind it names with k
+# operands, at entry k - 1; None marks an operand count the mnemonic does not
+# take.  This one table gives each kind's arity (ARITY), the parser's lookup,
+# which ignores case, and the writer's spelling: a kind's first mnemonic here.
+_MNEMONICS = {
+    "H": ("H",),
+    "X": ("X",),
+    "Y": ("Y",),
+    "Z": ("Z", "CZ", "CCZ"),
+    "S": ("S",),
+    "S*": ("Sdg",),
+    "T": ("T",),
+    "T*": ("Tdg",),
+    "tof": ("X", "CNOT", "TOFFOLI"),
+    "cnot": (None, "CNOT"),
+    "swap": (None, "SWAP"),
 }
+
+# gate kind -> number of qubit operands
+ARITY = {kind: k for kinds in _MNEMONICS.values() for k, kind in enumerate(kinds, 1) if kind}
 
 
 class ParseError(ValueError):
@@ -199,21 +203,8 @@ def _ccz_network(a: int, b: int, t: int) -> list[Gate]:
 # .qc format
 
 
-# .qc mnemonic, upper-cased -> the gate kind it names with k operands, at
-# entry k - 1; None marks an operand count the mnemonic does not take
-_KINDS_OF_MNEMONIC = {
-    "H": ("H",),
-    "X": ("X",),
-    "Y": ("Y",),
-    "S": ("S",),
-    "T": ("T",),
-    "S*": ("Sdg",),
-    "T*": ("Tdg",),
-    "Z": ("Z", "CZ", "CCZ"),
-    "TOF": ("X", "CNOT", "TOFFOLI"),
-    "CNOT": (None, "CNOT"),
-    "SWAP": (None, "SWAP"),
-}
+# upper-cased .qc mnemonic -> its kinds by operand count, as in _MNEMONICS
+_KINDS_OF_MNEMONIC = {mnemonic.upper(): kinds for mnemonic, kinds in _MNEMONICS.items()}
 
 
 def _parse_gate_tokens(mnemonic: str, operands: Sequence[int], line: int) -> Gate:
@@ -330,27 +321,25 @@ def parse_qc(text: str) -> Circuit:
     return Circuit(tuple(names), tuple(gates), inputs, outputs)
 
 
-# gate kind -> its .qc mnemonic and the space before the operands
+# gate kind -> its first mnemonic in _MNEMONICS (the reversed walk stores it
+# last) and the space before the operands
 _WRITE_PREFIX = {
-    "H": "H ",
-    "X": "X ",
-    "Y": "Y ",
-    "Z": "Z ",
-    "S": "S ",
-    "Sdg": "S* ",
-    "T": "T ",
-    "Tdg": "T* ",
-    "CNOT": "tof ",
-    "TOFFOLI": "tof ",
-    "CZ": "Z ",
-    "CCZ": "Z ",
-    "SWAP": "swap ",
+    kind: m + " " for m, kinds in reversed(_MNEMONICS.items()) for kind in kinds if kind
 }
 
 
 def write_qc(circuit: Circuit) -> str:
-    """Serialize to ``.qc`` text; inverse of :func:`parse_qc` up to whitespace."""
-    lines = [".v " + " ".join(circuit.qubit_names)]
+    """Serialize to ``.qc`` text; inverse of :func:`parse_qc` up to whitespace.
+
+    Raises ``ValueError`` for a qubit name the format cannot hold: an empty
+    one, or one with whitespace or ``#``.
+    """
+    header = ".v " + " ".join(circuit.qubit_names)
+    # the parser's own tokenizer: one token per name, and no comment
+    if "#" in header or len(header.split()) != circuit.n + 1:
+        bad = [name for name in circuit.qubit_names if "#" in name or name.split() != [name]]
+        raise ValueError(f"qubit names .qc cannot hold (empty, or with whitespace or '#'): {bad}")
+    lines = [header]
     if circuit.inputs is not None:
         lines.append(".i " + " ".join(circuit.inputs))
     if circuit.outputs is not None:

@@ -404,25 +404,21 @@ _PREIMAGES = {kind: _preimage_plan(_LOCAL[inverse]) for kind, inverse in _INVERS
 # ----------------------------------------------------------------------
 # each kind's tables written out as straight-line kernels, compiled once
 
-# A forward kernel's tests on a row, and the rule key when the tests set in
-# s pass, by s; a 1-qubit kind sits on p == q, so slot 1 repeats slot 0.
-_TESTS = {
-    1: (("x & P", "z & P"), (0b0000, 0b0011, 0b1100, 0b1111)),
-    2: (("x & P", "x & Q", "z & P", "z & Q"), range(16)),
-}
+_TESTS = ("x & P", "x & Q", "z & P", "z & Q")  # rule key bit j -> its test on a row
 _MASKS = ("", "P", "Q", "M")  # slot bits -> the kernel's qubit masks
 
 
 def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
     """``forward_<kind>(xs, zs, ks, p, q, start)``: one decision tree per
     group of the outputs dx, dz, dk that read a common test, over the tests
-    the group reads; a leaf stores only what its rule entry changes."""
-    tests, keys = _TESTS[len(_GATE_IMAGES[kind]) // 2]
-    entries = [rule[key] for key in keys]
+    the group reads; a leaf stores only what its rule entry changes.
+    Every kind is read on the same four tests, one per bit of the rule's
+    key.  A 1-qubit kind's rule never reads slot 1, so its trees drop the
+    slot-1 tests, and the prologue sets Q and M only for a body using them."""
     groups: list[tuple[list[int], int]] = []  # (outputs, tests read), no test in two
     for out in range(3):
-        col = [e[out] for e in entries]
-        flips = ([col[s ^ 1 << j] for s in range(len(col))] for j in range(len(tests)))
+        col = [e[out] for e in rule]
+        flips = ([col[key ^ 1 << j] for key in range(16)] for j in range(4))
         reads = sum(1 << j for j, flipped in enumerate(flips) if flipped != col)
         outs = [out]
         for group in [g for g in groups if g[1] & reads]:
@@ -431,7 +427,7 @@ def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
             reads |= group[1]
         if reads:
             groups.append((sorted(outs), reads))
-    loaded = {tests[j][0] for _, reads in groups for j in range(len(tests)) if reads >> j & 1}
+    loaded = {_TESTS[j][0] for _, reads in groups for j in range(4) if reads >> j & 1}
 
     def tree(outs: list[int], vals: list[tuple[int, ...]], j: int, indent: str) -> list[str]:
         """Lines storing ``vals``, the outputs' values indexed by the
@@ -443,7 +439,7 @@ def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
                 return tree(outs, other, j + 1, indent)
             taken = tree(outs, taken, j + 1, indent + "    ")
             other = tree(outs, other, j + 1, indent + "    ")
-            test = tests[j]
+            test = _TESTS[j]
             if not taken:
                 return [indent + "if not " + test + ":"] + other
             return [indent + "if " + test + ":"] + taken + (other and [indent + "else:"] + other)
@@ -457,14 +453,15 @@ def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
                 lines.append("%s%ss[r] = %s ^ %s" % (indent, name, old, _MASKS[d]))
         return lines
 
+    slot1 = any(reads & 0b1010 for _, reads in groups) or any((dx | dz) & 2 for dx, dz, _ in rule)
     lines = [
         "def forward_%s(xs, zs, ks, p, q, start):" % kind,
-        "    P = 1 << p; Q = 1 << q; M = P | Q" if len(tests) > 2 else "    P = 1 << p",
+        "    P = 1 << p; Q = 1 << q; M = P | Q" if slot1 else "    P = 1 << p",
         "    for r in range(start, len(xs)):",
     ]
     lines += ["        %s = %ss[r]" % (name, name) for name in sorted(loaded)]
     for outs, _ in groups:
-        lines += tree(outs, [tuple(e[o] for o in outs) for e in entries], 0, "        ")
+        lines += tree(outs, [tuple(e[o] for o in outs) for e in rule], 0, "        ")
     return "\n".join(lines)
 
 

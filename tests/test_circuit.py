@@ -300,9 +300,35 @@ class TestWriteQc:
         assert parse_qc(write_qc(c)) == c
 
     def test_adjoint_mnemonics(self):
-        c = Circuit.on_qubits(1, [Gate("Sdg", (0,)), Gate("Tdg", (0,))])
-        text = write_qc(c)
-        assert "S* q0" in text and "T* q0" in text
+        # every kind is written with its first mnemonic, and the parser reads
+        # the mnemonics in any case
+        spelled = {
+            "H": "H a", "X": "X a", "Y": "Y a", "Z": "Z a", "S": "S a", "Sdg": "S* a",
+            "T": "T a", "Tdg": "T* a", "CNOT": "tof a b", "TOFFOLI": "tof a b c",
+            "CZ": "Z a b", "CCZ": "Z a b c", "SWAP": "swap a b",
+        }
+        assert set(spelled) == set(ARITY)
+        for kind, line in spelled.items():
+            c = Circuit(("a", "b", "c"), (Gate(kind, tuple(range(ARITY[kind]))),))
+            assert write_qc(c).splitlines()[3] == line
+        cased = {
+            "TOF a b": "CNOT", "Tof a b c": "TOFFOLI", "CNOT a b": "CNOT", "Swap a b": "SWAP",
+            "s* a": "Sdg", "t* a": "Tdg", "z a b": "CZ",
+        }
+        for line, kind in cased.items():
+            (gate,) = parse_qc(f".v a b c\nBEGIN\n{line}\nEND\n").gates
+            assert gate == Gate(kind, tuple(range(ARITY[kind])))
+
+    def test_unwritable_qubit_name_is_refused(self):
+        # '#' would start a comment, and whitespace or an empty name would
+        # change the .v line's tokens: the file would not read back as written
+        for name in ["a#b", "a b", "a\xa0b", ""]:
+            c = Circuit((name, "c"), (Gate("H", (0,)),))
+            with pytest.raises(ValueError, match=re.escape(repr([name]))):
+                write_qc(c)
+        c = Circuit(("a.1", "c_2"), (Gate("CNOT", (0, 1)),))
+        assert write_qc(c).splitlines()[0] == ".v a.1 c_2"
+        assert parse_qc(write_qc(c)) == c
 
     def test_random_round_trip(self):
         rng = random.Random(20250809)
@@ -335,7 +361,7 @@ def qc_circuits(draw):
     """Any circuit ``write_qc`` can express: every gate kind, .i/.o subsets."""
     names = draw(st.lists(QUBIT_NAME, min_size=1, max_size=6, unique=True))
     n = len(names)
-    gate = st.sampled_from([k for k, a in ARITY.items() if a <= n]).flatmap(
+    gate = st.sampled_from([k for k in sorted(ARITY) if ARITY[k] <= n]).flatmap(
         lambda kind: st.permutations(range(n)).map(
             lambda order: Gate(kind, tuple(order[: ARITY[kind]]))
         )

@@ -185,7 +185,8 @@ class TestPlacedRule:
     def test_one_qubit_kind_keeps_its_one_qubit_tables(self, kind):
         """The two-slot tables of a 1-qubit kind agree with the 4-entry rule
         and the plan on slots (0, 2) read off its 1-qubit tableau, and no
-        entry touches slot 1."""
+        entry touches slot 1: none writes it, and the rule never reads it,
+        which lets the forward kernel's trees drop the slot-1 tests."""
         local = CliffordTableau(1, *([P(label)] for label in tableau._GATE_IMAGES[kind]))
         rule = tableau._RULES[kind]
         for x in (0, 1):
@@ -194,6 +195,7 @@ class TestPlacedRule:
                 # a gate on p == q meets only keys whose slot 1 repeats slot 0
                 assert rule[x * 3 | z * 12] == (x ^ nx, z ^ nz, (nk - (x & z)) & 3)
         assert all(not (dx | dz) & 2 for dx, dz, _ in rule)
+        assert all(rule[key] == rule[key & 0b0101] for key in range(16))
         inverse, slot, plan = local.invert(), (0, 2), []
         for j in (0, 1):
             k = inverse._k[j]
