@@ -6,7 +6,7 @@ T contributes one rotation whose axis is the prefix-conjugated Z of its
 target qubit, and all Clifford gates accumulate into the tail.  Extraction
 keeps the inverse Clifford prefix as one tableau, whose integer rows (X
 mask, Z mask and i exponent per generator image) it rewrites in place, at
-most four per Clifford gate, by the gate kind's plan compiled at import.
+most four per Clifford gate, by the gate kind's compiled preimage kernel.
 A :class:`RotationForm` holds its rotations as int rows of the same kind,
 which extraction copies off the prefix and the fold reads and returns, so
 neither builds a :class:`Rotation` or a :class:`~trotopt.pauli.PauliProduct`;
@@ -36,6 +36,7 @@ from .pauli import PauliProduct
 from .tableau import (
     CliffordTableau,
     DependentSetError,
+    _PREIMAGE_KERNELS,
     _dependent_indices,
     _diagonalize_with_gates,
     _lowerings,
@@ -109,6 +110,8 @@ class RotationForm:
         self._x, self._z, self._k = _rows((r.pauli for r in rotations), n)
         if tail.n != n:
             raise ValueError("tail Clifford width does not match qubit count")
+        if source is not None and source.n != n:
+            raise ValueError("source circuit width does not match qubit count")
         self._origins = [r.origin for r in rotations]
         given = [origin for origin in self._origins if origin is not None]
         if len(set(given)) != len(given):
@@ -153,14 +156,15 @@ class RotationForm:
 def to_rotation_form(circuit: Circuit) -> RotationForm:
     """Single left-to-right pass over one tableau, the inverse Clifford prefix.
 
-    A Clifford gate rewrites only its qubits' rows in place; a T on qubit q
-    copies its axis straight off the Z row for q (a Tdg flips its sign) into
-    the form's rows.  The form keeps the prefix as its tail's inverse; the
-    tail is one ``invert()`` of it, built on first read.
+    A Clifford gate rewrites only its qubits' rows in place, by its kind's
+    preimage kernel; a kind with none, such as an unexpanded CCZ, raises
+    :class:`UnsupportedGateError`.  A T on qubit q copies its axis straight
+    off the Z row for q (a Tdg flips its sign) into the form's rows.  The
+    form keeps the prefix as its tail's inverse; the tail is one
+    ``invert()`` of it, built on first read.
     """
     n = circuit.n
     inverse_prefix = CliffordTableau.identity(n)
-    precompose = inverse_prefix._precompose_inverse
     xs, zs, ks = inverse_prefix._x, inverse_prefix._z, inverse_prefix._k
     axes_x: list[int] = []
     axes_z: list[int] = []
@@ -175,12 +179,10 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
             axes_k.append(ks[r] ^ 2 if kind == "Tdg" else ks[r])
             origins.append(index)
             continue
-        try:
-            precompose(gate)
-        except UnsupportedGateError:
-            raise UnsupportedGateError(
-                f"{kind} at index {index}: expand() the circuit first"
-            ) from None
+        kernel = _PREIMAGE_KERNELS.get(kind)
+        if kernel is None:
+            raise UnsupportedGateError(f"{kind} at index {index}: expand() the circuit first")
+        kernel(xs, zs, ks, gate.qubits, n)
 
     return RotationForm._from_rows(
         n, axes_x, axes_z, axes_k, origins, lambda: inverse_prefix, circuit
@@ -255,6 +257,7 @@ def synthesize_schedule(form: RotationForm, layers: Sequence[Sequence[int]]) -> 
     their order is the caller's to keep: anticommuting rotations keep theirs.
     """
     n, xs, zs = form.n, form._x, form._z
+    layers = [tuple(layer) for layer in layers]  # read three times below
     if sorted(v for layer in layers for v in layer) != list(range(len(xs))):
         raise ValueError("layers must list every rotation index exactly once")
     bits = ([xs[v] | zs[v] << n for v in layer] for layer in layers)

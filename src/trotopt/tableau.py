@@ -33,11 +33,12 @@ and its lowering onto {H, S, CNOT, X, Z} and its inverse's are looked up in
 one table memoized on (kind, qubits) (:func:`_lowerings`).  The
 diagonalizer walks the set bits of a pivot row's masks, so each of its
 loops costs one step per gate it emits, not one per qubit.
-Public methods return new tableaux.  The underscored in-place updates
-(:func:`_conjugate_rows`, ``_apply_s_rotation``, ``_precompose_inverse``)
-are for callers that own the rows: extraction's inverse prefix, the fold's
-frame, the diagonalizer, and tableau synthesis, which rebuilds its phase
-layer on n X rows and returns it apart from the diagonalizer's gates.
+Public methods return new tableaux.  Callers that own the rows update
+them in place, each calling a kind's kernel with the gate's qubit tuple:
+from :data:`_FORWARD_KERNELS` the diagonalizer and tableau synthesis, which
+rebuilds its phase layer on n X rows apart from the diagonalizer's gates,
+and from :data:`_PREIMAGE_KERNELS` extraction's inverse prefix.  The fold's
+frame runs ``_apply_s_rotation``.
 """
 
 from __future__ import annotations
@@ -114,27 +115,6 @@ def _product(
     return ox, oz, k & 3
 
 
-def _conjugate_rows(
-    xs: list[int], zs: list[int], ks: list[int], gate: Gate, start: int = 0
-) -> None:
-    """Conjugate rows ``start`` and up by ``gate`` in place; a gate fixes
-    every row off its qubits.  Rows below ``start`` are left as they are:
-    the caller knows the gate fixes them.
-
-    The kind's forward kernel, generated at import from its rule in
-    :data:`_RULES` (:func:`_forward_source`), runs on the gate's first and
-    last qubits p and q, the same qubit for a 1-qubit gate.  It tests the
-    row bits among x_p x_q z_p z_q that the rule reads, as a decision tree,
-    and stores only what the entry it reaches changes, so a row off the
-    gate's qubits is not written.
-    """
-    kernel = _FORWARD_KERNELS.get(gate.kind)
-    if kernel is None:
-        raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
-    qubits = gate.qubits
-    kernel(xs, zs, ks, qubits[0], qubits[-1], start)
-
-
 class CliffordTableau:
     """Images of the X_i / Z_i generators under a Clifford unitary.
 
@@ -172,7 +152,10 @@ class CliffordTableau:
         """The gates' tableau: the 2n generator rows pushed through every gate."""
         t = cls.identity(circuit.n)
         for g in circuit.gates:
-            _conjugate_rows(t._x, t._z, t._k, g)
+            kernel = _FORWARD_KERNELS.get(g.kind)
+            if kernel is None:
+                raise UnsupportedGateError(f"{g.kind} is not a Clifford tableau update")
+            kernel(t._x, t._z, t._k, g.qubits, 0)
         return t
 
     @classmethod
@@ -245,25 +228,6 @@ class CliffordTableau:
                 if (k ^ (nx & nz).bit_count()) & 1:
                     raise InvariantError("anti-Hermitian image in s_rotation")
                 xs[r], zs[r], ks[r] = nx, nz, k & 3
-
-    def _precompose_inverse(self, gate: Gate) -> None:
-        """Make C into C composed with gate^-1 applied first.
-
-        Only the X and Z rows of the gate's qubits change (at most four),
-        each to i^k times one old row or the product of two, as the kind's
-        plan in :data:`_PREIMAGES` says.  The plan's slots are the rows X_p,
-        X_q, Z_p, Z_q of the gate's first and last qubits p and q, the same
-        qubit for a 1-qubit gate.  The kind's preimage kernel, that plan
-        written out at import (:func:`_preimage_source`), forms each
-        product with :func:`_product`'s phase for two rows and raises
-        :class:`InvariantError` on an anti-Hermitian one before it stores
-        any row.
-        """
-        kernel = _PREIMAGE_KERNELS.get(gate.kind)
-        if kernel is None:
-            raise UnsupportedGateError(f"{gate.kind} is not a Clifford tableau update")
-        qubits = gate.qubits
-        kernel(self._x, self._z, self._k, qubits[0], qubits[-1], self.n)
 
     # ------------------------------------------------------------------
     # core operations
@@ -374,8 +338,9 @@ def _forward_rule(local: CliffordTableau) -> tuple[tuple[int, int, int], ...]:
 def _preimage_plan(inverse: CliffordTableau) -> tuple[tuple[int, int, int, int], ...]:
     """How precomposing a gate's inverse rewrites its qubits' rows.
 
-    The two-slot local rows X_0, X_1, Z_0, Z_1 are the slots X_p, X_q,
-    Z_p, Z_q (see :meth:`CliffordTableau._precompose_inverse`).  An entry
+    The two-slot local rows X_0, X_1, Z_0, Z_1 are the rows X_p, X_q, Z_p,
+    Z_q of the gate's first and last qubits, which the preimage kernels
+    (:func:`_preimage_source`) read and write.  An entry
     (d, f, g, k) says: the row in slot d becomes i^k times the old row in
     slot f, or times the product of the old rows in slots f < g when g is
     nonzero, which are the bits and phase of the inverse's local row.
@@ -409,9 +374,12 @@ _MASKS = ("", "P", "Q", "M")  # slot bits -> the kernel's qubit masks
 
 
 def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
-    """``forward_<kind>(xs, zs, ks, p, q, start)``: one decision tree per
-    group of the outputs dx, dz, dk that read a common test, over the tests
-    the group reads; a leaf stores only what its rule entry changes.
+    """``forward_<kind>(xs, zs, ks, qubits, start)`` conjugates rows
+    ``start`` and up in place by the gate; the rule's slots are its first
+    and last qubits p and q, one qubit for a 1-qubit gate.  One decision
+    tree per group of the outputs dx, dz, dk that read a common test, over
+    the tests the group reads; a leaf stores only what its rule entry
+    changes, so a row off the gate's qubits is not written.
     Every kind is read on the same four tests, one per bit of the rule's
     key.  A 1-qubit kind's rule never reads slot 1, so its trees drop the
     slot-1 tests, and the prologue sets Q and M only for a body using them."""
@@ -455,8 +423,8 @@ def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
 
     slot1 = any(reads & 0b1010 for _, reads in groups) or any((dx | dz) & 2 for dx, dz, _ in rule)
     lines = [
-        "def forward_%s(xs, zs, ks, p, q, start):" % kind,
-        "    P = 1 << p; Q = 1 << q; M = P | Q" if slot1 else "    P = 1 << p",
+        "def forward_%s(xs, zs, ks, qubits, start):" % kind,
+        "    P = 1 << qubits[0]" + "; Q = 1 << qubits[-1]; M = P | Q" * slot1,
         "    for r in range(start, len(xs)):",
     ]
     lines += ["        %s = %ss[r]" % (name, name) for name in sorted(loaded)]
@@ -466,13 +434,18 @@ def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
 
 
 def _preimage_source(kind: str, plan: tuple[tuple[int, int, int, int], ...]) -> str:
-    """``preimage_<kind>(xs, zs, ks, p, q, n)``: the plan written out.  The
-    products are formed and checked before any row is stored, so a failed
-    check leaves the rows as they were."""
+    """``preimage_<kind>(xs, zs, ks, qubits, n)`` makes the tableau C on
+    these rows into C after the gate's inverse.  Only the slot rows change,
+    and the prologue binds those the plan reads.  The two-row products take
+    :func:`_product`'s phase and are all checked before any row is stored,
+    so an anti-Hermitian one raises and leaves the rows as they were."""
     rows = ("p", "q", "pn", "qn")
-    read = {s for entry in plan for s in entry[:3]}
-    lines = ["def preimage_%s(xs, zs, ks, p, q, n):" % kind]
-    lines += ["    %s = %s + n" % (rows[s], rows[s - 2]) for s in (2, 3) if s in read]
+    read = {s for d, f, g, _ in plan for s in (d, f, g or f)}  # g == 0: no second row
+    qubit = ("qubits[0]", "qubits[-1]")
+    lines = ["def preimage_%s(xs, zs, ks, qubits, n):" % kind]
+    lines += ["    %s = %s" % (rows[s], qubit[s]) for s in (0, 1) if s in read]
+    lines += ["    %s = %s + n" % (rows[s], rows[s - 2] if s - 2 in read else qubit[s - 2])
+              for s in (2, 3) if s in read]
     targets, values, parities = [], [], []
     for d, f, g, k in plan:
         a, b, dst, phase = rows[f], rows[g], rows[d], " + %d" % k if k else ""
@@ -574,9 +547,8 @@ def _diagonalize_with_gates(
     gates: list[Gate] = []
 
     def emit(kind: str, *qubits: int) -> None:
-        g = _g(kind, *qubits)
-        gates.append(g)
-        _conjugate_rows(xs, zs, ks, g, j)
+        gates.append(_g(kind, *qubits))
+        _FORWARD_KERNELS[kind](xs, zs, ks, qubits, j)
 
     for j in range(m):
         # Fast path: already exactly +-Z_j.
@@ -700,11 +672,11 @@ def synthesize_gates(t: CliffordTableau) -> tuple[list[Gate], list[Gate]]:
 
     lx, lz, lk = [1 << i for i in range(n)], [0] * n, [0] * n
     for g in phase_gates:
-        _conjugate_rows(lx, lz, lk, g, g.qubits[0])
+        _FORWARD_KERNELS[g.kind](lx, lz, lk, g.qubits, g.qubits[0])
     for i in range(n):
         if lk[i] != dk[i]:
             phase_gates.append(_g("Z", i))
-            _conjugate_rows(lx, lz, lk, phase_gates[-1], i)
+            _FORWARD_KERNELS["Z"](lx, lz, lk, (i,), i)
     if (lx, lz, lk) != (dx, dz, dk):
         raise InvariantError("phase-layer reconstruction failed")
     return phase_gates, diag_gates

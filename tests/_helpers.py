@@ -19,7 +19,13 @@ from trotopt import (
     TGraph,
     synthesize,
 )
-from trotopt.tableau import _PREIMAGES, _RULES, InvariantError, _dependent_indices
+from trotopt.tableau import (
+    _FORWARD_KERNELS,
+    _PREIMAGES,
+    _RULES,
+    InvariantError,
+    _dependent_indices,
+)
 from trotopt.verify import _ONE_QUBIT
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -108,12 +114,13 @@ def random_tableau(n: int, rng: random.Random, depth: int | None = None):
     return CliffordTableau.from_circuit(circuit), circuit
 
 
-def reference_conjugate_rows(xs, zs, ks, kind: str, p: int, q: int, start: int) -> None:
+def reference_conjugate_rows(xs, zs, ks, kind: str, qubits: tuple[int, ...], start: int) -> None:
     """The forward rule read as a table: the reference for the generated
     forward kernels, with their signature.  Each meeting row's bits x_p x_q
-    z_p z_q, from the low bit up, index ``_RULES[kind]`` once, which gives
-    the slot bits to flip and the phase to add."""
-    rule = _RULES[kind]
+    z_p z_q on the first and last qubits p and q, from the low bit up,
+    index ``_RULES[kind]`` once, which gives the slot bits to flip and the
+    phase to add."""
+    rule, p, q = _RULES[kind], qubits[0], qubits[-1]
     place = (0, 1 << p, 1 << q, 1 << p | 1 << q)  # slot bits -> qubit bits
     mask = place[3]
     for r in range(start, len(xs)):
@@ -126,11 +133,12 @@ def reference_conjugate_rows(xs, zs, ks, kind: str, p: int, q: int, start: int) 
             ks[r] = (ks[r] + dk) & 3
 
 
-def reference_precompose_inverse(xs, zs, ks, kind: str, p: int, q: int, n: int) -> None:
+def reference_precompose_inverse(xs, zs, ks, kind: str, qubits: tuple[int, ...], n: int) -> None:
     """The preimage plan read as a table: the reference for the generated
     preimage kernels, with their signature.  Each entry of
     ``_PREIMAGES[kind]`` makes a slot row i^k times one old row or the
     product of two, every new row formed before the first is stored."""
+    p, q = qubits[0], qubits[-1]
     at = (p, q, p + n, q + n)
     new = []
     for dst, a, b, k in _PREIMAGES[kind]:
@@ -146,6 +154,15 @@ def reference_precompose_inverse(xs, zs, ks, kind: str, p: int, q: int, n: int) 
         new.append((at[dst], x, z, k & 3))
     for r, x, z, k in new:
         xs[r], zs[r], ks[r] = x, z, k
+
+
+def patch_forward_kernels(monkeypatch, wrap) -> None:
+    """For one test, set every kind's entry in ``_FORWARD_KERNELS`` to
+    ``wrap(kind, kernel)``.  Each row update looks its kernel up when it
+    runs, so the diagonalizer, the phase layer and ``from_circuit`` call
+    the replacements."""
+    for kind, kernel in list(_FORWARD_KERNELS.items()):
+        monkeypatch.setitem(_FORWARD_KERNELS, kind, wrap(kind, kernel))
 
 
 def count_tableau_calls(monkeypatch, *names: str) -> list[str]:

@@ -15,6 +15,7 @@ from trotopt import (
     apply_edit_plan,
     equivalent_up_to_phase,
     from_rotation_form_resynth,
+    layerize,
     optimize,
     parse_qc,
     synthesize,
@@ -245,6 +246,17 @@ class TestResynth:
             assert list(out.gates) == per_rotation_gates(form)
             assert out.n == c.n
 
+    def test_schedule_takes_one_shot_layers(self, mod5_4_text):
+        """The layers are read three times (the index check, the ancilla
+        count, the emission), so an iterator of layers, or of indices, must
+        give the circuit the tuples give."""
+        form = optimize(to_rotation_form(parse_qc(mod5_4_text).expand())).form
+        layers = layerize(form).layers
+        want = synthesize_schedule(form, layers)
+        assert (want.counts().t_count, want.n) == (8, 9)
+        assert synthesize_schedule(form, iter(layers)) == want
+        assert synthesize_schedule(form, [iter(layer) for layer in layers]) == want
+
 
 class TestEditPlan:
     def test_all_keep_is_identity(self):
@@ -314,6 +326,14 @@ class TestRotationType:
             RotationForm(2, [Rotation(P("ZI")), Rotation(P("Z"))], CliffordTableau.identity(2))
         with pytest.raises(ValueError, match="^tail Clifford width does not match qubit count$"):
             RotationForm(2, (), CliffordTableau.identity(3))
+
+    def test_source_of_another_width_rejected(self):
+        """Layered output takes its qubit names and .i line from the
+        source, so a wider one would put the ancillas' gates on a data qubit."""
+        source = Circuit.on_qubits(3)
+        with pytest.raises(ValueError, match="^source circuit width does not match qubit count$"):
+            RotationForm(2, (), CliffordTableau.identity(2), source)
+        assert RotationForm(3, (), CliffordTableau.identity(3), source).source is source
 
     @pytest.mark.parametrize(
         "labels, origins", [(("Z", "-Z"), (0, 0)), (("Z", "Z"), (0, 0)), (("X", "Z", "Y"), (0, 1, 0))]
