@@ -72,6 +72,8 @@ def optimize(form: RotationForm) -> OptimizeResult:
     lacks an origin.  The surviving form's tail is ``form``'s tail after
     the inverse of the frame, held as a function that builds its inverse
     (one ``compose``, none if no merge moved the frame) when first read.
+    Its skeleton is ``form``'s with this plan's replacements added, and
+    there is none when ``form`` has none or the plan is None.
     """
     stats = OptimizeStats(t_before=len(form._x))
 
@@ -158,8 +160,12 @@ def optimize(form: RotationForm) -> OptimizeResult:
     low = (1 << n) - 1
     xs = [p & low for p in keys]
     zs = [p >> n for p in keys]
-    out_form = RotationForm._from_rows(n, xs, zs, ks, origins, inverse_tail, form.source)
     plan = None if None in deletions | replacements else EditPlan(deletions, replacements)
+    # the skeleton squares the gates this fold replaced and those every fold before it did
+    replaced = None
+    if plan is not None and form._replaced is not None:
+        replaced = form._replaced | plan.replacements
+    out_form = RotationForm._from_rows(n, xs, zs, ks, origins, inverse_tail, form.source, replaced)
     stats.t_after = len(keys)
     return OptimizeResult(out_form, plan, stats)
 

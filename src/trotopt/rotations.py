@@ -20,12 +20,20 @@ built only when read.  The way back is layer synthesis: each layer of
 commuting rotations becomes one parallel T layer, with ancillas for
 dependent layers, and each diagonalizing gate is lowered, forward and
 adjoint, by one lookup in the tableau module's memoized table;
-resynthesis is the schedule of singleton layers.  Global
-phase is dropped throughout; equivalence is always modulo phase.
+resynthesis is the schedule of singleton layers.  The schedule ends with
+the shorter of two exact tails.  One is the tail synthesized by Gaussian
+elimination, about n^2/2 CNOTs on a generic tail however short the input.
+The other is the form's skeleton, the in-place output less its T gates,
+which grows with the input instead: in the in-place output each merge's S
+stands where the earlier T stood, and extraction pushes it through the
+later gates as the fold's frame does, so the skeleton's tableau is the
+tail.  Global phase is dropped throughout; equivalence is always modulo
+phase.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
@@ -39,11 +47,17 @@ from .tableau import (
     _PREIMAGE_KERNELS,
     _dependent_indices,
     _diagonalize_with_gates,
+    _lower_synthesized,
+    _lowered_counts,
     _lowerings,
     _pauli,
     _rows,
-    synthesize,
+    synthesize_gates,
 )
+
+# The phase gate that squares each T kind: an edit plan's replacement, and
+# what a form's skeleton keeps at each replaced gate.
+_REPLACEMENT = {"T": "S", "Tdg": "Sdg"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,6 +111,12 @@ class RotationForm:
     :attr:`_inverse_tail`.  The tail is one ``invert()`` of that; a form
     built from a tableau reads it as the tableau it was given.  Two
     rotations may not share an origin gate; synthetic ones (None) may.
+
+    A form from extraction or a fold also knows its skeleton, a circuit of
+    the source's Clifford gates whose tableau is the tail: ``_replaced``
+    holds the source's T/Tdg gates the skeleton keeps, as S/Sdg, and
+    :meth:`_skeleton` builds it.  A form from the public constructor, or
+    from a fold without an edit plan, has none (``_replaced`` is None).
     """
 
     def __init__(
@@ -116,21 +136,33 @@ class RotationForm:
         given = [origin for origin in self._origins if origin is not None]
         if len(set(given)) != len(given):
             raise ValueError("two rotations share an origin gate")
-        self.n, self.source, self._inverse = n, source, tail.invert
+        self.n, self.source, self._inverse, self._replaced = n, source, tail.invert, None
         self.rotations = rotations
         self.tail_clifford = tail
 
     @classmethod
-    def _from_rows(cls, n, xs, zs, ks, origins, inverse_tail, source) -> RotationForm:
+    def _from_rows(cls, n, xs, zs, ks, origins, inverse_tail, source, replaced) -> RotationForm:
         """A form that takes ownership of the row lists, unchecked.
 
         ``inverse_tail`` is a no-argument function that builds the tail's
-        inverse, called once, when either is first read.
+        inverse, called once, when either is first read.  ``replaced`` is
+        the skeleton's S/Sdg gates, or None for no skeleton.
         """
         form = cls.__new__(cls)
-        form.n, form.source, form._inverse = n, source, inverse_tail
+        form.n, form.source, form._inverse, form._replaced = n, source, inverse_tail, replaced
         form._x, form._z, form._k, form._origins = xs, zs, ks, origins
         return form
+
+    def _skeleton(self) -> list[Gate]:
+        """The source's gates with every T and Tdg dropped, except the
+        replaced ones, which become S and Sdg: the in-place output less its
+        T gates, whose tableau is the tail."""
+        replaced = self._replaced
+        return [
+            _g(_REPLACEMENT[g.kind], *g.qubits) if index in replaced else g
+            for index, g in enumerate(self.source.gates)
+            if g.kind not in _REPLACEMENT or index in replaced
+        ]
 
     @cached_property
     def rotations(self) -> tuple[Rotation, ...]:
@@ -161,7 +193,8 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
     :class:`UnsupportedGateError`.  A T on qubit q copies its axis straight
     off the Z row for q (a Tdg flips its sign) into the form's rows.  The
     form keeps the prefix as its tail's inverse; the tail is one
-    ``invert()`` of it, built on first read.
+    ``invert()`` of it, built on first read.  Its skeleton is the
+    circuit's Clifford gates.
     """
     n = circuit.n
     inverse_prefix = CliffordTableau.identity(n)
@@ -185,7 +218,7 @@ def to_rotation_form(circuit: Circuit) -> RotationForm:
         kernel(xs, zs, ks, gate.qubits, n)
 
     return RotationForm._from_rows(
-        n, axes_x, axes_z, axes_k, origins, lambda: inverse_prefix, circuit
+        n, axes_x, axes_z, axes_k, origins, lambda: inverse_prefix, circuit, frozenset()
     )
 
 
@@ -244,8 +277,30 @@ def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
     return Circuit.on_qubits(n, gates)
 
 
+def _tail_gates(form: RotationForm) -> list[Gate]:
+    """The form's tail over {H, S, CNOT, X, Z}: the lowered skeleton if it has
+    fewer CNOTs than ``synthesize(form.tail_clifford)``, or as many and fewer
+    H; else, and for a form with no skeleton, that synthesized tail.
+
+    The skeleton's counts are read off its source's gate kinds, since an
+    S or Sdg lowers to no CNOT and no H, and it is built only when it wins.
+    The elimination stops once its W alone lowers to more CNOTs than the
+    skeleton, which then wins."""
+    skeleton = None if form._replaced is None else _lowered_counts(form.source.counts().by_kind)
+    budget = None if skeleton is None else skeleton[0]
+    synthesized = synthesize_gates(form.tail_clifford, budget)
+    if synthesized is not None:
+        kinds = Counter(g.kind for part in synthesized for g in part)
+        if skeleton is None or _lowered_counts(kinds) <= skeleton:
+            return _lower_synthesized(*synthesized)
+    return [low for g in form._skeleton() for low in _lowerings(g.kind, *g.qubits)[0]]
+
+
 def synthesize_schedule(form: RotationForm, layers: Sequence[Sequence[int]]) -> Circuit:
-    """One T layer per entry of ``layers`` (rotation indices), then the tail.
+    """One T layer per entry of ``layers`` (rotation indices), then the tail,
+    as the shorter of two exact circuits (:func:`_tail_gates`): the form's
+    skeleton, or the tail Clifford synthesized by Gaussian elimination.  A
+    form from the public constructor has no skeleton and takes the latter.
 
     All layers share t = max(|layer| - GF(2) rank) ancillas, the fewest that
     make every layer independent; they follow the data qubits as the first
@@ -267,7 +322,7 @@ def synthesize_schedule(form: RotationForm, layers: Sequence[Sequence[int]]) -> 
     for layer in layers:
         members = [rotations[v] for v in layer]
         gates.extend(synthesize_layer(extend_with_ancillas(members, t)).gates)
-    gates.extend(synthesize(form.tail_clifford).gates)
+    gates.extend(_tail_gates(form))
     source = form.source if form.source is not None else Circuit.on_qubits(form.n)
     spare = (f"anc{i}" for i in count() if f"anc{i}" not in source.qubit_names)
     names = source.qubit_names + tuple(islice(spare, t))
@@ -279,15 +334,16 @@ def from_rotation_form_resynth(form: RotationForm) -> Circuit:
     """Re-emit every rotation as its own T layer plus a synthesized tail.
 
     Each rotation becomes W, T (or Tdg for a negative axis) on qubit 0,
-    W-adjoint, where W diagonalizes the axis onto Z_0; the tail Clifford is
-    synthesized by Gaussian elimination.  CNOT count may grow in this mode.
+    W-adjoint, where W diagonalizes the axis onto Z_0.  The tail is the
+    form's skeleton or the tail Clifford synthesized by Gaussian
+    elimination, whichever lowers to fewer CNOTs (:func:`synthesize_schedule`).
+    CNOT count may still grow in this mode, through the W and W-adjoint.
     """
     return synthesize_schedule(form, [(i,) for i in range(len(form.rotations))])
 
 
 def apply_edit_plan(circuit: Circuit, plan: EditPlan) -> Circuit:
     """Apply deletions/replacements in place; all other gates keep position."""
-    _REPLACEMENT = {"T": "S", "Tdg": "Sdg"}
     for index in plan.deletions | plan.replacements:
         if not 0 <= index < len(circuit.gates):
             raise ValueError(f"edit index {index} out of range")

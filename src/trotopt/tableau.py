@@ -44,7 +44,7 @@ frame runs ``_apply_s_rotation``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -515,8 +515,8 @@ def _dependent_indices(rows: list[int]) -> list[int]:
 
 
 def _diagonalize_with_gates(
-    xs: list[int], zs: list[int], ks: list[int], n: int, m: int
-) -> list[Gate]:
+    xs: list[int], zs: list[int], ks: list[int], n: int, m: int, budget: int | None = None
+) -> list[Gate] | None:
     """Gates, in application order, of a Clifford C with C R_j C^dagger == +Z_j
     for the first ``m`` int rows R_j = i^ks[j] X^xs[j] Z^zs[j] on ``n`` qubits.
 
@@ -540,17 +540,28 @@ def _diagonalize_with_gates(
     The input rows, copied before the first gate, must confirm either, or
     it is a broken gate rule (:class:`InvariantError`); the messages print
     them.  On several defects the first failing pivot decides, and the pair
-    named is the first by j, then by i."""
+    named is the first by j, then by i.
+
+    With a ``budget``, each pivot first sums the lowered CNOTs of the gates
+    emitted so far, and the elimination stops, returning None, at the first
+    pivot where they exceed it."""
     if not m:
         raise ValueError("need at least one Pauli to diagonalize")
     x0, z0, k0 = xs[:m], zs[:m], ks[:m]  # the input rows
     gates: list[Gate] = []
+    counted = spent = 0  # with a budget: the lowered CNOTs of gates[:counted]
 
     def emit(kind: str, *qubits: int) -> None:
         gates.append(_g(kind, *qubits))
         _FORWARD_KERNELS[kind](xs, zs, ks, qubits, j)
 
     for j in range(m):
+        if budget is not None:
+            spent += sum(_LOWERED_COUNTS[g.kind][0] for g in gates[counted:])
+            counted = len(gates)
+            if spent > budget:
+                return None
+
         # Fast path: already exactly +-Z_j.
         zbit = 1 << j
         if xs[j] == 0 and zs[j] == zbit:
@@ -628,6 +639,28 @@ def _lower_gate(g: Gate) -> tuple[Gate, ...]:
     return (g,)
 
 
+# The CNOT and H counts of each Clifford kind's lowering; a kind's inverse
+# lowers to as many of each.
+_LOWERED_COUNTS = {
+    kind: tuple(
+        sum(low.kind == target for low in _lower_gate(_g(kind, *range(len(images) // 2))))
+        for target in ("CNOT", "H")
+    )
+    for kind, images in _GATE_IMAGES.items()
+}
+
+
+def _lowered_counts(kinds: Mapping[str, int]) -> tuple[int, int]:
+    """The (CNOT, H) counts of lowering gates of these kinds, the number of
+    each given; non-Clifford kinds count nothing."""
+    cnots = hs = 0
+    for kind, (c, h) in _LOWERED_COUNTS.items():
+        count = kinds.get(kind, 0)
+        cnots += c * count
+        hs += h * count
+    return cnots, hs
+
+
 @lru_cache(maxsize=1 << 16)
 def _lowerings(kind: str, *qubits: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
     """(``_lower_gate(g)``, ``_lower_gate(inverse_gate(g))``) for g = ``_g(kind, *qubits)``.
@@ -639,11 +672,15 @@ def _lowerings(kind: str, *qubits: int) -> tuple[tuple[Gate, ...], tuple[Gate, .
     return _lower_gate(g), _lower_gate(inverse_gate(g))
 
 
-def synthesize_gates(t: CliffordTableau) -> tuple[list[Gate], list[Gate]]:
+def synthesize_gates(
+    t: CliffordTableau, budget: int | None = None
+) -> tuple[list[Gate], list[Gate]] | None:
     """(P, W), in application order: P, of S, CZ and Z gates, then W's
     inverse, gate by gate from the last, has tableau ``t``; no optimality.
     P is checked on n rows, X_i conjugated by it in place against W's images
-    of t's X rows.  A non-symplectic ``t`` raises ``validate``'s error."""
+    of t's X rows.  A non-symplectic ``t`` raises ``validate``'s error.
+    With a ``budget``, None once W's gates, lowered, hold more CNOTs than
+    that: the elimination checks at each pivot and stops there."""
     n = t.n
     if not n:
         return [], []
@@ -651,10 +688,12 @@ def synthesize_gates(t: CliffordTableau) -> tuple[list[Gate], list[Gate]]:
     # which the post-check leaves exactly +Z_i.
     xs, zs, ks = (rows[n:] + rows[:n] for rows in (t._x, t._z, t._k))
     try:
-        diag_gates = _diagonalize_with_gates(xs, zs, ks, n, n)
+        diag_gates = _diagonalize_with_gates(xs, zs, ks, n, n, budget)
     except (NonCommutingError, DependentSetError):
         t.validate()
         raise
+    if diag_gates is None:
+        return None
     dx, dz, dk = xs[n:], zs[n:], ks[n:]
 
     # d fixes every Z_i exactly, so it is a layer of S/CZ gates up to Pauli-Z
@@ -682,9 +721,14 @@ def synthesize_gates(t: CliffordTableau) -> tuple[list[Gate], list[Gate]]:
     return phase_gates, diag_gates
 
 
-def synthesize(t: CliffordTableau) -> Circuit:
-    """A circuit over {H, S, CNOT, X, Z} whose tableau equals ``t``."""
-    phase_gates, diag_gates = synthesize_gates(t)
+def _lower_synthesized(phase_gates: list[Gate], diag_gates: list[Gate]) -> list[Gate]:
+    """:func:`synthesize_gates`' (P, W) as gates over {H, S, CNOT, X, Z}: P
+    lowered, then W's inverse lowered gate by gate from the last."""
     gates = [low for g in phase_gates for low in _lowerings(g.kind, *g.qubits)[0]]
     gates += [low for g in reversed(diag_gates) for low in _lowerings(g.kind, *g.qubits)[1]]
-    return Circuit.on_qubits(t.n, gates)
+    return gates
+
+
+def synthesize(t: CliffordTableau) -> Circuit:
+    """A circuit over {H, S, CNOT, X, Z} whose tableau equals ``t``."""
+    return Circuit.on_qubits(t.n, _lower_synthesized(*synthesize_gates(t)))

@@ -39,6 +39,10 @@ DEFAULT_QUBIT_CAP = 10
 # Largest 2^n x 2^n complex128 unitary the oracle allocates: 1 GiB, n = 13.
 _MAX_UNITARY_BYTES = 1 << 30
 
+# Largest block of u^dagger u the unitarity check forms: 64 MiB, so a unitary
+# of up to 11 qubits is checked in one block.
+_CHECK_BLOCK_BYTES = 1 << 26
+
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,10 +103,23 @@ def rotation_matrix(p: PauliProduct) -> np.ndarray:
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
+    """``u``, unless the Frobenius norm of u^dagger u - I exceeds 1e-9.
+
+    The defect's squares are summed over blocks of u^dagger u's rows, each
+    ``u[:, a:b].conj().T @ u`` holding at most ``_CHECK_BLOCK_BYTES``, so
+    the check adds one block's temporaries, not two unitaries; a unitary
+    that small is one block.
+    """
     dim = u.shape[0]
     if not np.isfinite(u).all():  # u^dagger u would warn on an infinite entry
         raise ValueError("matrix is not unitary (non-finite entry)")
-    err = np.linalg.norm(u.conj().T @ u - np.eye(dim), "fro")
+    rows = max(1, _CHECK_BLOCK_BYTES // (16 * dim))
+    squares = 0.0
+    for a in range(0, dim, rows):
+        b = min(a + rows, dim)
+        block = u[:, a:b].conj().T @ u - np.eye(b - a, dim, a)  # rows a..b-1 of u^dagger u - I
+        squares += np.linalg.norm(block, "fro") ** 2
+    err = math.sqrt(squares)
     if not err <= 1e-9:  # a NaN defect compares False both ways, so it fails here
         raise ValueError(f"matrix is not unitary (Frobenius defect {err:.2e})")
     return u

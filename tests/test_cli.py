@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trotopt import (
@@ -23,7 +25,10 @@ from trotopt import (
     circuit,
     cli,
     equivalent_up_to_phase,
+    optimize,
     parse_qc,
+    synthesize,
+    to_rotation_form,
     unitary_of,
     write_qc,
 )
@@ -316,6 +321,24 @@ class TestOptimize:
             source.qubit_names, source.inputs, source.outputs
         )
 
+    def test_resynth_ends_with_the_shorter_tail(self, tmp_path):
+        # Both pairs merge, so no rotation survives.  The synthesized tail
+        # lowers to 2 CNOTs and 6 H, the in-place output's Clifford gates to
+        # 1 CNOT and none, so resynth writes exactly the in-place output.
+        path = tmp_path / "pairs.qc"
+        path.write_text(".v a b\n.i a\nBEGIN\nT a\nT a\ncnot a b\nT b\nT b\nEND\n")
+        outs = {}
+        for mode in ("inplace", "resynth"):
+            outs[mode] = tmp_path / f"{mode}.qc"
+            code, stdout = run_cli("optimize", str(path), "--mode", mode, "-o", str(outs[mode]))
+            record = json.loads(stdout)
+            assert code == 0 and record["verified"] is True
+            assert (record["t_after"], record["cnot_after"], record["h_after"]) == (0, 1, 0)
+        assert outs["resynth"].read_text() == outs["inplace"].read_text()
+        form = optimize(to_rotation_form(parse_qc(path.read_text()))).form
+        tail = synthesize(form.tail_clifford).counts()
+        assert (tail.cnot_count, tail.h_count) == (2, 6)
+
     def test_no_verify_skips_oracle(self):
         code, stdout = run_cli("optimize", str(MOD5_4), "--no-verify")
         assert code == 0
@@ -491,8 +514,10 @@ class TestTdepth:
 
 
 # sha256 of the synthesized .qc text per input and command form.  A change to
-# the diagonalizer's gate order, the phase-layer synthesis or the ancilla
-# tagging shows here first; a deliberate change updates these and says why.
+# the diagonalizer's gate order, the phase-layer synthesis, the ancilla
+# tagging or the choice of tail shows here first; a deliberate change updates
+# these and says why.  r5 (all four forms), r2 unfolded and phase_poly_8
+# folded end in the lowered skeleton, the others in the synthesized tail.
 SYNTHESIS_FORMS = {
     "asap": ("tdepth", "--ancilla"),
     "alap": ("tdepth", "--ancilla", "--alap"),
@@ -518,20 +543,20 @@ SYNTHESIS_SHA256 = {
     ("r1", "resynth"): "1f0a893ec153752c993698f28d6c9c6198a882a4beb79cdf299eae391832d575",
     ("r2", "asap"): "c03e2631b73bc3f3438135024343cf19cb5573afdaa2eab55c53b8fb07f3b630",
     ("r2", "alap"): "0dc3d1c824b63b6faefdf7e72db6089ea232934d22ca229270cf1a6ef5fe3da5",
-    ("r2", "no-optimize"): "295a84a7fcaa5a2719fb74aa4f8d26bd66fd1ef7d46c216096f1dde5122cf4c6",
+    ("r2", "no-optimize"): "7f845b66359e0f9a8842efb3843c5b9fc2a0f2e4465e72f58db336235824314e",
     ("r2", "resynth"): "ae9cb2f4939b12981a11a671daf0e9d495929917481791abc813c918aeda112b",
-    ("r5", "asap"): "202c526446d64b63f196c3204da6a2af371f28337141cb9743d41a4f423b1181",
-    ("r5", "alap"): "202c526446d64b63f196c3204da6a2af371f28337141cb9743d41a4f423b1181",
-    ("r5", "no-optimize"): "556181af43f0e663627f4880ff9796c4336e47f75ed8310428f8d46268d26ed0",
-    ("r5", "resynth"): "0086e4172acb6aeff5e5a3a120d1ac9600c4103f82fba2bbb03ccaeac13aff19",
+    ("r5", "asap"): "692c121fe9a9d2d153212d96f6921ea7554290b78a109954431f2702f18b8322",
+    ("r5", "alap"): "692c121fe9a9d2d153212d96f6921ea7554290b78a109954431f2702f18b8322",
+    ("r5", "no-optimize"): "29dc1a99e72bd84b000a0db469b4ecbd4c200b75efe3123156eb06abbe5b8a1f",
+    ("r5", "resynth"): "517b0897a6b65a37468e7a4c5548e81ff973c58c60bc4632af79471f2dd4ba46",
     ("cuccaro_4", "asap"): "6461bae0f3ba1f9f019e2f8c03e9f5ac129610647a3d273fb04eb3a46f10a674",
     ("cuccaro_4", "alap"): "2f81c7e4e83cbfd4875654bd8aaebe2a2c042fbe66f93e850bd9eaf71cafea6a",
     ("cuccaro_4", "no-optimize"): "5ad927f6c7e46fb913b8b79b3c44c4f360be51955236f00e2593573e5d148d50",
     ("cuccaro_4", "resynth"): "6e5daedc5b91753e0378c7d808c05f7b6bdceb730afd3015dab8c6f2be2dbf2e",
-    ("phase_poly_8", "asap"): "d37638db934228e09ac60552747d42cddd34dfcc6c4bce754569aee48255ea10",
-    ("phase_poly_8", "alap"): "d37638db934228e09ac60552747d42cddd34dfcc6c4bce754569aee48255ea10",
+    ("phase_poly_8", "asap"): "659b25e354098dfc6f465395a56bf99341cb3d3a681f526052290d73fbdbc1f3",
+    ("phase_poly_8", "alap"): "659b25e354098dfc6f465395a56bf99341cb3d3a681f526052290d73fbdbc1f3",
     ("phase_poly_8", "no-optimize"): "8e0a3a0a16e03a4fc646e9c44c86ee447da2f132938a3dadf0a8b0e6545b14dc",
-    ("phase_poly_8", "resynth"): "f33596cebb3c398a4539b498f85dd93e748a9e63445d91d9246dca3c4c7e15cc",
+    ("phase_poly_8", "resynth"): "5366d3445a79d2d02266b53a33a2bec8e8e651ae6ba20f342ecfcb4b3e16dcd1",
 }
 
 # sha256 of `tdepth --dot` per input, with and without folding: the only
@@ -573,6 +598,27 @@ def test_synthesized_outputs_are_pinned(name, tmp_path):
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == SYNTHESIS_SHA256[name, form], (name, form)
+
+
+@pytest.mark.parametrize("name", SYNTHESIS_INPUTS)
+def test_synthesized_outputs_are_exact(name, tmp_path, monkeypatch):
+    # The dense oracle up to 9 qubits, the benchmark's own statevector
+    # check on one random state up to 20; wider outputs, all unfolded
+    # ones, are left to the pins.
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "trotbench"))
+    qcsim = importlib.import_module("qcsim")
+    path = synthesis_input(name, tmp_path)
+    source = parse_qc(path.read_text())
+    out = tmp_path / "out.qc"
+    for form, (command, *flags) in SYNTHESIS_FORMS.items():
+        assert run_cli(command, str(path), *flags, "-o", str(out))[0] == 0
+        result = parse_qc(out.read_text())
+        if result.n <= 9:
+            block = data_block_on_zero_ancillas(unitary_of(result), source.n, result.n - source.n)
+            assert equivalent_up_to_phase(block, unitary_of(source)), (name, form)
+        elif result.n <= 20:
+            ref, got = qcsim.read_qc(path.read_text()), qcsim.read_qc(out.read_text())
+            assert qcsim.equivalent(ref, got, np.random.default_rng(5), k=1), (name, form)
 
 
 # sha256 of the in-place `optimize` .qc text and of its JSON record less

@@ -36,6 +36,12 @@ from _helpers import (
 P = PauliProduct.from_label
 
 
+def lowered_cost(gates):
+    """(CNOT count, H count) of gates already lowered."""
+    kinds = Counter(g.kind for g in gates)
+    return kinds["CNOT"], kinds["H"]
+
+
 class TestToRotationForm:
     def test_single_t(self):
         rf = to_rotation_form(Circuit.on_qubits(1, [Gate("T", (0,))]))
@@ -121,20 +127,24 @@ class TestToRotationForm:
     ]
 
     @staticmethod
-    def _clifford_tail(c):
-        cliffords = [g for g in c.gates if g.kind not in ("T", "Tdg")]
-        return CliffordTableau.from_circuit(Circuit.on_qubits(c.n, cliffords))
+    def _cliffords(c):
+        return [g for g in c.gates if g.kind not in ("T", "Tdg")]
+
+    def _clifford_tail(self, c):
+        return CliffordTableau.from_circuit(Circuit.on_qubits(c.n, self._cliffords(c)))
 
     def _route(self, route):
-        """(form, expected tail) for one route to a tail.  A fold's expected
-        tail is that of the Clifford gates of its edited source circuit."""
+        """(form, expected tail, expected skeleton) for one route to a tail.
+        A fold's expected tail is that of the Clifford gates of its edited
+        source circuit, which are its expected skeleton; a form built by the
+        public constructor, or folded from one, has no skeleton."""
         rng = random.Random(0x7A12)
         c = random_clifford_t_circuit(5, 120, rng, t_weight=0.5)
         if route == "public":
             tail = self._clifford_tail(c)
-            return RotationForm(5, to_rotation_form(c).rotations, tail), tail
+            return RotationForm(5, to_rotation_form(c).rotations, tail), tail, None
         if route == "extraction":
-            return to_rotation_form(c), self._clifford_tail(c)
+            return to_rotation_form(c), self._clifford_tail(c), self._cliffords(c)
         if route == "fold_without_merges":
             c = Circuit.on_qubits(2, [Gate("T", (0,)), Gate("H", (0,)), Gate("CNOT", (0, 1)),
                                       Gate("T", (1,)), Gate("Tdg", (1,)), Gate("S", (1,))])
@@ -148,22 +158,24 @@ class TestToRotationForm:
             result = optimize(result.form)
             plan = EditPlan(plan.deletions | result.plan.deletions,
                             plan.replacements | result.plan.replacements)
-        return result.form, self._clifford_tail(apply_edit_plan(c, plan))
+        edited = apply_edit_plan(c, plan)
+        skeleton = None if route == "fold_of_public" else self._cliffords(edited)
+        return result.form, self._clifford_tail(edited), skeleton
 
     @pytest.mark.parametrize("route", TAIL_ROUTES)
     def test_every_route_to_a_tail(self, route, monkeypatch):
         calls = Counter()
         from_rows = RotationForm._from_rows.__func__
 
-        def counted_from_rows(cls, n, xs, zs, ks, origins, inverse_tail, source):
+        def counted_from_rows(cls, n, xs, zs, ks, origins, inverse_tail, source, replaced):
             def counted():
                 calls[counted] += 1
                 return inverse_tail()
 
-            return from_rows(cls, n, xs, zs, ks, origins, counted, source)
+            return from_rows(cls, n, xs, zs, ks, origins, counted, source, replaced)
 
         monkeypatch.setattr(RotationForm, "_from_rows", classmethod(counted_from_rows))
-        form, expected = self._route(route)
+        form, expected, skeleton = self._route(route)
         for _ in range(3):
             assert form.tail_clifford == expected
             assert form._inverse_tail.invert() == form.tail_clifford
@@ -171,6 +183,11 @@ class TestToRotationForm:
         assert form._inverse_tail is form._inverse_tail
         assert max(calls.values(), default=0) <= 1
         assert bool(calls) == (route != "public")
+        if skeleton is None:
+            assert form._replaced is None
+        else:
+            assert form._skeleton() == skeleton
+            assert CliffordTableau.from_circuit(Circuit.on_qubits(form.n, skeleton)) == expected
 
     def test_public_tail_is_inverted_only_when_a_fold_reads_it(self, monkeypatch):
         inverted = []
@@ -227,7 +244,7 @@ class TestResynth:
             assert equivalent_up_to_phase(unitary_of(out), unitary_of(c))
 
     def test_is_the_singleton_schedule(self, rng):
-        def per_rotation_gates(form):
+        def per_rotation_gates(form, edited):
             gates = []
             for rotation in form.rotations:
                 axis = rotation.pauli
@@ -235,15 +252,22 @@ class TestResynth:
                 gates.extend(low for g in w_gates for low in _lower_gate(g))
                 gates.append(Gate("T" if rotation.pauli.sign > 0 else "Tdg", (0,)))
                 gates.extend(low for g in reversed(w_gates) for low in _lower_gate(inverse_gate(g)))
-            return gates + list(synthesize(form.tail_clifford).gates)
+            # the tail: the in-place output's Clifford gates, lowered, if they
+            # have fewer CNOTs, or as many and fewer H, than the synthesized tail
+            synthesized = list(synthesize(form.tail_clifford).gates)
+            skeleton = [low for g in edited.gates if g.kind not in ("T", "Tdg")
+                        for low in _lower_gate(g)]
+            return gates + (skeleton if lowered_cost(skeleton) < lowered_cost(synthesized)
+                            else synthesized)
 
         for _ in range(30):
             c = random_clifford_t_circuit(rng.randint(1, 5), rng.randint(0, 40), rng)
-            form = optimize(to_rotation_form(c)).form
+            form, plan, _ = optimize(to_rotation_form(c))
+            edited = apply_edit_plan(c, plan)
             out = from_rotation_form_resynth(form)
             singletons = [(i,) for i in range(len(form.rotations))]
             assert out == synthesize_schedule(form, singletons)
-            assert list(out.gates) == per_rotation_gates(form)
+            assert list(out.gates) == per_rotation_gates(form, edited)
             assert out.n == c.n
 
     def test_schedule_takes_one_shot_layers(self, mod5_4_text):
@@ -256,6 +280,90 @@ class TestResynth:
         assert (want.counts().t_count, want.n) == (8, 9)
         assert synthesize_schedule(form, iter(layers)) == want
         assert synthesize_schedule(form, [iter(layer) for layer in layers]) == want
+
+
+def soundness_sweep_circuits():
+    """The 500 circuits of the acceptance suite's soundness sweep, drawn alike."""
+    rng = random.Random(20250809)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        yield random_clifford_t_circuit(n, rng.randint(0, 60), rng)
+
+
+def skeleton_tableau(form):
+    return CliffordTableau.from_circuit(Circuit.on_qubits(form.n, form._skeleton()))
+
+
+def ends_with_synthesized_tail(out, form):
+    tail = synthesize(form.tail_clifford).gates
+    return out.gates[len(out.gates) - len(tail):] == tail
+
+
+class TestShorterTail:
+    """Every synthesized circuit ends with the lowered skeleton when that has
+    fewer CNOTs than the synthesized tail, or as many and fewer H, and with
+    the synthesized tail otherwise."""
+
+    def test_skeleton_and_survivors_on_the_soundness_sweep(self):
+        chosen = Counter()
+        for c in soundness_sweep_circuits():
+            extracted = to_rotation_form(c)
+            assert skeleton_tableau(extracted) == extracted.tail_clifford
+            form, plan, _ = optimize(extracted)
+            assert skeleton_tableau(form) == form.tail_clifford
+            # the survivors are the in-place output's rotations
+            inplace = to_rotation_form(apply_edit_plan(c, plan))
+            assert (inplace._x, inplace._z, inplace._k) == (form._x, form._z, form._k)
+            out = from_rotation_form_resynth(form)
+            assert equivalent_up_to_phase(unitary_of(out), unitary_of(c))
+            chosen[ends_with_synthesized_tail(out, form)] += 1
+        assert chosen[True] and chosen[False]
+
+    def test_skeleton_and_survivors_at_width(self):
+        c = random_clifford_t_circuit(100, 10**4, random.Random(1))
+        form, plan, _ = optimize(to_rotation_form(c))
+        assert skeleton_tableau(form) == form.tail_clifford
+        inplace = to_rotation_form(apply_edit_plan(c, plan))
+        assert (inplace._x, inplace._z, inplace._k) == (form._x, form._z, form._k)
+
+    def test_fold_of_a_fold_is_exact(self, rng):
+        skeletons = 0
+        for _ in range(40):
+            c = random_clifford_t_circuit(rng.randint(1, 5), rng.randint(0, 40), rng)
+            first = optimize(to_rotation_form(c))
+            second = optimize(first.form)
+            assert second.form._replaced == first.plan.replacements | second.plan.replacements
+            out = from_rotation_form_resynth(second.form)
+            assert equivalent_up_to_phase(unitary_of(out), unitary_of(c))
+            skeletons += not ends_with_synthesized_tail(out, second.form)
+        assert skeletons
+
+    def test_public_form_synthesizes_its_tail(self):
+        # r5 of the synthesis pins: its folded form ends with the skeleton
+        c = random_clifford_t_circuit(7, 46, random.Random(5))
+        form = optimize(to_rotation_form(c)).form
+        public = RotationForm(c.n, form.rotations, form.tail_clifford, c)
+        assert public._replaced is None and optimize(public).form._replaced is None
+        singletons = [(i,) for i in range(len(form.rotations))]
+        assert ends_with_synthesized_tail(synthesize_schedule(public, singletons), form)
+        assert not ends_with_synthesized_tail(synthesize_schedule(form, singletons), form)
+
+    @pytest.mark.parametrize(
+        "gates, winner",
+        [
+            ([Gate("CNOT", (0, 1))], "skeleton"),  # CNOT/H 1/0 against 1/4
+            ([Gate("H", (0,)), Gate("H", (0,))], "synthesized"),  # 0/2 against 0/0
+            ([Gate("Sdg", (1,))], "synthesized"),  # S S S against S Z: a tie
+        ],
+    )
+    def test_ties_go_to_fewer_h_then_to_the_synthesized_tail(self, gates, winner):
+        form = to_rotation_form(Circuit.on_qubits(2, gates))
+        tails = {
+            "skeleton": tuple(low for g in gates for low in _lower_gate(g)),
+            "synthesized": synthesize(form.tail_clifford).gates,
+        }
+        assert tails["skeleton"] != tails["synthesized"]
+        assert synthesize_schedule(form, []).gates == tails[winner]
 
 
 class TestEditPlan:

@@ -23,6 +23,7 @@ from trotopt import (
 )
 from trotopt import ARITY, tableau
 from trotopt.tableau import (
+    _LOWERED_COUNTS,
     _dependent_indices,
     _diagonalize_with_gates,
     _exponent,
@@ -734,6 +735,53 @@ class TestSynthesize:
             undone = [inverse_gate(g) for g in reversed(diag_gates)]
             assert CliffordTableau.from_circuit(Circuit.on_qubits(n, phase_gates + undone)) == t
 
+    def test_a_budget_stops_only_past_it(self, rng):
+        """With a budget, the elimination gives the unbudgeted (P, W), or
+        None only when W, lowered, holds more CNOTs than the budget."""
+        stopped = finished = 0
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            t, _ = random_tableau(n, rng)
+            full = synthesize_gates(t)
+            cnots = sum(_LOWERED_COUNTS[g.kind][0] for g in full[1])
+            for budget in {0, cnots // 2, cnots - 1, cnots, cnots + 1} - {-1}:
+                got = synthesize_gates(t, budget)
+                if got is None:
+                    assert cnots > budget
+                    stopped += 1
+                else:
+                    assert got == full
+                    finished += 1
+        assert stopped and finished
+
+    def test_a_budget_stops_the_elimination_early(self, rng, monkeypatch):
+        """A stopped elimination emits at most W's gates, mostly fewer, and
+        stops only after the gates it did emit lower to more CNOTs than the
+        budget."""
+        emitted = []
+
+        def wrap(kind, kernel):
+            def logged(xs, zs, ks, qubits, start):
+                emitted.append(kind)
+                kernel(xs, zs, ks, qubits, start)
+
+            return logged
+
+        patch_forward_kernels(monkeypatch, wrap)
+        stopped = early = 0
+        for _ in range(50):
+            t, _ = random_tableau(rng.randint(2, 7), rng)
+            cnots = [0]  # the lowered CNOTs of each prefix of W
+            for g in synthesize_gates(t)[1]:
+                cnots.append(cnots[-1] + _LOWERED_COUNTS[g.kind][0])
+            emitted.clear()
+            if synthesize_gates(t, cnots[-1] // 2) is None:
+                assert len(emitted) <= len(cnots) - 1
+                assert cnots[len(emitted)] > cnots[-1] // 2
+                stopped += 1
+                early += len(emitted) < len(cnots) - 1
+        assert early > stopped // 2
+
     def test_a_non_symplectic_tableau_raises_invariant_error(self):
         """Random images make mostly invalid tableaux; each raises
         InvariantError, never a caller error about Paulis it was not given,
@@ -773,6 +821,13 @@ class TestLoweringTable:
                 assert {low.kind for low in lowering} <= {"H", "S", "CNOT", "X", "Z"}
                 lowered = CliffordTableau.from_circuit(Circuit.on_qubits(2, lowering))
                 assert lowered == CliffordTableau.from_circuit(Circuit.on_qubits(2, [gate]))
+
+    @pytest.mark.parametrize("kind", CLIFFORD)
+    def test_lowered_counts_match_the_lowerings(self, kind):
+        qubits = (0, 1) if ARITY[kind] == 2 else (0,)
+        for lowering in _lowerings(kind, *qubits):
+            kinds = [low.kind for low in lowering]
+            assert _LOWERED_COUNTS[kind] == (kinds.count("CNOT"), kinds.count("H"))
 
     def test_lowerings_are_interned(self):
         assert _lowerings("CZ", 0, 1) is _lowerings("CZ", 0, 1)

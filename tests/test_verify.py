@@ -125,6 +125,18 @@ class TestCheckUnitary:
         with pytest.raises(ValueError, match="not unitary"):
             _check_unitary(u)
 
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_blocks_sum_to_the_whole_defect(self, rows, rng, monkeypatch):
+        # Each row of (1 + eps) I has a defect of about 0.71e-9, under the
+        # bound; its 8 rows together have 2e-9, over it.  Three rows a block
+        # leaves a last block of two.
+        monkeypatch.setattr(trotopt.verify, "_CHECK_BLOCK_BYTES", rows * 16 * 8)
+        eps = 1e-9 / 8**0.5
+        with pytest.raises(ValueError, match=r"Frobenius defect 2\.00e-09"):
+            _check_unitary((1 + eps) * np.eye(8, dtype=complex))
+        u = unitary_of(Circuit.on_qubits(3, random_gates(3, 40, rng, sorted(ARITY))))
+        assert _check_unitary(u) is u
+
 
 def random_gates(n: int, count: int, rng, kinds) -> list[Gate]:
     """``count`` gates of the given kinds that fit on n qubits, at random placements."""
@@ -206,7 +218,7 @@ class TestContractionKernel:
             assert calls[-1] is None  # the last step applies no H
 
     def test_peak_memory_is_two_unitaries(self, rng, monkeypatch):
-        # The full u^dagger u check allocates its own products; the kernel
+        # The u^dagger u check allocates its own products; the kernel
         # itself works between the two preallocated buffers.  The slack
         # covers its O(2^n) arrays and numpy's iteration buffers (3 x 128 KiB
         # for an add over strided half-blocks).
@@ -214,6 +226,22 @@ class TestContractionKernel:
         unitary_bytes = 16 << 2 * n
         gates = random_gates(n, 60, rng, sorted(ARITY)) + [Gate("H", (0,)), Gate("H", (8,))]
         monkeypatch.setattr(trotopt.verify, "_check_unitary", lambda u: u)
+        tracemalloc.start()
+        try:
+            unitary_of(Circuit.on_qubits(n, gates))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * unitary_bytes + (1 << 20)
+
+    def test_peak_memory_with_the_blocked_check_is_two_unitaries(self, rng, monkeypatch):
+        # The second buffer is freed before the check, whose blocks of an
+        # eighth of u^dagger u then stay under it; the whole product in one
+        # block would add about two unitaries to the one checked.
+        n = 9
+        unitary_bytes = 16 << 2 * n
+        gates = random_gates(n, 60, rng, sorted(ARITY)) + [Gate("H", (0,)), Gate("H", (8,))]
+        monkeypatch.setattr(trotopt.verify, "_CHECK_BLOCK_BYTES", unitary_bytes // 8)
         tracemalloc.start()
         try:
             unitary_of(Circuit.on_qubits(n, gates))
