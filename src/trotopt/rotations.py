@@ -47,7 +47,6 @@ from .tableau import (
     _PREIMAGE_KERNELS,
     _dependent_indices,
     _diagonalize_with_gates,
-    _lower_synthesized,
     _lowered_counts,
     _lowerings,
     _pauli,
@@ -265,10 +264,9 @@ def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
     if not axes:
         return Circuit.on_qubits(0)
     n = axes[0].n
-    xs, zs, signed = _rows(axes, n)
+    xs, zs, _ = _rows(axes, n)
     ks = [(x & z).bit_count() & 3 for x, z in zip(xs, zs)]  # the +axes P(x, z)
-    # each axis's sign, read before the diagonalizer rewrites ks in place
-    phases = [_g("T" if k == s else "Tdg", j) for j, (k, s) in enumerate(zip(ks, signed))]
+    phases = [_g("T" if p.sign > 0 else "Tdg", j) for j, p in enumerate(axes)]
     basis = [
         _lowerings(g.kind, *g.qubits) for g in _diagonalize_with_gates(xs, zs, ks, n, len(ks))
     ]
@@ -279,8 +277,8 @@ def synthesize_layer(layer: Sequence[Rotation]) -> Circuit:
 
 def _tail_gates(form: RotationForm) -> list[Gate]:
     """The form's tail over {H, S, CNOT, X, Z}: the lowered skeleton if it has
-    fewer CNOTs than ``synthesize(form.tail_clifford)``, or as many and fewer
-    H; else, and for a form with no skeleton, that synthesized tail.
+    fewer CNOTs than ``synthesize_gates(form.tail_clifford)``, or as many and
+    fewer H; else, and for a form with no skeleton, those gates.
 
     The skeleton's counts are read off its source's gate kinds, since an
     S or Sdg lowers to no CNOT and no H, and it is built only when it wins.
@@ -290,9 +288,9 @@ def _tail_gates(form: RotationForm) -> list[Gate]:
     budget = None if skeleton is None else skeleton[0]
     synthesized = synthesize_gates(form.tail_clifford, budget)
     if synthesized is not None:
-        kinds = Counter(g.kind for part in synthesized for g in part)
-        if skeleton is None or _lowered_counts(kinds) <= skeleton:
-            return _lower_synthesized(*synthesized)
+        kinds = Counter(g.kind for g in synthesized)
+        if skeleton is None or (kinds["CNOT"], kinds["H"]) <= skeleton:
+            return synthesized
     return [low for g in form._skeleton() for low in _lowerings(g.kind, *g.qubits)[0]]
 
 

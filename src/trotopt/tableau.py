@@ -28,9 +28,10 @@ forward kernels are trees rather than the rule's algebraic normal form
 (slot bits shifted to 0/1, the monomials XORed) because most rows a gate
 is run over miss it, and a tree dismisses such a row after a test or two
 and writes nothing, where the normal form computes every monomial.
-Every gate that synthesis emits is interned (:func:`~trotopt.circuit._g`),
-and its lowering onto {H, S, CNOT, X, Z} and its inverse's are looked up in
-one table memoized on (kind, qubits) (:func:`_lowerings`).  The
+Every gate that synthesis emits is interned (:func:`~trotopt.circuit._g`)
+and handed back lowered onto {H, S, CNOT, X, Z}, by its own lowering or its
+inverse's, looked up in one table memoized on (kind, qubits)
+(:func:`_lowerings`): tableau synthesis returns only such gates.  The
 diagonalizer walks the set bits of a pivot row's masks, so each of its
 loops costs one step per gate it emits, not one per qubit.
 Public methods return new tableaux.  Callers that own the rows update
@@ -382,7 +383,8 @@ def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
     changes, so a row off the gate's qubits is not written.
     Every kind is read on the same four tests, one per bit of the rule's
     key.  A 1-qubit kind's rule never reads slot 1, so its trees drop the
-    slot-1 tests, and the prologue sets Q and M only for a body using them."""
+    slot-1 tests; the prologue binds Q only for a body using slot 1, and
+    M = P | Q only for a leaf that flips both slots (a dx or dz of 3)."""
     groups: list[tuple[list[int], int]] = []  # (outputs, tests read), no test in two
     for out in range(3):
         col = [e[out] for e in rule]
@@ -422,9 +424,10 @@ def _forward_source(kind: str, rule: tuple[tuple[int, int, int], ...]) -> str:
         return lines
 
     slot1 = any(reads & 0b1010 for _, reads in groups) or any((dx | dz) & 2 for dx, dz, _ in rule)
+    both = any(3 in (dx, dz) for dx, dz, _ in rule)
     lines = [
         "def forward_%s(xs, zs, ks, qubits, start):" % kind,
-        "    P = 1 << qubits[0]" + "; Q = 1 << qubits[-1]; M = P | Q" * slot1,
+        "    P = 1 << qubits[0]" + "; Q = 1 << qubits[-1]" * slot1 + "; M = P | Q" * both,
         "    for r in range(start, len(xs)):",
     ]
     lines += ["        %s = %ss[r]" % (name, name) for name in sorted(loaded)]
@@ -672,18 +675,17 @@ def _lowerings(kind: str, *qubits: int) -> tuple[tuple[Gate, ...], tuple[Gate, .
     return _lower_gate(g), _lower_gate(inverse_gate(g))
 
 
-def synthesize_gates(
-    t: CliffordTableau, budget: int | None = None
-) -> tuple[list[Gate], list[Gate]] | None:
-    """(P, W), in application order: P, of S, CZ and Z gates, then W's
-    inverse, gate by gate from the last, has tableau ``t``; no optimality.
+def synthesize_gates(t: CliffordTableau, budget: int | None = None) -> list[Gate] | None:
+    """Gates over {H, S, CNOT, X, Z}, in application order, with tableau
+    ``t``; no optimality: P, of S, CZ and Z gates, lowered, then the inverse
+    of the elimination W of t's Z rows, lowered gate by gate from W's last.
     P is checked on n rows, X_i conjugated by it in place against W's images
     of t's X rows.  A non-symplectic ``t`` raises ``validate``'s error.
     With a ``budget``, None once W's gates, lowered, hold more CNOTs than
     that: the elimination checks at each pivot and stops there."""
     n = t.n
     if not n:
-        return [], []
+        return []
     # d = diag ∘ t: t's X rows ride through the elimination of its Z rows,
     # which the post-check leaves exactly +Z_i.
     xs, zs, ks = (rows[n:] + rows[:n] for rows in (t._x, t._z, t._k))
@@ -718,17 +720,11 @@ def synthesize_gates(
             _FORWARD_KERNELS["Z"](lx, lz, lk, (i,), i)
     if (lx, lz, lk) != (dx, dz, dk):
         raise InvariantError("phase-layer reconstruction failed")
-    return phase_gates, diag_gates
-
-
-def _lower_synthesized(phase_gates: list[Gate], diag_gates: list[Gate]) -> list[Gate]:
-    """:func:`synthesize_gates`' (P, W) as gates over {H, S, CNOT, X, Z}: P
-    lowered, then W's inverse lowered gate by gate from the last."""
     gates = [low for g in phase_gates for low in _lowerings(g.kind, *g.qubits)[0]]
     gates += [low for g in reversed(diag_gates) for low in _lowerings(g.kind, *g.qubits)[1]]
     return gates
 
 
 def synthesize(t: CliffordTableau) -> Circuit:
-    """A circuit over {H, S, CNOT, X, Z} whose tableau equals ``t``."""
-    return Circuit.on_qubits(t.n, _lower_synthesized(*synthesize_gates(t)))
+    """The circuit of :func:`synthesize_gates`: its tableau equals ``t``."""
+    return Circuit.on_qubits(t.n, synthesize_gates(t))

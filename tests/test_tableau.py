@@ -263,6 +263,15 @@ class TestGateKernels:
             assert got == want, f"{kind} on {qubits} from row {start}"
             assert all(g[:start] == r[:start] for g, r in zip(got, rows))
 
+    @pytest.mark.parametrize("kind", CLIFFORD)
+    def test_forward_prologue_binds_only_names_the_loop_reads(self, kind):
+        _, prologue, loop, *body = tableau._forward_source(kind, tableau._RULES[kind]).splitlines()
+        assert loop.lstrip().startswith("for r in")
+        bound = re.findall(r"(\w+) = ", prologue)
+        assert bound[0] == "P"
+        unread = [name for name in bound if not re.search(rf"\b{name}\b", "\n".join(body))]
+        assert unread == [], f"forward_{kind} binds {unread} and never reads them"
+
     @pytest.mark.parametrize("n", [2, 3, 64, 65])
     @pytest.mark.parametrize("kind", CLIFFORD)
     def test_preimage_kernel_matches_the_plan(self, kind, n, rng):
@@ -726,24 +735,54 @@ class TestSynthesize:
             t, _ = random_tableau(n, rng)
             assert CliffordTableau.from_circuit(synthesize(t)) == t
 
+    @staticmethod
+    def diagonalizer(t, budget=None):
+        """W, the elimination ``synthesize_gates(t)`` runs on t's Z rows,
+        with t's X rows riding along."""
+        n = t.n
+        xs, zs, ks = (rows[n:] + rows[:n] for rows in (t._x, t._z, t._k))
+        return _diagonalize_with_gates(xs, zs, ks, n, n, budget)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 64, 65])
+    def test_lowered_gates_rebuild_the_tableau(self, n):
+        """The gates are over {H, S, CNOT, X, Z}, their tableau is ``t``, and
+        a budget at or above W's lowered CNOTs changes nothing."""
+        rng = random.Random(n)
+        for _ in range(3):
+            t = random_tableau(n, rng)[0] if n else CliffordTableau.identity(0)
+            gates = synthesize_gates(t)
+            assert {g.kind for g in gates} <= {"H", "S", "CNOT", "X", "Z"}
+            assert CliffordTableau.from_circuit(Circuit.on_qubits(n, gates)) == t
+            cnots = sum(_LOWERED_COUNTS[g.kind][0] for g in self.diagonalizer(t)) if n else 0
+            for budget in (cnots, cnots + 1, 10 * cnots + 10):
+                assert synthesize_gates(t, budget) == gates
+        if not n:
+            assert gates == []
+
     def test_phase_layer_then_the_diagonalizer_undone(self, rng):
+        """The gates are a lowered phase layer P, which fixes every Z_i,
+        then W's inverse lowered gate by gate from W's last."""
         for _ in range(100):
             n = rng.randint(1, 6)
             t, _ = random_tableau(n, rng)
-            phase_gates, diag_gates = synthesize_gates(t)
-            assert {g.kind for g in phase_gates} <= {"S", "CZ", "Z"}
-            undone = [inverse_gate(g) for g in reversed(diag_gates)]
-            assert CliffordTableau.from_circuit(Circuit.on_qubits(n, phase_gates + undone)) == t
+            gates = synthesize_gates(t)
+            undone = [low for g in reversed(self.diagonalizer(t))
+                      for low in _lowerings(g.kind, *g.qubits)[1]]
+            assert gates[len(gates) - len(undone):] == undone
+            phase = gates[:len(gates) - len(undone)]
+            assert {g.kind for g in phase} <= {"S", "H", "CNOT", "Z"}
+            diagonal = CliffordTableau.from_circuit(Circuit.on_qubits(n, phase))
+            assert diagonal.z_images == CliffordTableau.identity(n).z_images
 
     def test_a_budget_stops_only_past_it(self, rng):
-        """With a budget, the elimination gives the unbudgeted (P, W), or
-        None only when W, lowered, holds more CNOTs than the budget."""
+        """With a budget, synthesis gives the unbudgeted gates, or None only
+        when W, lowered, holds more CNOTs than the budget."""
         stopped = finished = 0
         for _ in range(100):
             n = rng.randint(1, 7)
             t, _ = random_tableau(n, rng)
             full = synthesize_gates(t)
-            cnots = sum(_LOWERED_COUNTS[g.kind][0] for g in full[1])
+            cnots = sum(_LOWERED_COUNTS[g.kind][0] for g in self.diagonalizer(t))
             for budget in {0, cnots // 2, cnots - 1, cnots, cnots + 1} - {-1}:
                 got = synthesize_gates(t, budget)
                 if got is None:
@@ -772,10 +811,10 @@ class TestSynthesize:
         for _ in range(50):
             t, _ = random_tableau(rng.randint(2, 7), rng)
             cnots = [0]  # the lowered CNOTs of each prefix of W
-            for g in synthesize_gates(t)[1]:
+            for g in self.diagonalizer(t):
                 cnots.append(cnots[-1] + _LOWERED_COUNTS[g.kind][0])
             emitted.clear()
-            if synthesize_gates(t, cnots[-1] // 2) is None:
+            if self.diagonalizer(t, cnots[-1] // 2) is None:
                 assert len(emitted) <= len(cnots) - 1
                 assert cnots[len(emitted)] > cnots[-1] // 2
                 stopped += 1

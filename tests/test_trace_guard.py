@@ -126,3 +126,41 @@ def test_traced_verify_feeds_the_oracle_metrics(tracing):
     assert [s.info for s in tracer.spans if s.name == "verify.unitary"] == [{"n": 5}, {"n": 5}]
     assert names.count("verify.compare") == 1
     assert "circuit.expand" not in names
+
+
+def test_traced_tail_synthesis_holds_its_elimination(tracing, tmp_path, monkeypatch):
+    # The benchmark's tableau.synthesize_s reads one span per synthesized
+    # tail, and the tail's elimination (2n rows, n of them pivots; layer
+    # synthesis eliminates its axes alone) must run inside it.
+    from trotopt import tableau
+
+    commands = {
+        "tdepth": ["tdepth", str(MOD5_4), "--ancilla", "-o", str(tmp_path / "layered.qc")],
+        "resynth": ["optimize", str(MOD5_4), "--no-verify", "--mode", "resynth",
+                    "-o", str(tmp_path / "resynth.qc")],
+    }
+    tracer = tracing.Tracer()
+    eliminations = []  # (request, innermost open span) per tail elimination
+    real = tableau._diagonalize_with_gates
+
+    def recorded(xs, zs, ks, n, m, budget=None):
+        if len(xs) == 2 * m:
+            eliminations.append((tracer._request, tracer._stack()[-1]))
+        return real(xs, zs, ks, n, m, budget)
+
+    monkeypatch.setattr(tableau, "_diagonalize_with_gates", recorded)
+    kinds = {}
+    tracer.install()
+    try:
+        for kind, argv in commands.items():
+            with tracer.request(kind) as sid, redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            kinds[sid] = kind
+    finally:
+        tracer.uninstall()
+
+    spans = {kind: [s.id for s in tracer.spans
+                    if s.name == "tableau.synthesize" and s.request == sid]
+             for sid, kind in kinds.items()}
+    assert [len(spans[kind]) for kind in commands] == [1, 1]
+    assert sorted(eliminations) == sorted((sid, spans[kind][0]) for sid, kind in kinds.items())
